@@ -377,12 +377,14 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
     inflight: Dict[Future, Tuple[JobRow, int]] = {}
     draining_since: Optional[float] = None
 
-    def replace_broken_pool() -> ProcessPoolExecutor:
+    def replace_broken_pool(alone: bool) -> ProcessPoolExecutor:
         # The pool is dead: every in-flight future raises the same
         # error.  A lone in-flight job is convicted on the spot;
         # multiple in-flight jobs all become suspects and re-run
-        # isolated (see _charge_crash).
-        alone = len(inflight) == 1
+        # isolated (see _charge_crash).  ``alone`` is decided by the
+        # caller from every job in flight when the crash was detected:
+        # ``wait`` may return before the executor has marked all of
+        # them broken, so the jobs still left here prove nothing.
         for in_row, _attempts in inflight.values():
             _charge_crash(run, in_row, alone=alone)
         inflight.clear()
@@ -412,7 +414,7 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
                     # ran, so hand it straight back (no crash charge).
                     run.store.mark_pending([row.job_id])
                     run.ready.appendleft(row)
-                    pool = replace_broken_pool()
+                    pool = replace_broken_pool(alone=len(inflight) == 1)
                     continue
                 inflight[future] = (row, attempts)
                 run.summary.executed += 1
@@ -442,6 +444,7 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
             done, _ = wait(
                 set(inflight), timeout=0.1, return_when=FIRST_COMPLETED
             )
+            alone = len(inflight) == 1
             broken = False
             for future in done:
                 row, attempts = inflight.pop(future)
@@ -449,13 +452,13 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
                     result = future.result()
                 except BrokenProcessPool:
                     broken = True
-                    _charge_crash(run, row)
+                    _charge_crash(run, row, alone=alone)
                     continue
                 _adopt_worker_telemetry(result)
                 run.suspects.discard(row.job_id)  # completed -> exonerated
                 run.dispose(row, attempts, result)
             if broken:
-                pool = replace_broken_pool()
+                pool = replace_broken_pool(alone)
         leftover = [row.job_id for row in run.ready] + [
             row.job_id for _, row in run.delayed
         ]

@@ -6,6 +6,7 @@ from .solver import (
     CdclSolver,
     SatResult,
     SatStatus,
+    SolverAbortedError,
     SolverConfig,
     SolverStats,
     solve_cnf,
@@ -37,6 +38,7 @@ __all__ = [
     "CdclSolver",
     "SatResult",
     "SatStatus",
+    "SolverAbortedError",
     "SolverConfig",
     "SolverStats",
     "LEGACY_CONFIG",

@@ -138,25 +138,22 @@ class IncrementalCecSession:
                 # Equivalence-preserving only: the variable numbering must
                 # survive because every future delta strashes against it.
                 cnf = preprocess(cnf, config=INCREMENTAL_SAFE).cnf
-            self.solver = CdclSolver(cnf, config=solver_config)
-            self._sink = _SolverSink(self.solver)
+            self._base_cnf = cnf
+            self._solver_config = solver_config
 
-            # Structural-hash table over CNF variables: (kind, fanin vars)
-            # -> output var.  Seeded from the base; grows with every fresh
-            # gate a copy introduces, so later copies share earlier
-            # copies' deltas too.
-            self._strash: Dict[Tuple, int] = {}
             #: Per-base-gate canonical key, for name-stable matching: a
             #: copy gate that keeps its base name and definition maps to
             #: its own base variable even when another base gate shares
             #: the same key (duplicate gates would otherwise alias and
             #: look "modified").
             self._base_key: Dict[str, Tuple] = {}
+            self._base_strash: Dict[Tuple, int] = {}
             compiled = compile_circuit(base)
             for gate in compiled.gates_in_order():
                 key = self._key(gate.kind, [self._base_var[n] for n in gate.inputs])
                 self._base_key[gate.name] = key
-                self._strash.setdefault(key, self._base_var[gate.name])
+                self._base_strash.setdefault(key, self._base_var[gate.name])
+            self._load_base()
 
             self.n_vectors = n_vectors
             self._stimulus = random_stimulus(base.inputs, n_vectors, seed=seed)
@@ -168,6 +165,16 @@ class IncrementalCecSession:
     # Canonical structural key (commutative fanins sorted), promoted to
     # repro.hashing so the artifact store and campaign ids share it.
     _key = staticmethod(gate_key)
+
+    def _load_base(self) -> None:
+        """A fresh persistent solver holding only the base encoding."""
+        self.solver = CdclSolver(self._base_cnf, config=self._solver_config)
+        self._sink = _SolverSink(self.solver)
+        # Structural-hash table over CNF variables: (kind, fanin vars)
+        # -> output var.  Seeded from the base; grows with every fresh
+        # gate a copy introduces, so later copies share earlier copies'
+        # deltas too.
+        self._strash: Dict[Tuple, int] = dict(self._base_strash)
 
     def _snapshot(
         self,
@@ -253,6 +260,13 @@ class IncrementalCecSession:
             raise PortMismatchError("input sets differ")
         if set(copy.outputs) != set(self.base.outputs):
             raise PortMismatchError("output sets differ")
+        if not self.solver.usable:
+            # An exception escaped a solve during an earlier copy (a job
+            # timeout, say); that solver refuses reuse, so start again
+            # from the base encoding, keeping the accumulated counters.
+            stats = self.solver.stats
+            self._load_base()
+            self.solver.stats = stats
         solver = self.solver
         clock = budget.start() if budget is not None and not budget.unlimited else None
         conflicts0 = solver.stats.conflicts
@@ -423,8 +437,11 @@ class IncrementalCecSession:
             )
         finally:
             # Retire this copy's miter clauses for good; the learned
-            # clauses they produced remain valid for future copies.
-            solver.add_clause([-activation])
+            # clauses they produced remain valid for future copies.  An
+            # aborted solver is skipped so the original exception
+            # propagates; the next verify rebuilds it.
+            if solver.usable:
+                solver.add_clause([-activation])
 
     def verify_many(
         self,

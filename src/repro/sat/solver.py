@@ -27,6 +27,26 @@ differential suite compares verdicts with.
 
 Internal literal encoding: variable ``v`` (1-based) maps to literals
 ``2*v`` (positive) and ``2*v + 1`` (negative); ``lit ^ 1`` negates.
+Assignments live twice: per variable in ``_assign`` (1, 0, or -1 for
+unassigned) and per literal in ``_val`` (``_val[lit]`` is 1 when ``lit``
+is true, 0 when false, -1 when unassigned), so the inner loop tests a
+literal with one index and no arithmetic.
+
+Branching is served from a lazy VSIDS max-heap whose invariant is: every
+unassigned variable has exactly one *live* entry ``(-activity, var)``,
+and ``_heap_act[var]`` records the activity of the variable's newest entry
+still in the heap.  A variable is pushed only when its activity differs
+from that record (it was bumped, or its entry was popped while it was
+assigned), and the heap is rebuilt from the unassigned variables once it
+holds more than ``2 * (n_vars + 1)`` entries, so its size stays bounded
+however many solves a persistent solver serves.  The branch variable is
+the unassigned variable of highest activity, lowest index on ties.
+
+Exception contract: an exception escaping :meth:`CdclSolver.solve` (a
+``KeyboardInterrupt``, a signal-driven timeout, a raising ``interrupt``
+hook) can land anywhere, even mid watch-list compaction, so the solver
+marks itself unusable.  Every later ``solve`` / ``add_clause`` /
+``new_var`` raises :class:`SolverAbortedError`; build a fresh solver.
 """
 
 from __future__ import annotations
@@ -39,10 +59,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..budget import Budget, UNLIMITED
+from ..errors import ReproError
 from ..telemetry.metrics import safe_rate
 from .cnf import Cnf
 
 _UNASSIGNED = -1
+
+
+class SolverAbortedError(ReproError, RuntimeError):
+    """The solver was used after an exception escaped one of its solves.
+
+    The aborted solve may have left partial state (decision levels, a
+    half-compacted watch list), so the solver refuses further work rather
+    than answer from it.  Build a new solver from the formula.
+    """
 
 
 def _to_internal(lit: int) -> int:
@@ -309,6 +339,8 @@ class CdclSolver:
         #: the clause object.
         self._bin_watches: List[List[int]] = [[] for _ in range(size)]
         self._assign: List[int] = [_UNASSIGNED] * (self.n_vars + 1)
+        #: Per-literal truth value: 1 true, 0 false, -1 unassigned.
+        self._val: List[int] = [_UNASSIGNED] * size
         self._level: List[int] = [0] * (self.n_vars + 1)
         self._reason: List[Optional[int]] = [None] * (self.n_vars + 1)
         self._trail: List[int] = []
@@ -320,12 +352,22 @@ class CdclSolver:
         self._cla_inc = 1.0
         self._cla_decay = config.cla_decay
         self._trivially_unsat = False
-        #: Lazy VSIDS max-heap of ``(-activity_at_push, var)`` entries;
-        #: stale entries (activity changed or var assigned) are skipped at
-        #: pop time.
+        #: Set when an exception escaped a solve; see SolverAbortedError.
+        self._aborted = False
+        #: Lazy VSIDS max-heap of ``(-activity_at_push, var)`` entries.
+        #: Stale entries (activity changed since, or var assigned) are
+        #: skipped at pop time.  Invariant: every unassigned variable has
+        #: one live entry, whose activity ``_heap_act`` records (-1.0 when
+        #: the variable has no entry left); a variable is pushed only when
+        #: its activity differs from that record.  Bound: more than
+        #: ``2 * (n_vars + 1)`` entries triggers a rebuild from the
+        #: unassigned variables (see ``_rebuild_heap``).
         self._heap: List[Tuple[float, int]] = [
             (0.0, var) for var in range(1, self.n_vars + 1)
         ]
+        self._heap_act: List[float] = [0.0] * (self.n_vars + 1)
+        #: Conflict-analysis marks, all False between analyses.
+        self._seen: List[bool] = [False] * (self.n_vars + 1)
         #: Learned clauses currently in the database (not yet deleted).
         self._n_learned_live = 0
         #: DB reduction fires when live learned clauses exceed this.
@@ -356,8 +398,21 @@ class CdclSolver:
     # incremental interface
     # ------------------------------------------------------------------ #
 
+    @property
+    def usable(self) -> bool:
+        """False once an exception escaped a solve (see SolverAbortedError)."""
+        return not self._aborted
+
+    def _check_usable(self) -> None:
+        if self._aborted:
+            raise SolverAbortedError(
+                "solver state is undefined after an aborted solve()",
+                stage="sat",
+            )
+
     def new_var(self) -> int:
         """Allocate a fresh variable; returns its (positive) DIMACS index."""
+        self._check_usable()
         self.n_vars += 1
         var = self.n_vars
         self._watches.append([])
@@ -365,10 +420,14 @@ class CdclSolver:
         self._bin_watches.append([])
         self._bin_watches.append([])
         self._assign.append(_UNASSIGNED)
+        self._val.append(_UNASSIGNED)
+        self._val.append(_UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
         self._phase.append(False)
+        self._heap_act.append(0.0)
+        self._seen.append(False)
         heapq.heappush(self._heap, (-0.0, var))
         return var
 
@@ -382,6 +441,7 @@ class CdclSolver:
         when the addition makes the formula trivially UNSAT (the solver
         stays usable and will answer UNSAT), ``True`` otherwise.
         """
+        self._check_usable()
         if self._trail_lim:
             raise ValueError("add_clause requires decision level 0")
         internal = []
@@ -463,17 +523,17 @@ class CdclSolver:
 
     def _lit_value(self, lit: int) -> int:
         """1 true, 0 false, -1 unassigned."""
-        value = self._assign[lit >> 1]
-        if value == _UNASSIGNED:
-            return -1
-        return value ^ (lit & 1)
+        return self._val[lit]
 
     def _enqueue(self, lit: int, reason: Optional[int]) -> bool:
+        val = self._val
+        value = val[lit]
+        if value != _UNASSIGNED:
+            return value == 1
         var = lit >> 1
-        value = 1 - (lit & 1)
-        if self._assign[var] != _UNASSIGNED:
-            return self._assign[var] == value
-        self._assign[var] = value
+        self._assign[var] = (lit & 1) ^ 1
+        val[lit] = 1
+        val[lit ^ 1] = 0
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
@@ -498,79 +558,113 @@ class CdclSolver:
         pairs; longer clauses check the interleaved blocker literal first
         and touch the clause object only when the blocker is not already
         true.  Returns (conflicting clause index or None, head).
+
+        The hottest loop of the solver: enqueueing and literal tests are
+        inlined over ``_val``, and the counters live in locals that are
+        written back once on every return.
         """
-        stats = self.stats
-        assign = self._assign
-        clauses = self._clauses
         trail = self._trail
+        if head >= len(trail):
+            return None, head
+        assign = self._assign
+        val = self._val
+        level = self._level
+        reason = self._reason
+        clauses = self._clauses
+        watches = self._watches
+        bin_watches = self._bin_watches
+        push = trail.append
+        depth = len(self._trail_lim)
+        props = visits = 0
+        conflict: Optional[int] = None
         while head < len(trail):
             lit = trail[head]
             head += 1
-            stats.propagations += 1
+            props += 1
             false_lit = lit ^ 1
 
-            blist = self._bin_watches[false_lit]
-            stats.watch_visits += len(blist) >> 1
-            for i in range(0, len(blist), 2):
-                other = blist[i]
-                value = assign[other >> 1]
-                if value == _UNASSIGNED:
-                    self._enqueue(other, blist[i + 1])
-                elif value == (other & 1):
-                    return blist[i + 1], head  # conflict: other is false
+            blist = bin_watches[false_lit]
+            n = len(blist)
+            if n:
+                visits += n >> 1
+                for i in range(0, n, 2):
+                    other = blist[i]
+                    value = val[other]
+                    if value == -1:
+                        var = other >> 1
+                        assign[var] = (other & 1) ^ 1
+                        val[other] = 1
+                        val[other ^ 1] = 0
+                        level[var] = depth
+                        reason[var] = blist[i + 1]
+                        push(other)
+                    elif value == 0:
+                        conflict = blist[i + 1]
+                        break
+                if conflict is not None:
+                    break
 
-            watch_list = self._watches[false_lit]
+            watch_list = watches[false_lit]
             n = len(watch_list)
-            stats.watch_visits += n >> 1
-            i = j = 0
-            conflict: Optional[int] = None
-            while i < n:
+            if not n:
+                continue
+            visits += n >> 1
+            j = 0
+            for i in range(0, n, 2):
                 blocker = watch_list[i]
-                value = assign[blocker >> 1]
-                if value != _UNASSIGNED and value != (blocker & 1):
+                if val[blocker] == 1:
                     # Blocker literal is true; clause satisfied untouched.
-                    watch_list[j] = blocker
-                    watch_list[j + 1] = watch_list[i + 1]
-                    i += 2
+                    if i != j:
+                        watch_list[j] = blocker
+                        watch_list[j + 1] = watch_list[i + 1]
                     j += 2
                     continue
                 clause_index = watch_list[i + 1]
                 clause = clauses[clause_index]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                first_value = self._lit_value(first)
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                first_value = val[first]
                 if first_value == 1:
                     watch_list[j] = first
                     watch_list[j + 1] = clause_index
-                    i += 2
                     j += 2
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        new_list = self._watches[clause[1]]
+                    other = clause[k]
+                    if val[other] != 0:
+                        clause[k] = clause[1]
+                        clause[1] = other
+                        new_list = watches[other]
                         new_list.append(first)
                         new_list.append(clause_index)
-                        moved = True
                         break
-                if moved:
-                    i += 2
-                    continue
-                if first_value == 0:
-                    conflict = clause_index
-                    # Keep the unprocessed tail (including this entry).
-                    watch_list[j:] = watch_list[i:]
-                    return conflict, head
-                self._enqueue(first, clause_index)
-                watch_list[j] = first
-                watch_list[j + 1] = clause_index
-                i += 2
-                j += 2
+                else:
+                    if first_value == 0:
+                        conflict = clause_index
+                        # Keep the unprocessed tail (including this entry).
+                        watch_list[j:] = watch_list[i:]
+                        break
+                    var = first >> 1
+                    assign[var] = (first & 1) ^ 1
+                    val[first] = 1
+                    val[first ^ 1] = 0
+                    level[var] = depth
+                    reason[var] = clause_index
+                    push(first)
+                    watch_list[j] = first
+                    watch_list[j + 1] = clause_index
+                    j += 2
+            if conflict is not None:
+                break
             if j != n:
                 del watch_list[j:]
-        return None, head
+        stats = self.stats
+        stats.propagations += props
+        stats.watch_visits += visits
+        return conflict, head
 
     def _propagate_legacy(self, head: int) -> Tuple[Optional[int], int]:
         """Unit propagation; returns (conflicting clause index or None, head)."""
@@ -615,22 +709,29 @@ class CdclSolver:
     # conflict analysis
     # ------------------------------------------------------------------ #
 
-    def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self.n_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-            # Every heap entry is stale after a rescale; rebuild in bulk.
-            self._heap = [
-                (-self._activity[v], v)
-                for v in range(1, self.n_vars + 1)
-                if self._assign[v] == _UNASSIGNED
-            ]
-            heapq.heapify(self._heap)
-            return
-        if self._assign[var] == _UNASSIGNED:
-            heapq.heappush(self._heap, (-self._activity[var], var))
+    def _rescale_activity(self) -> None:
+        """Scale every activity down by 1e-100 (they near float range)."""
+        activity = self._activity
+        for v in range(1, self.n_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
+        # Every heap entry is stale after a rescale; rebuild in bulk.
+        self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One entry per unassigned variable, at its current activity."""
+        activity = self._activity
+        assign = self._assign
+        heap_act = self._heap_act
+        heap: List[Tuple[float, int]] = []
+        for v in range(1, self.n_vars + 1):
+            if assign[v] == _UNASSIGNED:
+                heap_act[v] = activity[v]
+                heap.append((-activity[v], v))
+            else:
+                heap_act[v] = -1.0
+        heapq.heapify(heap)
+        self._heap = heap
 
     def _cla_bump(self, index: int) -> None:
         if not self._learned_mask[index]:
@@ -644,33 +745,45 @@ class CdclSolver:
 
     def _analyze(self, conflict: int) -> Tuple[List[int], int]:
         """First-UIP learning (+ optional minimization); returns
-        (learned clause, backjump level)."""
+        (learned clause, backjump level).
+
+        Every variable reached here is assigned (its literal is false in
+        the conflict or a reason clause), so bumping its activity never
+        pushes a heap entry; the backjump that unassigns it does.
+        """
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.n_vars + 1)
+        seen = self._seen
+        level = self._level
+        trail = self._trail
+        activity = self._activity
+        var_inc = self._var_inc
         counter = 0
         pivot = -1  # the literal asserted by the current reason clause
         self._cla_bump(conflict)
         clause = self._clauses[conflict]
-        index = len(self._trail)
-        current_level = self._decision_level()
+        index = len(trail)
+        current_level = len(self._trail_lim)
 
         while True:
             for l in clause:
                 if l == pivot:
                     continue
                 var = l >> 1
-                if seen[var] or self._level[var] == 0:
+                if seen[var] or level[var] == 0:
                     continue
                 seen[var] = True
-                self._bump(var)
-                if self._level[var] == current_level:
+                activity[var] += var_inc
+                if activity[var] > 1e100:
+                    self._rescale_activity()
+                    var_inc = self._var_inc
+                if level[var] == current_level:
                     counter += 1
                 else:
                     learned.append(l)
             # Walk the trail backwards to the next marked literal.
             while True:
                 index -= 1
-                trail_lit = self._trail[index]
+                trail_lit = trail[index]
                 if seen[trail_lit >> 1]:
                     break
             pivot = trail_lit
@@ -683,15 +796,18 @@ class CdclSolver:
             clause = self._clauses[reason]
         learned[0] = pivot ^ 1
 
+        marked = learned
         if self.config.minimize and len(learned) > 2:
             learned = self._minimize_learned(learned, seen)
+        for l in marked:
+            seen[l >> 1] = False
         if len(learned) == 1:
             return learned, 0
         # Backjump to the second-highest level in the clause.
-        back_level = max(self._level[l >> 1] for l in learned[1:])
+        back_level = max(level[l >> 1] for l in learned[1:])
         # Move one literal of back_level into watch position 1.
         for k in range(1, len(learned)):
-            if self._level[learned[k] >> 1] == back_level:
+            if level[learned[k] >> 1] == back_level:
                 learned[1], learned[k] = learned[k], learned[1]
                 break
         return learned, back_level
@@ -704,7 +820,8 @@ class CdclSolver:
         every path from it upward terminates in level-0 facts or literals
         already in the clause.  ``seen`` arrives marking exactly the
         clause's non-UIP variables and is extended with proven-redundant
-        variables so later checks reuse earlier proofs.
+        variables so later checks reuse earlier proofs; those extra marks
+        are cleared again before returning.
         """
         toclear: List[int] = []
         kept = [learned[0]]
@@ -716,6 +833,8 @@ class CdclSolver:
                 kept.append(lit)
             else:
                 removed += 1
+        for var in toclear:
+            seen[var] = False
         self.stats.minimized_literals += removed
         return kept
 
@@ -744,46 +863,57 @@ class CdclSolver:
         return True
 
     def _backjump(self, level: int) -> None:
-        heap = self._heap
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
+            return
+        trail = self._trail
+        limit = trail_lim[level]
+        undone = trail[limit:]
+        del trail[limit:]
+        del trail_lim[level:]
+        assign = self._assign
+        val = self._val
+        reason = self._reason
+        phase = self._phase
         activity = self._activity
+        heap = self._heap
+        heap_act = self._heap_act
+        push = heapq.heappush
         save_phase = self.config.phase_saving
-        while self._trail_lim and self._decision_level() > level:
-            limit = self._trail_lim.pop()
-            while len(self._trail) > limit:
-                lit = self._trail.pop()
-                var = lit >> 1
-                if save_phase:
-                    self._phase[var] = bool(1 - (lit & 1))
-                self._assign[var] = _UNASSIGNED
-                self._reason[var] = None
-                heapq.heappush(heap, (-activity[var], var))
+        for lit in undone:
+            var = lit >> 1
+            if save_phase:
+                phase[var] = not lit & 1
+            assign[var] = _UNASSIGNED
+            val[lit] = _UNASSIGNED
+            val[lit ^ 1] = _UNASSIGNED
+            reason[var] = None
+            act = activity[var]
+            if heap_act[var] != act:
+                heap_act[var] = act
+                push(heap, (-act, var))
+        if len(heap) > 2 * (self.n_vars + 1):
+            self._rebuild_heap()
 
     def _pick_branch(self) -> Optional[int]:
         heap = self._heap
         assign = self._assign
         activity = self._activity
+        heap_act = self._heap_act
         while heap:
             neg_act, var = heap[0]
             if assign[var] != _UNASSIGNED or -neg_act != activity[var]:
                 heapq.heappop(heap)  # stale entry
+                if heap_act[var] == -neg_act:
+                    heap_act[var] = -1.0  # it was the variable's newest
                 continue
             return 2 * var + (0 if self._phase[var] else 1)
-        # Heap exhausted: either everything is assigned, or fresh entries
-        # were lost (possible only transiently); fall back to a scan and
-        # repopulate so subsequent picks are heap-served again.
-        best_var, best_act = 0, -1.0
-        rebuilt: List[Tuple[float, int]] = []
-        for var in range(1, self.n_vars + 1):
-            if assign[var] != _UNASSIGNED:
-                continue
-            rebuilt.append((-activity[var], var))
-            if activity[var] > best_act:
-                best_var, best_act = var, activity[var]
-        if best_var == 0:
-            return None
-        heapq.heapify(rebuilt)
-        self._heap = rebuilt
-        return 2 * best_var + (0 if self._phase[best_var] else 1)
+        # Empty heap: the invariant says every variable is assigned.  A
+        # rebuild is one scan per model and guards against a lost entry.
+        self._rebuild_heap()
+        if self._heap:
+            return self._pick_branch()
+        return None
 
     # ------------------------------------------------------------------ #
     # learned-clause database reduction
@@ -858,13 +988,17 @@ class CdclSolver:
         :data:`SatStatus.UNKNOWN` result whose ``reason`` names the spent
         limit — it never raises and never runs unbounded.  The solver
         always returns at decision level 0, ready for the next
-        :meth:`add_clause` / :meth:`solve`.
+        :meth:`add_clause` / :meth:`solve`.  If an exception escapes
+        instead (a signal-driven timeout, ``KeyboardInterrupt``, a raising
+        ``interrupt``), it propagates and the solver becomes unusable:
+        later calls raise :class:`SolverAbortedError`.
 
         ``interrupt`` is polled at the same cadence as the budget; when it
         returns true the solver stops with UNKNOWN (reason
         ``"interrupted"``) — the cooperative cancellation hook used by the
         portfolio runner to stop racing losers.
         """
+        self._check_usable()
         stats = self.stats
         conflicts0 = stats.conflicts
         propagations0 = stats.propagations
@@ -872,6 +1006,9 @@ class CdclSolver:
         with telemetry.span("sat.solve", vars=self.n_vars) as solve_span:
             try:
                 result = self._solve(assumptions, budget, interrupt)
+            except BaseException:
+                self._aborted = True
+                raise
             finally:
                 elapsed = time.perf_counter() - start
                 stats.solve_seconds += elapsed

@@ -184,6 +184,43 @@ class TestCrashQuarantine:
         assert all(status == "done"
                    for job, (status, _v) in rows.items() if job != victim)
 
+    def test_partial_wait_after_crash_quarantines_nobody(
+            self, tmp_path, monkeypatch):
+        """``wait`` can wake before the executor has marked every future
+        broken.  Make it hand back all but one broken future: the one
+        left in flight shared the pool with the others, so it is a
+        suspect, not a culprit, and the campaign still finishes clean."""
+        from concurrent.futures import ALL_COMPLETED
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.campaign import scheduler
+
+        real_wait = scheduler.wait
+        withheld = []
+
+        def partial_wait(futures, timeout=None, return_when=ALL_COMPLETED):
+            done, pending = real_wait(futures, timeout, return_when)
+            if withheld or not any(
+                isinstance(f.exception(), BrokenProcessPool) for f in done
+            ):
+                return done, pending
+            real_wait(futures, 30, ALL_COMPLETED)  # every future now broken
+            done = set(futures)
+            if len(done) < 2:
+                return done, set()
+            withheld.append(done.pop())
+            return done, set(withheld)
+
+        monkeypatch.setattr(scheduler, "wait", partial_wait)
+        spec = fp_spec()
+        victim = job_ids(spec)[0]
+        monkeypatch.setenv("REPRO_CAMPAIGN_CRASH_JOBS", f"{victim}:1")
+        db = str(tmp_path / "c.db")
+        summary = run_campaign(spec, db, CampaignOptions(jobs=2, **FAST))
+        assert withheld, "the crash never reached the wrapped wait"
+        assert summary.quarantined == 0
+        assert summary.complete and summary.clean
+
     def test_crash_ledger_recorded(self, tmp_path, monkeypatch):
         spec = fp_spec(n_copies=2)
         victim = job_ids(spec)[0]

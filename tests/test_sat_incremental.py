@@ -219,3 +219,47 @@ class TestStructuralFastPath:
         assert result.equivalent
         assert "structurally identical" in result.reason
         assert result.stats.decisions == 0 and result.stats.propagations == 0
+
+
+class TestAbortedSolve:
+    """An exception escaping a session's solve (a job timeout, say) must
+    surface unchanged, and the session must answer correctly afterwards."""
+
+    class Abort(Exception):
+        pass
+
+    def test_session_rebuilds_after_an_aborted_solve(self):
+        from repro.bench.suite import build_benchmark
+
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        codec = FingerprintCodec(catalog)
+        rng = random.Random(3)
+        copies = [
+            embed(base, catalog, codec.encode(rng.randrange(codec.combinations))).circuit
+            for _ in range(3)
+        ]
+        session = IncrementalCecSession(base)
+        aborted = session.solver
+        real_solve = aborted.solve
+
+        def abort(assumptions=(), budget=None, interrupt=None):
+            def boom():
+                raise self.Abort()
+
+            return real_solve(assumptions, budget, interrupt=boom)
+
+        aborted.solve = abort
+        with pytest.raises(self.Abort):
+            session.verify(copies[0])
+        assert not aborted.usable
+        conflicts = aborted.stats.conflicts
+
+        reference = IncrementalCecSession(base)
+        for copy in copies:
+            result = session.verify(copy, budget=Budget(max_conflicts=5000))
+            assert result.verdict is CecVerdict.EQUIVALENT
+            assert result.verdict is reference.verify(copy).verdict
+        assert session.solver is not aborted and session.solver.usable
+        # counters keep accumulating across the rebuild
+        assert session.solver.stats.conflicts >= conflicts

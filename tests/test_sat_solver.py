@@ -5,13 +5,15 @@ on random small formulas — both the SAT/UNSAT verdict and model validity.
 """
 
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from repro.sat import CdclSolver, Cnf, SolverStats, solve_cnf
+from repro.budget import Budget
+from repro.sat import CdclSolver, Cnf, SolverAbortedError, SolverStats, solve_cnf
 
 
 def brute_force_sat(cnf: Cnf) -> bool:
@@ -276,3 +278,66 @@ class TestSolverStatsExtensions:
             assert solver.stats.learned_deleted > 0
         # Cross-check the verdict on a fresh solver without reduction.
         assert result.satisfiable == CdclSolver(cnf).solve().satisfiable
+
+
+def random_3sat(n_vars: int, n_clauses: int, seed: int) -> Cnf:
+    rng = random.Random(seed)
+    cnf = Cnf(n_vars=n_vars)
+    for _ in range(n_clauses):
+        clause = rng.sample(range(1, n_vars + 1), 3)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in clause])
+    return cnf
+
+
+def random_assumptions(rng: random.Random, n_vars: int, width: int):
+    return [v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, n_vars + 1), width)]
+
+
+class TestVsidsHeapBound:
+    """Stale heap entries must not accumulate across solves."""
+
+    @pytest.mark.timeout(30)
+    def test_heap_stays_bounded_over_many_assumption_solves(self):
+        n_vars = 150
+        solver = CdclSolver(random_3sat(n_vars, 600, seed=3))
+        rng = random.Random(4)
+        bound = 2 * (solver.n_vars + 1)
+        for _ in range(300):
+            solver.solve(random_assumptions(rng, n_vars, 3),
+                         budget=Budget(max_conflicts=30))
+            assert len(solver._heap) <= bound
+
+
+class TestAbortedSolve:
+    """An exception escaping solve() must not leave an answering solver.
+
+    Before the fix the next solve() took the aborted search's decision
+    levels for assumptions and could answer UNSAT on a satisfiable
+    formula."""
+
+    class Abort(Exception):
+        pass
+
+    def test_solver_refuses_reuse_after_abort(self):
+        cnf = random_3sat(80, 320, seed=11)
+        solver = CdclSolver(cnf)
+        polls = [0]
+
+        def interrupt():
+            polls[0] += 1
+            if polls[0] > 5:  # mid-search, decision levels open
+                raise self.Abort()
+            return False
+
+        with pytest.raises(self.Abort):
+            solver.solve(assumptions=[1, -2], interrupt=interrupt)
+        assert not solver.usable
+        with pytest.raises(SolverAbortedError):
+            solver.solve()
+        with pytest.raises(SolverAbortedError):
+            solver.add_clause([1, 2])
+        with pytest.raises(SolverAbortedError):
+            solver.new_var()
+        # The formula itself is fine: a fresh solver answers it.
+        assert CdclSolver(cnf).solve().satisfiable
