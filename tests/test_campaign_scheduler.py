@@ -168,6 +168,44 @@ class TestResumeDeterminism:
             resume_campaign(db)
 
 
+class TestPooledTelemetry:
+    @pytest.fixture(autouse=True)
+    def clean_telemetry(self):
+        from repro import telemetry
+
+        telemetry.disable()
+        telemetry.get_tracer().reset()
+        telemetry.get_registry().reset()
+        yield
+        telemetry.disable()
+        telemetry.get_tracer().reset()
+        telemetry.get_registry().reset()
+
+    def test_worker_telemetry_round_trips_through_pool(self, tmp_path):
+        """Job spans recorded inside pool workers graft under the
+        parent's open ``campaign.run`` span, stamped with the worker pid,
+        and worker counters merge into the parent registry."""
+        import os
+
+        from repro import telemetry
+
+        db = str(tmp_path / "t.db")
+        with telemetry.enabled(trace=True, metrics=True):
+            summary = run_campaign(fp_spec(), db,
+                                   CampaignOptions(jobs=2, **FAST))
+        assert summary.complete and summary.clean
+        roots = telemetry.get_tracer().drain()
+        assert [root.name for root in roots] == ["campaign.run"]
+        jobs = [child for child in roots[0].children
+                if child.name == "campaign.job"]
+        assert len(jobs) == summary.n_jobs == 4
+        parent_pid = os.getpid()
+        for job in jobs:
+            assert job.attrs.get("worker") not in (None, parent_pid)
+        counters = telemetry.get_registry().snapshot()["counters"]
+        assert counters["campaign.job_done"] == summary.n_jobs
+
+
 class TestCrashQuarantine:
     def test_always_crashing_job_quarantined_innocents_finish(
             self, tmp_path, monkeypatch):
