@@ -12,13 +12,11 @@ object::
 
 Every entry point takes the same keyword-only :class:`FlowOptions`
 (individual fields can also be passed directly as keyword overrides,
-e.g. ``fingerprint(design, seed=3)``), replacing the divergent
-positional signatures that ``fingerprint_flow`` / ``run_batch`` /
-``verify_equivalence`` grew across earlier revisions — those remain as
-deprecated shims.  Setting ``FlowOptions(trace=True, metrics=True)``
-records telemetry for the duration of the call; read it back through
-:mod:`repro.telemetry` (``get_tracer().finished``,
-``telemetry_snapshot()``, ``write_chrome_trace(...)``).
+e.g. ``fingerprint(design, seed=3)``).  Setting
+``FlowOptions(trace=True, metrics=True)`` records telemetry for the
+duration of the call; read it back through :mod:`repro.telemetry`
+(``get_tracer().finished``, ``telemetry_snapshot()``,
+``write_chrome_trace(...)``).
 """
 
 from __future__ import annotations

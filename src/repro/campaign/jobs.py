@@ -5,9 +5,9 @@ dict comes out (``status`` ∈ ``done``/``error``/``timeout`` plus verdict
 or diagnostics).  The same :func:`execute_payload` runs in three places:
 
 * in-process, for serial campaigns (``jobs=1``);
-* inside ``ProcessPoolExecutor`` workers via :func:`execute_payload_pooled`,
-  which additionally ships the worker's telemetry spans/metrics back with
-  the result;
+* inside :class:`~repro.workers.WorkerPool` workers via
+  :func:`execute_payload_pooled`, which hands the worker's telemetry
+  spans/metrics back with the result (:func:`repro.workers.hand_off`);
 * under :func:`~repro.campaign.timeouts.run_with_timeout`, always, so a
   hung job surfaces as a ``timeout`` result instead of wedging its worker.
 
@@ -18,10 +18,11 @@ jobs, :func:`repro.faultinject.run_one_injection` /
 campaign job's verdict is bit-identical to what the one-shot flow would
 have recorded for the same coordinate.
 
-Fault hooks (test-only, env-gated): ``REPRO_CAMPAIGN_CRASH_JOBS`` makes a
-pool worker die with ``os._exit`` on matching job ids (exercising crash
-quarantine), ``REPRO_CAMPAIGN_HANG_JOBS`` makes matching jobs spin past
-their deadline (exercising timeout quarantine).  Both accept
+Fault hooks (test-only, env-gated): :data:`repro.workers.CRASH_ENV`
+(``REPRO_WORKER_CRASH``) makes a pool worker die with ``os._exit`` on
+matching job ids (exercising crash quarantine), and
+``REPRO_CAMPAIGN_HANG_JOBS`` makes matching jobs spin past their deadline
+(exercising timeout quarantine, which is campaign policy).  Both accept
 ``job_id[:n]`` entries, firing only while the job's attempt ordinal is
 below ``n`` (no ``:n`` means always).
 """
@@ -31,9 +32,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
-from .. import telemetry
+from .. import telemetry, workers
 from ..flows.ladder import LadderConfig
 from ..netlist.circuit import Circuit
 from .spec import CampaignError
@@ -72,30 +73,6 @@ def set_context(
         states={},
         texts={},
     )
-
-
-def init_worker(
-    designs: Dict[str, Circuit],
-    kind: str,
-    seed: int,
-    ladder: Optional[LadderConfig],
-    measure_overheads: bool,
-    telemetry_flags: Tuple[bool, bool] = (False, False),
-) -> None:
-    """Pool initializer: reset fork-inherited telemetry, then set context.
-
-    Mirrors the batch flow's worker bootstrap — under the fork start
-    method workers inherit the parent's live tracer stack (the open
-    ``campaign.run`` span) and registry, which must be cleared or worker
-    spans nest under an unreachable ghost and never drain.
-    """
-    trace_on, metrics_on = telemetry_flags
-    telemetry.disable()
-    telemetry.get_tracer().reset()
-    telemetry.get_registry().reset()
-    if trace_on or metrics_on:
-        telemetry.enable(trace=trace_on, metrics=metrics_on)
-    set_context(designs, kind, seed, ladder, measure_overheads)
 
 
 def _design(name: str) -> Circuit:
@@ -183,23 +160,6 @@ _EXECUTORS: Dict[str, Callable[[str, Dict[str, Any]], Dict[str, Any]]] = {
 }
 
 
-def _hook_matches(env_var: str, job_id: str, attempt: int) -> bool:
-    """Parse a ``job_id[:n],...`` fault-hook env var and test this job."""
-    raw = os.environ.get(env_var)
-    if not raw:
-        return False
-    for entry in raw.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        target, _, bound = entry.partition(":")
-        if target != job_id:
-            continue
-        if not bound or attempt < int(bound):
-            return True
-    return False
-
-
 def _hang() -> None:
     """Busy-spin (interruptible by SIGALRM, abandonable by the thread
     fallback) until something kills us — the deliberately hung job."""
@@ -223,7 +183,7 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     executor = _EXECUTORS.get(kind)
     if executor is None:
         raise CampaignError(f"unknown job kind {kind!r}", stage="campaign")
-    hang = _hook_matches(
+    hang = workers.env_hook_matches(
         "REPRO_CAMPAIGN_HANG_JOBS", job_id, payload.get("attempt", 0)
     )
     store = active_store()
@@ -266,33 +226,18 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     return result
 
 
-def execute_payload_pooled(
-    payload: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Pool-worker task: run the job, attach drained telemetry, crash hooks.
+def execute_payload_pooled(payload: Dict[str, Any]) -> workers.Handoff:
+    """Pool-worker task: the crash hook, the job, then the hand-off.
 
-    The crash hook lives here (not in :func:`execute_payload`) so a
-    serial campaign can never ``os._exit`` the caller's process.
+    The crash hook fires only in pool workers, so a serial campaign can
+    never ``os._exit`` the caller's process.
     """
-    if _hook_matches(
-        "REPRO_CAMPAIGN_CRASH_JOBS", payload["job_id"], payload.get("attempt", 0)
-    ):
-        os._exit(3)
-    result = execute_payload(payload)
-    spans = telemetry.drain_spans() if telemetry.tracing_enabled() else []
-    pid = os.getpid()
-    for span_payload in spans:
-        span_payload.setdefault("attrs", {})["worker"] = pid
-    result["spans"] = spans
-    result["metrics"] = (
-        telemetry.drain_metrics() if telemetry.metrics_enabled() else {}
-    )
-    return result
+    workers.crash_hook(payload["job_id"], payload.get("attempt", 0))
+    return workers.hand_off(execute_payload(payload))
 
 
 __all__ = [
     "execute_payload",
     "execute_payload_pooled",
-    "init_worker",
     "set_context",
 ]

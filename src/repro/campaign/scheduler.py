@@ -10,8 +10,8 @@ and a database path it:
 3. sweeps ``running`` rows left behind by a killed scheduler back to
    ``pending`` and applies the ``--overwrite`` policy, and
 4. executes everything still pending — serially or across a
-   ``ProcessPoolExecutor`` — with per-job wall-clock timeouts, bounded
-   retries with exponential backoff, and crash quarantine: a job whose
+   :class:`~repro.workers.WorkerPool` — with per-job wall-clock timeouts,
+   bounded retries with exponential backoff, and crash quarantine: a job whose
    worker dies (or which times out) :data:`quarantine_limit` times is
    marked ``faulty`` and never retried again, so one poisonous input
    cannot wedge an overnight sweep.
@@ -31,15 +31,15 @@ import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
-from .. import telemetry
+from .. import telemetry, workers
 from ..flows.ladder import LadderConfig
 from ..netlist.circuit import Circuit
 from ..telemetry.metrics import safe_rate
+from ..workers import BrokenProcessPool
 from . import jobs as jobmod
 from .spec import (
     CampaignError,
@@ -344,15 +344,6 @@ def _run_serial(run: _Run, designs: Mapping[str, Circuit],
         run.store.mark_pending(leftover)
 
 
-def _adopt_worker_telemetry(result: Dict[str, Any]) -> None:
-    spans = result.get("spans")
-    if spans:
-        telemetry.get_tracer().adopt(spans)
-    metrics = result.get("metrics")
-    if metrics:
-        telemetry.get_registry().merge(metrics)
-
-
 def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
                 spec: CampaignSpec) -> None:
     """Pool execution: windowed submission, crash handling, graceful drain."""
@@ -361,23 +352,16 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
     payload_designs = {
         name: circuit.clone(name) for name, circuit in designs.items()
     }
-    flags = (telemetry.tracing_enabled(), telemetry.metrics_enabled())
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=options.jobs,
-            initializer=jobmod.init_worker,
-            initargs=(
-                payload_designs, spec.kind, spec.seed,
-                options.ladder, options.measure_overheads, flags,
-            ),
-        )
-
-    pool = make_pool()
+    pool = workers.WorkerPool(
+        options.jobs,
+        jobmod.set_context,
+        (payload_designs, spec.kind, spec.seed,
+         options.ladder, options.measure_overheads),
+    )
     inflight: Dict[Future, Tuple[JobRow, int]] = {}
     draining_since: Optional[float] = None
 
-    def replace_broken_pool(alone: bool) -> ProcessPoolExecutor:
+    def replace_broken_pool(alone: bool) -> None:
         # The pool is dead: every in-flight future raises the same
         # error.  A lone in-flight job is convicted on the spot;
         # multiple in-flight jobs all become suspects and re-run
@@ -388,8 +372,7 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
         for in_row, _attempts in inflight.values():
             _charge_crash(run, in_row, alone=alone)
         inflight.clear()
-        pool.shutdown(wait=False, cancel_futures=True)
-        return make_pool()
+        pool.rebuild(pool.generation)
 
     try:
         while True:
@@ -405,7 +388,7 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
                 run.store.mark_running([row.job_id])
                 attempts = run.store.record_attempt(row.job_id)
                 try:
-                    future = pool.submit(
+                    _generation, future = pool.submit(
                         jobmod.execute_payload_pooled,
                         _payload(row, attempts - 1, options),
                     )
@@ -414,7 +397,7 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
                     # ran, so hand it straight back (no crash charge).
                     run.store.mark_pending([row.job_id])
                     run.ready.appendleft(row)
-                    pool = replace_broken_pool(alone=len(inflight) == 1)
+                    replace_broken_pool(alone=len(inflight) == 1)
                     continue
                 inflight[future] = (row, attempts)
                 run.summary.executed += 1
@@ -449,16 +432,16 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
             for future in done:
                 row, attempts = inflight.pop(future)
                 try:
-                    result = future.result()
+                    handoff = future.result()
                 except BrokenProcessPool:
                     broken = True
                     _charge_crash(run, row, alone=alone)
                     continue
-                _adopt_worker_telemetry(result)
+                result = workers.adopt(handoff)
                 run.suspects.discard(row.job_id)  # completed -> exonerated
                 run.dispose(row, attempts, result)
             if broken:
-                pool = replace_broken_pool(alone)
+                replace_broken_pool(alone)
         leftover = [row.job_id for row in run.ready] + [
             row.job_id for _, row in run.delayed
         ]

@@ -607,6 +607,14 @@ def _cmd_tables(args: argparse.Namespace) -> CommandResult:
     return 0, result
 
 
+def _worker_count(text: str) -> int:
+    """``--jobs`` values: a worker process count, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-fp",
@@ -670,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("design")
     p.add_argument("--copies", type=int, default=8, metavar="N",
                    help="distinct copies to issue (default: 8)")
-    p.add_argument("--jobs", type=int, default=1, metavar="J",
+    p.add_argument("--jobs", type=_worker_count, default=1, metavar="J",
                    help="worker processes (default: 1)")
     p.add_argument("--seed", type=int, default=0,
                    help="fingerprint-value selection seed (default: 0)")

@@ -1,9 +1,8 @@
 """End-to-end fingerprinting pipelines and the verification ladder.
 
-The canonical entry points (`run_flow`, `run_batch_flow`, `run_ladder`)
-take a keyword-only :class:`FlowOptions`; the pre-facade signatures
-(`fingerprint_flow`, `run_batch`, `verify_equivalence`) remain as thin
-deprecated shims.  Prefer the :mod:`repro.api` facade.
+The entry points (`run_flow`, `run_batch_flow`, `run_ladder`) take a
+keyword-only :class:`FlowOptions` (or :class:`LadderConfig`).  Prefer
+the :mod:`repro.api` facade.
 """
 
 from .ladder import (
@@ -13,18 +12,16 @@ from .ladder import (
     VerificationReport,
     VerificationTier,
     run_ladder,
-    verify_equivalence,
 )
 from .options import FlowOptions
 from .batch import (
     BatchError,
     BatchResult,
     CopyRecord,
-    run_batch,
     run_batch_flow,
     select_values,
 )
-from .pipeline import FlowResult, fingerprint_flow, run_flow
+from .pipeline import FlowResult, run_flow
 
 __all__ = [
     "DEFAULT_SAT_BUDGET",
@@ -34,14 +31,11 @@ __all__ = [
     "VerificationReport",
     "VerificationTier",
     "run_ladder",
-    "verify_equivalence",
     "FlowResult",
-    "fingerprint_flow",
     "run_flow",
     "BatchError",
     "BatchResult",
     "CopyRecord",
-    "run_batch",
     "run_batch_flow",
     "select_values",
 ]

@@ -7,7 +7,7 @@ loop as a batch: N distinct fingerprint values (via the
 :class:`~repro.fingerprint.capacity.FingerprintCodec` bijection), each
 embedded and verified through the budgeted ladder backed by an
 :class:`~repro.sat.incremental.IncrementalCecSession`, optionally across a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+:class:`~repro.workers.WorkerPool` (the worker contract every pool shares).
 
 Parallel layout: each worker process builds its own catalog, codec and
 incremental session once (in the pool initializer), then values are
@@ -19,16 +19,13 @@ single-process path — ``jobs`` only changes wall-clock time.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .. import telemetry
+from .. import telemetry, workers
 from ..analysis.compare import overhead
 from ..analysis.metrics import measure
 from ..errors import ReproError, annotate
@@ -38,6 +35,7 @@ from ..fingerprint.locations import FinderOptions, find_locations
 from ..netlist.circuit import Circuit
 from ..store import warm_session
 from ..telemetry.metrics import safe_rate
+from ..workers import BrokenProcessPool
 from .ladder import LadderConfig, run_ladder
 from .options import FlowOptions
 
@@ -195,27 +193,13 @@ def build_worker_state(
     }
 
 
-def _init_worker(
+def _install_worker_state(
     base: Circuit,
     options: Optional[FinderOptions],
     ladder: Optional[LadderConfig],
     measure_overheads: bool,
-    telemetry_flags: Tuple[bool, bool] = (False, False),
 ) -> None:
-    # Workers inherit the parent's telemetry switches so their span
-    # trees and metric snapshots ride back with the chunk results.
-    # Under the fork start method they also inherit the parent's live
-    # tracer stack (the open batch.run span) and registry — clear both,
-    # or worker spans nest under an unreachable ghost and never drain.
-    trace_on, metrics_on = telemetry_flags
-    telemetry.disable()
-    telemetry.get_tracer().reset()
-    telemetry.get_registry().reset()
-    if trace_on or metrics_on:
-        telemetry.enable(trace=trace_on, metrics=metrics_on)
-    from ..store import ensure_default_store
-
-    ensure_default_store()
+    """Pool-worker setup (after :func:`repro.workers.bootstrap`)."""
     _WORKER.clear()
     _WORKER.update(build_worker_state(base, options, ladder, measure_overheads))
 
@@ -253,27 +237,11 @@ def verify_one_value(state: Dict[str, object], value: int) -> CopyRecord:
     )
 
 
-def _verify_chunk(
-    values: Sequence[int],
-) -> Tuple[List[CopyRecord], List[Dict[str, Any]], Dict[str, Any]]:
-    """Worker task: records plus the telemetry gathered while producing them.
-
-    Span trees and the metrics snapshot are plain dicts, so they cross
-    the ``ProcessPoolExecutor`` boundary with the results; the parent
-    grafts them into its own tracer/registry (tagged by worker pid).
-    """
-    # Test-only fault hook: crash this worker (as a real native crash
-    # would) when told to, so the pool-salvage path stays testable.
-    crash_value = os.environ.get("REPRO_BATCH_CRASH_VALUE")
-    if crash_value is not None and int(crash_value) in values:
-        os._exit(3)
-    records = [verify_one_value(_WORKER, value) for value in values]
-    spans = telemetry.drain_spans() if telemetry.tracing_enabled() else []
-    pid = os.getpid()
-    for payload in spans:
-        payload.setdefault("attrs", {})["worker"] = pid
-    metrics = telemetry.drain_metrics() if telemetry.metrics_enabled() else {}
-    return records, spans, metrics
+def _verify_chunk(values: Sequence[int]) -> workers.Handoff:
+    """Worker task: one chunk's records, with the telemetry that made them."""
+    for value in values:
+        workers.crash_hook(str(value))
+    return workers.hand_off([verify_one_value(_WORKER, value) for value in values])
 
 
 def _chunked(values: Sequence[int], jobs: int) -> List[List[int]]:
@@ -328,28 +296,18 @@ def run_batch_flow(
             # A fresh clone drops the (potentially large) per-version
             # caches before pickling the circuit into each worker.
             payload = design.clone(design.name)
-            flags = (telemetry.tracing_enabled(), telemetry.metrics_enabled())
             records = []
             try:
-                with ProcessPoolExecutor(
-                    max_workers=opts.jobs,
-                    initializer=_init_worker,
-                    initargs=(
-                        payload,
-                        opts.resolved_finder(),
-                        opts.ladder,
-                        opts.measure_overheads,
-                        flags,
-                    ),
+                with workers.WorkerPool(
+                    opts.jobs,
+                    _install_worker_state,
+                    (payload, opts.resolved_finder(), opts.ladder,
+                     opts.measure_overheads),
                 ) as pool:
-                    for chunk_records, spans, metrics in pool.map(
+                    for handoff in pool.map(
                         _verify_chunk, _chunked(values, opts.jobs)
                     ):
-                        records.extend(chunk_records)
-                        if spans:
-                            telemetry.get_tracer().adopt(spans)
-                        if metrics:
-                            telemetry.get_registry().merge(metrics)
+                        records.extend(workers.adopt(handoff))
             except BrokenProcessPool:
                 # A worker died (OOM-kill, native crash, os._exit).  The
                 # chunk results already consumed above are valid verdicts
@@ -395,41 +353,11 @@ def run_batch_flow(
         return result
 
 
-def run_batch(
-    design: Circuit,
-    n_copies: int,
-    jobs: int = 1,
-    seed: int = 0,
-    options: Optional[FinderOptions] = None,
-    ladder: Optional[LadderConfig] = None,
-    measure_overheads: bool = False,
-) -> BatchResult:
-    """Deprecated pre-facade signature; use :func:`repro.api.batch`."""
-    warnings.warn(
-        "run_batch() is deprecated; use repro.api.batch(design, n_copies, "
-        "FlowOptions(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_batch_flow(
-        design,
-        n_copies,
-        FlowOptions(
-            jobs=jobs,
-            seed=seed,
-            finder=options,
-            ladder=ladder,
-            measure_overheads=measure_overheads,
-        ),
-    )
-
-
 __all__ = [
     "BatchError",
     "BatchResult",
     "CopyRecord",
     "build_worker_state",
-    "run_batch",
     "run_batch_flow",
     "select_values",
     "verify_one_value",

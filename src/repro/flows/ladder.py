@@ -23,7 +23,6 @@ broken netlists), and then always with a typed :class:`repro.errors.ReproError`.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -62,7 +61,7 @@ DEFAULT_SAT_BUDGET = Budget(deadline_s=30.0, max_conflicts=2_000_000)
 
 @dataclass(frozen=True)
 class LadderConfig:
-    """Tuning knobs for :func:`verify_equivalence`.
+    """Tuning knobs for :func:`run_ladder`.
 
     Attributes:
         max_exhaustive_inputs: Widest input count still simulated
@@ -351,22 +350,6 @@ def _run_tiers(
 LadderResult = VerificationReport
 
 
-def verify_equivalence(
-    left: Circuit,
-    right: Circuit,
-    config: Optional[LadderConfig] = None,
-    session: Optional["IncrementalCecSession"] = None,
-) -> VerificationReport:
-    """Deprecated pre-facade entry point; use :func:`repro.api.verify`."""
-    warnings.warn(
-        "verify_equivalence() is deprecated; use repro.api.verify(left, right, "
-        "FlowOptions(ladder=...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_ladder(left, right, config=config, session=session)
-
-
 __all__ = [
     "DEFAULT_SAT_BUDGET",
     "LadderConfig",
@@ -374,5 +357,4 @@ __all__ = [
     "VerificationReport",
     "VerificationTier",
     "run_ladder",
-    "verify_equivalence",
 ]

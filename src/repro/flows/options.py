@@ -1,11 +1,10 @@
 """`FlowOptions` — the one options object behind the `repro.api` facade.
 
-PRs 1–3 grew three divergent entry-point signatures (``fingerprint_flow``,
-``run_batch`` and the ladder each took their own positional knobs); this
-dataclass replaces all of them.  Every field is keyword-only — the custom
-``__init__`` enforces that even on Python 3.9, where ``dataclass`` has no
-``kw_only`` — and unknown option names fail loudly instead of being
-silently swallowed.
+Every entry point (``fingerprint``, ``batch``, ``verify``) takes this one
+dataclass instead of its own positional knobs.  Every field is
+keyword-only — the custom ``__init__`` enforces that even on Python 3.9,
+where ``dataclass`` has no ``kw_only`` — and unknown option names fail
+loudly instead of being silently swallowed.
 """
 
 from __future__ import annotations
@@ -78,6 +77,8 @@ class FlowOptions:
             raise ValueError(
                 f"bad strategy {self.strategy!r} (valid: {', '.join(STRATEGIES)})"
             )
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
 
     def replace(self, **changes: Any) -> "FlowOptions":
         """A copy with ``changes`` applied (same validation as ``__init__``)."""

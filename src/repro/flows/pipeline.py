@@ -16,9 +16,8 @@ verdict (recorded in :attr:`FlowResult.verification`), it never raises.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from .. import telemetry
 from ..analysis.compare import Overhead, overhead
@@ -27,13 +26,13 @@ from ..errors import ReproError, annotate
 from ..fingerprint.capacity import CapacityReport, FingerprintCodec, capacity
 from ..fingerprint.constraints import ConstraintResult, reactive_delay_constrain
 from ..fingerprint.embed import FingerprintedCircuit, embed, full_assignment
-from ..fingerprint.locations import FinderOptions, LocationCatalog, find_locations
+from ..fingerprint.locations import LocationCatalog, find_locations
 from ..netlist.blif import parse_blif
 from ..netlist.circuit import Circuit
 from ..netlist.sop import SopNetwork
 from ..sim.equivalence import EquivalenceResult
 from ..techmap.mapper import map_network
-from .ladder import LadderConfig, VerificationReport, run_ladder
+from .ladder import VerificationReport, run_ladder
 from .options import FlowOptions
 
 
@@ -173,34 +172,3 @@ def run_flow(
             constrained=constrained,
             verification=verification,
         )
-
-
-def fingerprint_flow(
-    design: Union[Circuit, SopNetwork, str],
-    options: Optional[FinderOptions] = None,
-    assignment: Optional[Dict[str, int]] = None,
-    delay_constraint: Optional[float] = None,
-    verify: bool = True,
-    map_style: str = "aoi",
-    seed: int = 0,
-    ladder: Optional[LadderConfig] = None,
-) -> FlowResult:
-    """Deprecated pre-facade signature; use :func:`repro.api.fingerprint`."""
-    warnings.warn(
-        "fingerprint_flow() is deprecated; use repro.api.fingerprint(design, "
-        "FlowOptions(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_flow(
-        design,
-        FlowOptions(
-            finder=options,
-            assignment=assignment,
-            delay_constraint=delay_constraint,
-            verify=verify,
-            map_style=map_style,
-            seed=seed,
-            ladder=ladder,
-        ),
-    )

@@ -10,10 +10,7 @@ the store benchmark can talk to a running
     envelope = client.wait(submitted["job_id"])
     assert envelope["cache"]["warm"]["catalog"]
 
-The constructor is keyword-only; the pre-``/v1`` positional form
-(``ServiceClient("127.0.0.1", port, timeout)``) still works but emits a
-:class:`DeprecationWarning`.  ``api_version="legacy"`` pins the client
-to the deprecated unversioned routes (used by the parity tests).
+The constructor is keyword-only.
 
 Quota rejections (HTTP 429, code ``quota_exceeded``) are retried with
 exponential backoff up to ``retry_429`` times before the error is
@@ -27,12 +24,10 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from http.client import HTTPConnection
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-#: Known API surfaces → path prefix.
-_API_PREFIXES = {"v1": "/v1", "legacy": ""}
+from .protocol import API_PREFIX
 
 
 class ServiceHttpError(RuntimeError):
@@ -61,8 +56,6 @@ class ServiceClient:
     Args:
         host/port: Service address.
         timeout: Socket timeout per request, seconds.
-        api_version: ``"v1"`` (default) or ``"legacy"`` for the
-            deprecated unversioned aliases.
         retry_429: How many times a quota-rejected submission is retried
             (exponential backoff, ``backoff_s`` base) before the 429 is
             raised.  0 disables retrying.
@@ -72,46 +65,18 @@ class ServiceClient:
 
     def __init__(
         self,
-        *args: Any,
+        *,
         host: str = "127.0.0.1",
         port: int = 8765,
         timeout: float = 120.0,
-        api_version: str = "v1",
         retry_429: int = 3,
         backoff_s: float = 0.05,
     ) -> None:
-        if args:
-            # Pre-/v1 call shape: ServiceClient(host, port, timeout).
-            warnings.warn(
-                "positional ServiceClient arguments are deprecated; "
-                "use ServiceClient(host=..., port=..., timeout=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 3:
-                raise TypeError(
-                    f"ServiceClient takes at most 3 positional arguments "
-                    f"({len(args)} given)"
-                )
-            for name, value in zip(("host", "port", "timeout"), args):
-                if name == "host":
-                    host = value
-                elif name == "port":
-                    port = value
-                else:
-                    timeout = value
-        if api_version not in _API_PREFIXES:
-            raise ValueError(
-                f"api_version must be one of {sorted(_API_PREFIXES)}, "
-                f"got {api_version!r}"
-            )
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.api_version = api_version
         self.retry_429 = retry_429
         self.backoff_s = backoff_s
-        self._prefix = _API_PREFIXES[api_version]
 
     # ------------------------------------------------------------------ #
 
@@ -127,7 +92,7 @@ class ServiceClient:
             payload = None if body is None else json.dumps(body)
             headers = {"Content-Type": "application/json"} if payload else {}
             connection.request(
-                method, self._prefix + path, body=payload, headers=headers
+                method, API_PREFIX + path, body=payload, headers=headers
             )
             response = connection.getresponse()
             raw = response.read().decode("utf-8")
@@ -230,7 +195,7 @@ class ServiceClient:
         """
         connection = HTTPConnection(self.host, self.port, timeout=timeout)
         try:
-            connection.request("GET", f"{self._prefix}/jobs/{job_id}/events")
+            connection.request("GET", f"{API_PREFIX}/jobs/{job_id}/events")
             response = connection.getresponse()
             if response.status != 200:
                 raw = response.read().decode("utf-8")

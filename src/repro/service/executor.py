@@ -1,36 +1,28 @@
 """Multi-process execution backend for the fingerprinting service.
 
-PR 7 ran every service job on a single worker thread: CPU-bound jobs
-from different tenants queued behind each other, and the only
-parallelism was *inside* a job.  :class:`JobExecutor` replaces that
-thread with a :class:`~concurrent.futures.ProcessPoolExecutor` of N
-worker processes, so concurrent submissions overlap on multi-core
-hosts.
+:class:`JobExecutor` runs service jobs on a
+:class:`~repro.workers.WorkerPool` of N worker processes, so concurrent
+submissions from different tenants overlap on multi-core hosts.  The
+workers start through the shared contract of :mod:`repro.workers`, with
+one service-specific choice: each activates its **own**
+:class:`~repro.store.ArtifactStore` over the *shared disk-tier root* —
+the disk tier supports concurrent processes (atomic publish,
+corrupt-reads-as-misses), so a netlist made warm by one worker is warm
+for every worker, while live memory-only artifacts (warm CEC sessions)
+stay per-process.  A finished job ships its complete result envelope —
+span tree, metric snapshot, and per-job store *delta* included — back
+to the parent, which is what SSE streaming, ``/v1/stats`` and the
+envelope ``cache`` section read.
 
-Worker-process contract (mirrors ``flows/batch._init_worker``):
-
-* the initializer clears fork-inherited tracer/registry state, then
-  re-enables telemetry with the parent's flags, so each worker's span
-  trees and metric snapshots are its own;
-* each worker activates its **own** :class:`~repro.store.ArtifactStore`
-  over the *shared disk-tier root* — the disk tier already supports
-  concurrent processes (atomic publish, corrupt-reads-as-misses), so a
-  netlist made warm by one worker is warm for every worker, while live
-  memory-only artifacts (warm CEC sessions) stay per-process;
-* a finished job ships its complete result envelope — span tree, metric
-  snapshot, and per-job store *delta* included — back to the parent, so
-  SSE streaming, ``/stats``, and the envelope ``cache`` section work
-  exactly as they did in-thread.
-
-Robustness the single-thread design never needed:
+The service's crash policy lives here and in the server:
 
 * **Broken-pool salvage** — a worker crash (OOM-kill, native crash)
-  breaks the whole pool; :meth:`rebuild` swaps in a fresh pool exactly
-  once per break (concurrent observers of the same generation rebuild
-  only once), and the server requeues each in-flight job once before
-  failing it with a structured ``worker_crashed`` error.
-* **Graceful drain** — :meth:`shutdown` finishes in-flight work before
-  the processes exit.
+  breaks the whole pool; :meth:`JobExecutor.rebuild` swaps in a fresh
+  pool exactly once per break (concurrent observers of the same
+  generation rebuild only once), and the server requeues each in-flight
+  job once before failing it with a structured ``worker_crashed`` error.
+* **Graceful drain** — :meth:`JobExecutor.shutdown` finishes in-flight
+  work before the processes exit.
 * **Per-worker liveness** — every result carries its worker's pid; the
   executor keeps per-pid job counts and last-seen timestamps, tagged
   with the pool generation, for the ``/v1/stats`` ``executor`` section.
@@ -41,13 +33,13 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from .. import telemetry
 from ..budget import Budget
+from ..workers import BrokenProcessPool, WorkerPool, crash_hook
 
 __all__ = ["BrokenProcessPool", "JobExecutor", "WorkerInfo"]
 
@@ -72,33 +64,12 @@ class WorkerInfo:
         }
 
 
-def _init_service_worker(
-    store_root: Optional[str],
-    memory_entries: int,
-    telemetry_flags: Tuple[bool, bool],
-) -> None:
-    """Pool initializer: reset fork-inherited state, activate the store.
-
-    Same discipline as ``flows/batch._init_worker``: under the fork
-    start method the child inherits the parent's live tracer stack,
-    registry, listeners, and active store — clear everything, then
-    opt back in deliberately.
-    """
-    trace_on, metrics_on = telemetry_flags
-    telemetry.disable()
-    telemetry.get_tracer().reset()
-    telemetry.get_registry().reset()
-    telemetry.enable(trace=trace_on, metrics=metrics_on)
-    from ..store.core import activate_store
-
-    activate_store(root=store_root, memory_entries=memory_entries)
-
-
 def _execute_service_job(
     command: str,
     payload: Dict[str, Any],
     budget: Optional[Budget],
     include_spans: bool,
+    attempt: int,
 ) -> Tuple[int, Dict[str, Any]]:
     """Worker task: run one job, return ``(worker_pid, envelope)``.
 
@@ -107,11 +78,7 @@ def _execute_service_job(
     structured payloads in pickling, and a raising task is
     indistinguishable from a crashing one to the salvage logic.
     """
-    crash_token = os.environ.get("REPRO_SERVICE_CRASH_TOKEN")
-    if crash_token and payload.get("design") == crash_token:
-        # Test-only fault hook (mirrors REPRO_BATCH_CRASH_VALUE): die the
-        # way a native crash would, so pool salvage stays testable.
-        os._exit(3)
+    crash_hook(payload.get("design"), attempt)
     from .jobs import ServiceJobFailed, run_service_job
 
     try:
@@ -127,8 +94,10 @@ class JobExecutor:
     Args:
         workers: Worker process count (≥ 1).
         store_root: Shared disk-tier directory every worker activates
-            its artifact store on.  ``None`` gives each worker a
-            private memory-only store (cross-worker warmth off).
+            its artifact store on (the server always provides one).
+            ``None`` falls back to
+            :func:`~repro.store.ensure_default_store`, as batch and
+            campaign workers do.
         memory_entries: Per-worker memory-tier LRU bound.
         include_spans: Ship span trees back in job envelopes (the
             server sets this when it is writing a whole-lifetime trace).
@@ -151,38 +120,35 @@ class JobExecutor:
         self.store_root = store_root
         self.memory_entries = memory_entries
         self.include_spans = include_spans
-        self.generation = 0
         self.crashes = 0
         self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[WorkerPool] = None
         self._workers: Dict[int, WorkerInfo] = {}
         self._jobs_done = 0
+
+    @property
+    def generation(self) -> int:
+        """How many times the pool has been rebuilt after a crash."""
+        return 0 if self._pool is None else self._pool.generation
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
 
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_service_worker,
-            initargs=(
-                self.store_root,
-                self.memory_entries,
-                (telemetry.tracing_enabled(), telemetry.metrics_enabled()),
-            ),
-        )
-
     def start(self) -> "JobExecutor":
         with self._lock:
             if self._pool is None:
-                self._pool = self._make_pool()
+                self._pool = WorkerPool(
+                    self.workers,
+                    store_root=self.store_root,
+                    memory_entries=self.memory_entries,
+                )
         return self
 
     def shutdown(self, wait: bool = True) -> None:
         """Graceful drain: finish in-flight jobs, then stop the workers."""
         with self._lock:
-            pool, self._pool = self._pool, None
+            pool = self._pool
         if pool is not None:
             pool.shutdown(wait=wait)
 
@@ -195,22 +161,23 @@ class JobExecutor:
         command: str,
         payload: Dict[str, Any],
         budget: Optional[Budget] = None,
+        attempt: int = 0,
     ) -> Tuple[int, "Future[Tuple[int, Dict[str, Any]]]"]:
         """Dispatch one job; returns ``(generation, future)``.
 
         The generation is the pool identity at submit time — pass it to
         :meth:`rebuild` when the future raises
         :class:`BrokenProcessPool`, so concurrent casualties of one
-        crash trigger exactly one rebuild.
+        crash trigger exactly one rebuild.  ``attempt`` is the job's
+        requeue count (read by the test-only crash hook).
         """
         with self._lock:
             if self._pool is None:
                 raise RuntimeError("executor is not started")
-            future = self._pool.submit(
+            return self._pool.submit(
                 _execute_service_job, command, payload, budget,
-                self.include_spans,
+                self.include_spans, attempt,
             )
-            return self.generation, future
 
     def note_result(self, pid: int) -> None:
         """Record a completed job against its worker's liveness row."""
@@ -226,22 +193,14 @@ class JobExecutor:
     def rebuild(self, seen_generation: int) -> bool:
         """Replace a broken pool (at most once per break).
 
-        Every in-flight future of a broken pool raises
-        :class:`BrokenProcessPool` at once; each caller reports the
-        generation it submitted against, and only the first report for
-        a generation swaps the pool.  Returns True when this call did
-        the rebuild.
+        Returns True when this call did the rebuild (see
+        :meth:`repro.workers.WorkerPool.rebuild`).
         """
         with self._lock:
-            if self._pool is None or self.generation != seen_generation:
+            if self._pool is None or not self._pool.rebuild(seen_generation):
                 return False
-            self.generation += 1
             self.crashes += 1
-            broken, self._pool = self._pool, self._make_pool()
         telemetry.count("service.pool_rebuilt")
-        # The broken pool cannot run anything again; reap its processes
-        # without waiting (they are dead or dying).
-        broken.shutdown(wait=False)
         return True
 
     # ------------------------------------------------------------------ #

@@ -1,12 +1,13 @@
 """Service job execution — one submission to one result envelope.
 
 :func:`run_service_job` is the synchronous heart of the service: it runs
-on the server's single execution worker thread, resolves the submitted
-design text, dispatches to the same engines the CLI uses, and wraps the
-result in the unified JSON envelope (:mod:`repro.envelope`) with the
-job's telemetry snapshot and — when an artifact store is active — the
-store counter *delta* attributable to this job, so a client can read
-directly from its response whether its submission was served warm.
+in one of the server's worker processes, one job at a time, resolves the
+submitted design text, dispatches to the same engines the CLI uses, and
+wraps the result in the unified JSON envelope (:mod:`repro.envelope`)
+with the job's telemetry snapshot and — when an artifact store is
+active — the store counter *delta* attributable to this job, so a client
+can read directly from its response whether its submission was served
+warm.
 
 Design references in a submission payload are text plus a format::
 
@@ -43,6 +44,10 @@ class UnknownCommandError(ServiceError):
     """A submission named a command the service does not speak (HTTP 400)."""
 
 
+class InvalidOptionsError(ServiceError):
+    """A submission's ``options`` do not build valid flow options (HTTP 400)."""
+
+
 def resolve_design(payload: Dict[str, Any], key: str = "design") -> Circuit:
     """Materialize the circuit a submission references (see module doc)."""
     source = payload.get(key)
@@ -75,26 +80,42 @@ def resolve_design(payload: Dict[str, Any], key: str = "design") -> Circuit:
     )
 
 
-def _flow_options(
-    payload: Dict[str, Any], tenant_budget: Optional[Budget]
+def flow_options(
+    payload: Dict[str, Any], tenant_budget: Optional[Budget] = None
 ) -> FlowOptions:
     """Build :class:`FlowOptions` from the submission's ``options`` dict.
 
     A tenant budget (from its :class:`~repro.service.queue.TenantQuota`)
     overrides the ladder's SAT budget unconditionally — quotas are the
-    server operator's policy, not the client's.
+    server operator's policy, not the client's.  So is parallelism: the
+    service runs ``--workers`` processes, and a job may not start a pool
+    of its own, so ``jobs`` must stay 1.  Raises
+    :class:`InvalidOptionsError` for unknown or out-of-range options; the
+    protocol calls this at submission, so bad options are a 400.
     """
     options = dict(payload.get("options") or {})
     ladder = options.pop("ladder", None)
-    if isinstance(ladder, dict):
-        ladder = LadderConfig(**ladder)
-    if tenant_budget is not None:
-        ladder = dataclasses.replace(
-            ladder or LadderConfig(), sat_budget=tenant_budget
+    try:
+        if isinstance(ladder, dict):
+            ladder = LadderConfig(**ladder)
+        if tenant_budget is not None:
+            ladder = dataclasses.replace(
+                ladder or LadderConfig(), sat_budget=tenant_budget
+            )
+        if ladder is not None:
+            options["ladder"] = ladder
+        opts = FlowOptions(**options)
+    except (TypeError, ValueError) as exc:
+        raise InvalidOptionsError(
+            f"bad options: {exc}", stage="service"
+        ) from exc
+    if opts.jobs != 1:
+        raise InvalidOptionsError(
+            f"options.jobs must be 1, got {opts.jobs!r}: the service's "
+            "parallelism is its worker count (--workers)",
+            stage="service",
         )
-    if ladder is not None:
-        options["ladder"] = ladder
-    return FlowOptions(**options)
+    return opts
 
 
 def _flow_result_dict(result) -> Dict[str, Any]:
@@ -127,7 +148,7 @@ def execute_command(
     """Run one service command and return its ``result`` dict."""
     from .. import api
 
-    opts = _flow_options(payload, tenant_budget)
+    opts = flow_options(payload, tenant_budget)
     if command == "batch":
         design = resolve_design(payload)
         result = api.batch(design, int(payload.get("n_copies", 8)), opts)
@@ -180,7 +201,7 @@ def run_service_job(
 ) -> Dict[str, Any]:
     """Execute one job and build its full response envelope.
 
-    Runs on the execution worker thread.  The worker serializes jobs, so
+    Runs in a service worker process, which runs one job at a time, so
     resetting the registry here and draining tracer + registry at the
     end scopes the telemetry snapshot (and the store counter delta) to
     exactly this job — a warm resubmission's envelope shows *zero*
@@ -221,9 +242,11 @@ class ServiceJobFailed(Exception):
 
 __all__ = [
     "SERVICE_COMMANDS",
+    "InvalidOptionsError",
     "ServiceJobFailed",
     "UnknownCommandError",
     "execute_command",
+    "flow_options",
     "resolve_design",
     "run_service_job",
 ]

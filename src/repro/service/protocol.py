@@ -1,10 +1,7 @@
 """Typed request/response contract of the versioned ``/v1`` service API.
 
-PR 7's HTTP surface grew organically: each handler hand-built its JSON
-dialect, validation errors were ad-hoc strings, and nothing pinned the
-response shapes clients could rely on.  This module is the contract.
-Every ``/v1`` body — and, byte-for-byte, every legacy-alias body — is
-produced by one of these dataclasses:
+This module is the contract: every ``/v1`` body is produced by one of
+these dataclasses:
 
 ========================= ==============================================
 :class:`SubmitRequest`    parsed + validated ``POST /v1/jobs`` body
@@ -27,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .jobs import SERVICE_COMMANDS
+from .jobs import SERVICE_COMMANDS, InvalidOptionsError, flow_options
 from .queue import ServiceError, ServiceJob
 
-#: The versioned path prefix.  Unprefixed routes remain as deprecated
-#: aliases: same handlers, same bodies, plus a ``Deprecation`` header.
+#: The versioned path prefix; every route lives under it.
 API_PREFIX = "/v1"
 
 #: Machine-readable error codes a ``/v1`` response may carry, by status.
@@ -50,8 +46,9 @@ ERROR_CODES = {
     "internal": 500,
 }
 
-#: Fields of a submission body the protocol validates; everything else
-#: is passed through to the engine untouched (options stay open-ended).
+#: Fields of a submission body the protocol type-checks; ``options``
+#: must also build the :class:`~repro.flows.FlowOptions` its job runs
+#: with, and everything else is passed through to the engine untouched.
 _TYPED_FIELDS: Tuple[Tuple[str, type, str], ...] = (
     ("command", str, "string"),
     ("design", str, "string"),
@@ -68,9 +65,8 @@ _TYPED_FIELDS: Tuple[Tuple[str, type, str], ...] = (
 class ErrorBody:
     """A structured non-2xx response body.
 
-    ``error`` keeps the human-readable message under the key the legacy
-    dialect always used, so pre-``/v1`` clients parse it unchanged;
-    ``code`` is the machine-readable contract; ``details`` are merged
+    ``error`` is the human-readable message; ``code`` is the
+    machine-readable contract; ``details`` are merged
     into the body top-level (e.g. the valid ``commands`` list).
     """
 
@@ -144,6 +140,12 @@ class SubmitRequest:
                 f"unknown command {command!r}",
                 commands=list(SERVICE_COMMANDS),
             )
+        try:
+            flow_options(payload)
+        except InvalidOptionsError as exc:
+            raise ProtocolError(
+                "invalid_field", exc.message, field="options"
+            ) from exc
         tenant = payload.get("tenant")
         if not tenant and headers:
             tenant = headers.get("x-tenant")
@@ -266,7 +268,6 @@ class StatsResponse:
     pending_by_tenant: Dict[str, int]
     queue_depth: int
     executor: Dict[str, Any]
-    deprecated: Dict[str, Any]
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -277,7 +278,6 @@ class StatsResponse:
             "pending_by_tenant": dict(self.pending_by_tenant),
             "queue_depth": self.queue_depth,
             "executor": dict(self.executor),
-            "deprecated": dict(self.deprecated),
         }
 
 

@@ -5,9 +5,8 @@ One :class:`Server` owns four moving parts:
 * an ``asyncio.start_server`` HTTP/1.1 front end (hand-rolled request
   parsing — the stdlib ships no async HTTP server, and the repo takes no
   third-party dependencies) speaking the versioned, typed ``/v1`` API
-  (:mod:`repro.service.protocol`); unversioned routes remain as
-  deprecated aliases (same handlers, byte-identical bodies, plus a
-  ``Deprecation`` header and a telemetry counter);
+  (:mod:`repro.service.protocol`); any other path is a 404
+  ``not_found``;
 * the multi-tenant, tenant-fair :class:`~repro.service.queue.JobQueue`;
 * the multi-process execution backend
   (:class:`~repro.service.executor.JobExecutor`): a dispatcher task
@@ -15,11 +14,15 @@ One :class:`Server` owns four moving parts:
   tenants overlap on multi-core hosts.  Every worker activates its own
   artifact store over a shared disk-tier root (cross-worker warmth);
   finished jobs ship their span trees, metric snapshots and store
-  deltas back in the result envelope, so SSE streaming, ``/stats`` and
-  per-job ``cache`` sections behave exactly as the single-thread
-  backend did.  A worker crash breaks the pool: the server rebuilds it,
-  requeues each in-flight job once, and fails a twice-crashed job with
-  a structured ``worker_crashed`` error.
+  deltas back in the result envelope, which feeds SSE streaming,
+  ``/v1/stats`` and per-job ``cache`` sections.  A worker crash breaks
+  the pool: the server rebuilds it, requeues each in-flight job once,
+  and fails a twice-crashed job with a structured ``worker_crashed``
+  error.
+
+The server activates an artifact store and switches metrics (and, with
+``trace_path``, tracing) on for its process while it runs; shutdown
+restores the telemetry flags and active store it found at start.
 
 Endpoints (all JSON; responses use the CLI envelope where a command ran):
 
@@ -53,7 +56,9 @@ from urllib.parse import parse_qs, urlsplit
 from .. import telemetry
 from ..envelope import active_cache_section, build_envelope
 from ..errors import ReproError
-from ..store.core import ArtifactStore, activate_store, active_store
+from ..store.core import (
+    ArtifactStore, activate_store, active_store, deactivate_store,
+)
 from .executor import BrokenProcessPool, JobExecutor
 from .jobs import SERVICE_COMMANDS
 from .protocol import (
@@ -89,12 +94,6 @@ _STATUS_TEXT = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
-}
-
-#: Headers added to every matched legacy (unversioned) route.
-_DEPRECATION_HEADERS = {
-    "Deprecation": "true",
-    "Link": f'<{API_PREFIX}>; rel="successor-version"',
 }
 
 
@@ -142,7 +141,6 @@ class Server:
         self.drain_grace_s = drain_grace_s
         self.queue: Optional[JobQueue] = None
         self.started_at: Optional[float] = None
-        self.deprecated_hits: Dict[str, int] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._backend: Optional[JobExecutor] = None
@@ -154,6 +152,9 @@ class Server:
         self._span_payloads: list = []
         self._store_tmp: Optional[str] = None
         self._thread: Optional[threading.Thread] = None
+        #: (tracing, metrics, active store) as found at start; shutdown
+        #: restores them, so a stopped server leaves no global state on.
+        self._found: Optional[Tuple[bool, bool, Optional[ArtifactStore]]] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -165,6 +166,10 @@ class Server:
         self._stop = asyncio.Event()
         self._draining = False
         self.queue = JobQueue(self.default_quota, self.quotas)
+        self._found = (
+            telemetry.tracing_enabled(), telemetry.metrics_enabled(),
+            active_store(),
+        )
         if active_store() is None or self.store is not None:
             activate_store(self.store)
         self.store = active_store()
@@ -236,6 +241,15 @@ class Server:
         if self._store_tmp is not None:
             shutil.rmtree(self._store_tmp, ignore_errors=True)
             self._store_tmp = None
+        if self._found is not None:
+            trace_on, metrics_on, store = self._found
+            self._found = None
+            telemetry.disable()
+            telemetry.enable(trace=trace_on, metrics=metrics_on)
+            if store is None:
+                deactivate_store()
+            else:
+                activate_store(store)
 
     # -------------------- test/embedding helpers ---------------------- #
 
@@ -298,7 +312,7 @@ class Server:
         generation = self._backend.generation
         try:
             generation, future = self._backend.submit(
-                job.command, job.payload, budget
+                job.command, job.payload, budget, job.attempts
             )
             pid, envelope = await asyncio.wrap_future(future)
         except BrokenProcessPool:
@@ -449,7 +463,6 @@ class Server:
         writer: asyncio.StreamWriter,
         status: int,
         payload: Dict[str, Any],
-        extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
         body = json.dumps(payload, indent=2, default=str).encode("utf-8")
         lines = [
@@ -458,23 +471,16 @@ class Server:
             f"Content-Length: {len(body)}",
             "Connection: close",
         ]
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head + body)
         await writer.drain()
 
-    async def _error(
-        self,
-        writer: asyncio.StreamWriter,
-        body: ErrorBody,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        await self._respond(writer, body.status, body.as_dict(), extra_headers)
+    async def _error(self, writer: asyncio.StreamWriter, body: ErrorBody) -> None:
+        await self._respond(writer, body.status, body.as_dict())
 
     @staticmethod
     def _match(method: str, path: str) -> Tuple[Optional[str], Optional[str]]:
-        """Resolve a normalized (version-stripped) path to a route name."""
+        """Resolve a version-stripped path to a route name."""
         if path == "/health":
             return ("health" if method == "GET" else "method_not_allowed"), None
         if path == "/stats":
@@ -499,10 +505,6 @@ class Server:
                 return "method_not_allowed", None
         return None, None
 
-    def _note_deprecated(self, path: str) -> None:
-        self.deprecated_hits[path] = self.deprecated_hits.get(path, 0) + 1
-        telemetry.count("service.deprecated_route")
-
     async def _route(
         self,
         method: str,
@@ -514,32 +516,25 @@ class Server:
         assert self.queue is not None
         url = urlsplit(path)
         raw_path, query = url.path, parse_qs(url.query)
-        versioned = raw_path == API_PREFIX or raw_path.startswith(
-            API_PREFIX + "/"
-        )
-        norm = raw_path[len(API_PREFIX):] if versioned else raw_path
-        hdrs: Optional[Dict[str, str]] = None
-        route, arg = self._match(method, norm)
-        if route is not None and not versioned:
-            # A matched legacy alias: same handler, same bytes, plus the
-            # migration signal.
-            self._note_deprecated(norm)
-            hdrs = dict(_DEPRECATION_HEADERS)
+        norm = raw_path[len(API_PREFIX):]
+        route, arg = None, None
+        if raw_path.startswith(API_PREFIX + "/"):
+            route, arg = self._match(method, norm)
         if body == b"__TOO_LARGE__":
             await self._error(writer, ErrorBody(
                 "request body too large", "payload_too_large",
                 {"max_bytes": MAX_BODY_BYTES},
-            ), hdrs)
+            ))
             return
         if route is None:
             await self._error(writer, ErrorBody(
-                f"no route for {method} {raw_path}", "not_found"), hdrs)
+                f"no route for {method} {raw_path}", "not_found"))
             return
         if route == "method_not_allowed":
             await self._error(writer, ErrorBody(
                 f"method {method} not allowed on {norm}",
                 "method_not_allowed",
-            ), hdrs)
+            ))
             return
         if route == "health":
             from .. import __version__
@@ -549,34 +544,32 @@ class Server:
                 "version": __version__,
                 "api": API_PREFIX,
                 "uptime_s": time.time() - (self.started_at or time.time()),
-            }, hdrs)
+            })
             return
         if route == "stats":
-            await self._respond(writer, 200, self._stats_envelope(), hdrs)
+            await self._respond(writer, 200, self._stats_envelope())
             return
         if route == "shutdown":
-            await self._respond(writer, 200, {"status": "stopping"}, hdrs)
+            await self._respond(writer, 200, {"status": "stopping"})
             self._stop.set()
             return
         if route == "submit":
-            await self._submit(headers, body, writer, hdrs)
+            await self._submit(headers, body, writer)
             return
         if route == "list":
-            await self._list_jobs(query, writer, hdrs)
+            await self._list_jobs(query, writer)
             return
         # job status / SSE stream
         try:
             job = self.queue.get(arg or "")
         except UnknownJobError as exc:
             await self._error(writer, ErrorBody(
-                str(exc.message or exc), "unknown_job"), hdrs)
+                str(exc.message or exc), "unknown_job"))
             return
         if route == "events":
             await self._stream_events(job, writer)
             return
-        await self._respond(
-            writer, 200, JobStatus.from_job(job).as_dict(), hdrs
-        )
+        await self._respond(writer, 200, JobStatus.from_job(job).as_dict())
         if job.terminal:
             job.collected = True
 
@@ -593,10 +586,6 @@ class Server:
             uptime_s=time.time() - (self.started_at or time.time()),
             commands=list(SERVICE_COMMANDS),
             executor=self._executor_stats(),
-            deprecated={
-                "hits": sum(self.deprecated_hits.values()),
-                "by_route": dict(sorted(self.deprecated_hits.items())),
-            },
             **self.queue.stats(),
         )
         return build_envelope(
@@ -611,18 +600,17 @@ class Server:
         headers: Dict[str, str],
         body: bytes,
         writer: asyncio.StreamWriter,
-        hdrs: Optional[Dict[str, str]],
     ) -> None:
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             await self._error(writer, ErrorBody(
-                f"bad JSON body: {exc}", "bad_json"), hdrs)
+                f"bad JSON body: {exc}", "bad_json"))
             return
         try:
             request = SubmitRequest.parse(payload, headers)
         except ProtocolError as exc:
-            await self._error(writer, exc.body, hdrs)
+            await self._error(writer, exc.body)
             return
         try:
             job = self.queue.submit(
@@ -632,21 +620,20 @@ class Server:
             await self._error(writer, ErrorBody(
                 str(exc.message or exc), "quota_exceeded",
                 {"tenant": request.tenant},
-            ), hdrs)
+            ))
             return
         except ReproError as exc:
             await self._error(writer, ErrorBody(
-                exc.diagnostic(), "job_error"), hdrs)
+                exc.diagnostic(), "job_error"))
             return
         await self._respond(
-            writer, 202, SubmitAccepted.from_job(job).as_dict(), hdrs
+            writer, 202, SubmitAccepted.from_job(job).as_dict()
         )
 
     async def _list_jobs(
         self,
         query: Dict[str, list],
         writer: asyncio.StreamWriter,
-        hdrs: Optional[Dict[str, str]],
     ) -> None:
         tenant = (query.get("tenant") or [None])[0]
         try:
@@ -656,14 +643,14 @@ class Server:
             await self._error(writer, ErrorBody(
                 "limit and offset must be integers", "invalid_field",
                 {"field": "limit/offset"},
-            ), hdrs)
+            ))
             return
         if limit < 1 or limit > MAX_LIST_LIMIT or offset < 0:
             await self._error(writer, ErrorBody(
                 f"limit must be in [1, {MAX_LIST_LIMIT}] and offset >= 0",
                 "invalid_field",
                 {"field": "limit/offset"},
-            ), hdrs)
+            ))
             return
         total, page = self.queue.list_jobs(tenant, limit, offset)
         listing = JobListing(
@@ -674,7 +661,7 @@ class Server:
             offset=offset,
             tenant=tenant,
         )
-        await self._respond(writer, 200, listing.as_dict(), hdrs)
+        await self._respond(writer, 200, listing.as_dict())
 
     async def _stream_events(
         self, job: ServiceJob, writer: asyncio.StreamWriter

@@ -17,9 +17,9 @@ the pipeline publishes into this one layer instead of keeping private
 Enable via ``--trace FILE`` / ``--metrics`` on any CLI subcommand, via
 ``FlowOptions(trace=True, metrics=True)`` on the :mod:`repro.api`
 facade, or directly with :func:`enable` / :func:`enabled`.  Span trees
-and metric snapshots serialize to plain dicts, which is how
-``ProcessPoolExecutor`` workers in the batch flow report their telemetry
-back to the parent process.  See ``docs/OBSERVABILITY.md`` for the span
+and metric snapshots serialize to plain dicts, which is how pool
+workers (:mod:`repro.workers`) report their telemetry back to the parent
+process.  See ``docs/OBSERVABILITY.md`` for the span
 taxonomy and how to read a trace.
 """
 

@@ -9,9 +9,8 @@ attributes and nest into trees; completed root spans accumulate on the
 :class:`Tracer` until drained by an exporter.
 
 Spans serialize to plain dicts (:meth:`Span.as_dict` /
-:func:`span_from_dict`), which is how the batch flow ships span trees
-from ``ProcessPoolExecutor`` workers back to the parent process
-(:meth:`Tracer.adopt`).  Start times are expressed on the wall clock
+:func:`span_from_dict`), which is how pool workers ship span trees
+back to the parent process (:mod:`repro.workers`, :meth:`Tracer.adopt`).  Start times are expressed on the wall clock
 (``time.time`` epoch), so spans gathered from different processes land
 on one consistent timeline in a Chrome trace.
 """

@@ -5,6 +5,9 @@ Also enforces the per-test wall-clock cap.  ``pyproject.toml`` sets
 this conftest registers the same ini keys (so pytest does not warn about
 them) and applies the cap itself with ``SIGALRM`` on POSIX main threads.
 Either way a hung solver cannot wedge the whole suite.
+
+And it fails any test module that leaves tracing, metrics or an active
+artifact store switched on when it finishes (``no_leaked_global_state``).
 """
 
 from __future__ import annotations
@@ -65,6 +68,35 @@ if not _HAVE_TIMEOUT_PLUGIN:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_global_state():
+    """Fail a test module that leaves process-global state switched on.
+
+    Tracing, metrics and the active artifact store are process-wide, so
+    a module that leaves any of them on changes what every later module
+    records or reads.  The state is reset before failing, so a leak is
+    reported once, against the module that caused it.
+    """
+    yield
+    from repro import telemetry
+    from repro.store import active_store, deactivate_store
+
+    leaked = [
+        name
+        for name, on in (
+            ("tracing", telemetry.tracing_enabled()),
+            ("metrics", telemetry.metrics_enabled()),
+            ("an active artifact store", active_store() is not None),
+        )
+        if on
+    ]
+    if leaked:
+        telemetry.disable()
+        deactivate_store()
+        pytest.fail(f"test module left {', '.join(leaked)} on",
+                    pytrace=False)
 
 
 @pytest.fixture

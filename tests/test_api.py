@@ -1,4 +1,4 @@
-"""Tests for the repro.api facade, FlowOptions, and deprecation shims."""
+"""Tests for the repro.api facade, FlowOptions, and the removed shims."""
 
 import warnings
 
@@ -46,6 +46,10 @@ class TestFlowOptions:
         opts = FlowOptions()
         with pytest.raises(Exception):
             opts.seed = 5
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ValueError, match="jobs"):
+            FlowOptions(jobs=0)
 
     def test_replace(self):
         opts = FlowOptions(seed=1)
@@ -105,33 +109,11 @@ class TestFacade:
 
 
 class TestDeprecatedShims:
-    def test_fingerprint_flow_still_works_but_warns(self, fig1_circuit):
-        from repro.flows import fingerprint_flow
+    """The pre-facade names are gone; only the facade is exported."""
 
-        with pytest.warns(DeprecationWarning, match="fingerprint_flow"):
-            result = fingerprint_flow(fig1_circuit, verify=False)
-        assert result.copy is not None
-
-    def test_run_batch_still_works_but_warns(self, fig1_circuit):
-        from repro.flows import run_batch
-
-        with pytest.warns(DeprecationWarning, match="run_batch"):
-            result = run_batch(fig1_circuit, 2)
-        assert result.n_copies == 2
-
-    def test_verify_equivalence_still_works_but_warns(self, fig1_circuit):
-        from repro.flows import verify_equivalence
-
-        with pytest.warns(DeprecationWarning, match="verify_equivalence"):
-            report = verify_equivalence(fig1_circuit, fig1_circuit)
-        assert report.equivalent
-
-    def test_top_level_legacy_import_warns(self):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match="parse_blif"):
-            parse_blif = repro.parse_blif
-        assert callable(parse_blif)
+    def test_top_level_legacy_import_raises(self):
+        with pytest.raises(ImportError):
+            from repro import parse_blif  # noqa: F401
 
     def test_top_level_unknown_name_raises(self):
         import repro

@@ -178,6 +178,12 @@ class TestBatch:
         assert payload["result"]["n_mismatch"] == 0
         assert "metrics" in payload["telemetry"]
 
+    def test_batch_rejects_fewer_than_one_job(self, golden_v, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", golden_v, "--jobs", "0"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestEnvelope:
     def test_json_stdout_is_pure_envelope(self, golden_v, capsys):

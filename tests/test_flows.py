@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flows import FlowResult, fingerprint_flow
+from repro.flows import FlowOptions, FlowResult, run_flow
 from repro.netlist import parse_blif
 from repro.bench import build_benchmark
 
@@ -25,64 +25,64 @@ BLIF = """
 
 class TestFlow:
     def test_circuit_input(self, fig1_circuit):
-        result = fingerprint_flow(fig1_circuit)
+        result = run_flow(fig1_circuit)
         assert isinstance(result, FlowResult)
         assert result.capacity.n_locations == 1
         assert result.equivalence.equivalent
         assert result.equivalence.complete  # 4 inputs -> exhaustive
 
     def test_blif_text_input(self):
-        result = fingerprint_flow(BLIF)
+        result = run_flow(BLIF)
         assert result.base.name == "flowdemo"
         assert result.equivalence.equivalent
 
     def test_sop_network_input(self):
         network = parse_blif(BLIF)
-        result = fingerprint_flow(network, map_style="nand")
+        result = run_flow(network, FlowOptions(map_style="nand"))
         assert result.equivalence.equivalent
 
     def test_bad_input_type(self):
         with pytest.raises(TypeError):
-            fingerprint_flow(42)
+            run_flow(42)
 
     def test_explicit_assignment(self, fig1_circuit):
         from repro.fingerprint import find_locations
 
         catalog = find_locations(fig1_circuit)
         slot = catalog.slots()[0]
-        result = fingerprint_flow(fig1_circuit, assignment={slot.target: 1})
+        result = run_flow(fig1_circuit, FlowOptions(assignment={slot.target: 1}))
         assert result.copy.applied == {slot.target: 1}
 
     def test_delay_constraint_branch(self):
         base = build_benchmark("C880")
-        result = fingerprint_flow(base, delay_constraint=0.05, verify=False)
+        result = run_flow(base, FlowOptions(delay_constraint=0.05, verify=False))
         assert result.constrained is not None
         assert result.constrained.met_constraint
         budget = result.constrained.baseline_delay * 1.05
         assert result.fingerprinted_metrics.delay <= budget + 1e-9
 
     def test_summary_text(self, fig1_circuit):
-        result = fingerprint_flow(fig1_circuit, delay_constraint=0.5)
+        result = run_flow(fig1_circuit, FlowOptions(delay_constraint=0.5))
         text = result.summary()
         assert "fingerprint locations" in text
         assert "overhead" in text
         assert "delay constraint" in text
 
     def test_verify_disabled(self, fig1_circuit):
-        result = fingerprint_flow(fig1_circuit, verify=False)
+        result = run_flow(fig1_circuit, FlowOptions(verify=False))
         assert result.equivalence is None
 
 
 class TestFlowMappingStyles:
     def test_aig_style_flow(self):
-        result = fingerprint_flow(BLIF, map_style="aig")
+        result = run_flow(BLIF, FlowOptions(map_style="aig"))
         assert result.equivalence.equivalent
         kinds = {g.kind for g in result.base.gates}
         assert kinds <= {"AND", "INV", "BUF", "CONST0", "CONST1"}
 
     def test_nand_vs_aoi_same_function(self):
-        a = fingerprint_flow(BLIF, map_style="aoi", verify=False)
-        b = fingerprint_flow(BLIF, map_style="nand", verify=False)
+        a = run_flow(BLIF, FlowOptions(map_style="aoi", verify=False))
+        b = run_flow(BLIF, FlowOptions(map_style="nand", verify=False))
         from repro.sim import exhaustive_equivalent
 
         assert exhaustive_equivalent(a.base, b.base).equivalent

@@ -6,7 +6,13 @@ import pytest
 
 from repro.bench import RandomLogicSpec, generate
 from repro.budget import Budget
-from repro.flows import BatchError, LadderConfig, run_batch, select_values
+from repro.flows import (
+    BatchError,
+    FlowOptions,
+    LadderConfig,
+    run_batch_flow,
+    select_values,
+)
 from repro.netlist import Circuit
 
 
@@ -43,7 +49,7 @@ class TestSelectValues:
 
 class TestSerialBatch:
     def test_all_copies_verified(self, wide_base):
-        result = run_batch(wide_base, n_copies=4, jobs=1, seed=1)
+        result = run_batch_flow(wide_base, 4, FlowOptions(jobs=1, seed=1))
         assert result.n_copies == 4
         assert len(result.records) == 4
         assert result.n_equivalent == 4
@@ -57,8 +63,8 @@ class TestSerialBatch:
         assert all(r.n_modifications > 0 for r in result.records)
 
     def test_overheads_recorded(self, wide_base):
-        result = run_batch(
-            wide_base, n_copies=2, jobs=1, seed=2, measure_overheads=True
+        result = run_batch_flow(
+            wide_base, 2, FlowOptions(jobs=1, seed=2, measure_overheads=True)
         )
         for record in result.records:
             assert record.area_overhead is not None
@@ -69,22 +75,22 @@ class TestSerialBatch:
     def test_as_dict_roundtrips_json(self, wide_base):
         import json
 
-        result = run_batch(wide_base, n_copies=2, jobs=1, seed=0)
+        result = run_batch_flow(wide_base, 2, FlowOptions(jobs=1, seed=0))
         payload = json.loads(json.dumps(result.as_dict()))
         assert payload["n_copies"] == 2
         assert len(payload["records"]) == 2
         assert payload["n_equivalent"] == 2
 
     def test_summary_mentions_throughput(self, wide_base):
-        result = run_batch(wide_base, n_copies=2, jobs=1, seed=0)
+        result = run_batch_flow(wide_base, 2, FlowOptions(jobs=1, seed=0))
         assert "copies/s" in result.summary()
         assert "2 equivalent" in result.summary()
 
 
 class TestParallelBatch:
     def test_jobs2_matches_serial(self, wide_base):
-        serial = run_batch(wide_base, n_copies=4, jobs=1, seed=7)
-        parallel = run_batch(wide_base, n_copies=4, jobs=2, seed=7)
+        serial = run_batch_flow(wide_base, 4, FlowOptions(jobs=1, seed=7))
+        parallel = run_batch_flow(wide_base, 4, FlowOptions(jobs=2, seed=7))
         assert [r.value for r in parallel.records] == [
             r.value for r in serial.records
         ]
@@ -111,7 +117,9 @@ class TestBudgetDegradation:
             sat_budget=Budget(max_decisions=0),
             n_random_vectors=256,
         )
-        result = run_batch(wide_base, n_copies=2, jobs=1, seed=1, ladder=config)
+        result = run_batch_flow(
+            wide_base, 2, FlowOptions(jobs=1, seed=1, ladder=config)
+        )
         assert result.n_degraded == 2
         for record in result.records:
             assert record.budget_hit
@@ -125,7 +133,7 @@ class TestBudgetDegradation:
                 name="narrow", n_inputs=8, n_outputs=4, n_gates=60, seed=11
             )
         )
-        result = run_batch(narrow, n_copies=2, jobs=1, seed=0)
+        result = run_batch_flow(narrow, 2, FlowOptions(jobs=1, seed=0))
         assert all(r.tier == "exhaustive-sim" for r in result.records)
         assert all(r.proven for r in result.records)
 
@@ -210,7 +218,7 @@ class TestPoolBrokenSalvage:
 
         codec = FingerprintCodec(find_locations(c17))
         values = select_values(codec.combinations, 4, seed=0)
-        monkeypatch.setenv("REPRO_BATCH_CRASH_VALUE", str(values[-1]))
+        monkeypatch.setenv("REPRO_WORKER_CRASH", str(values[-1]))
         with pytest.warns(RuntimeWarning, match="pool died"):
             broken = run_batch_flow(c17, 4, FlowOptions(jobs=2, seed=0))
         assert broken.pool_broken is True
@@ -224,7 +232,7 @@ class TestPoolBrokenSalvage:
         clean = run_batch_flow(c17, 4, FlowOptions(jobs=1, seed=0))
         assert clean.pool_broken is False
         monkeypatch.setenv(
-            "REPRO_BATCH_CRASH_VALUE", str(clean.records[0].value)
+            "REPRO_WORKER_CRASH", str(clean.records[0].value)
         )
         with pytest.warns(RuntimeWarning):
             broken = run_batch_flow(c17, 4, FlowOptions(jobs=2, seed=0))

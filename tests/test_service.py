@@ -3,12 +3,6 @@
 One in-thread server (ephemeral port) backs the whole module; each test
 that cares about warm/cold behaviour uses a uniquely named design so the
 shared artifact store cannot leak warmth between tests.
-
-The ``client`` fixture is parametrized over both API surfaces — the
-versioned ``/v1`` routes and the deprecated unversioned aliases — so
-every behaviour here is asserted against both (ISSUE 9 acceptance
-criterion).  Warm/cold tests fold the surface name into their design
-names: the two parametrizations must not share store warmth.
 """
 
 from __future__ import annotations
@@ -17,6 +11,7 @@ import pytest
 
 from repro import telemetry
 from repro.service import (
+    API_PREFIX,
     Server,
     ServiceClient,
     ServiceHttpError,
@@ -53,17 +48,14 @@ def server():
     srv.start_in_thread()
     yield srv
     srv.stop_thread()
-    deactivate_store()
-    telemetry.disable()
     telemetry.get_tracer().reset()
     telemetry.get_registry().reset()
 
 
-@pytest.fixture(scope="module", params=["v1", "legacy"])
-def client(server, request):
-    return ServiceClient(
-        port=server.port, api_version=request.param, retry_429=0
-    )
+# The param is the API version the client speaks; it names every test id.
+@pytest.fixture(scope="module", params=["v1"])
+def client(server):
+    return ServiceClient(port=server.port, retry_429=0)
 
 
 class TestEndpoints:
@@ -88,6 +80,7 @@ class TestEndpoints:
         assert executor["backend"] == "process"
         assert executor["workers"] == 1
         assert executor["crashes"] == 0
+        assert "deprecated" not in stats["result"]
 
     def test_unknown_command_is_400(self, client):
         with pytest.raises(ServiceHttpError) as excinfo:
@@ -110,7 +103,7 @@ class TestEndpoints:
         connection = http.client.HTTPConnection(client.host, client.port)
         try:
             connection.request(
-                "POST", client._prefix + "/jobs", body="{not json",
+                "POST", API_PREFIX + "/jobs", body="{not json",
                 headers={"Content-Type": "application/json"},
             )
             response = connection.getresponse()
@@ -136,6 +129,24 @@ class TestEndpoints:
         assert excinfo.value.status == 405
         assert excinfo.value.code == "method_not_allowed"
 
+    @pytest.mark.parametrize("options", [
+        {"jobs": 8},
+        {"bogus": 1},
+        {"ladder": {"bogus": 1}},
+        {"jobs": -7},
+    ], ids=["own-pool", "unknown-field", "unknown-ladder-field",
+            "negative-jobs"])
+    def test_bad_options_are_invalid_field(self, client, options):
+        """Options must build the FlowOptions the job runs with, and a
+        job may not start a process pool of its own (the service's
+        parallelism is its worker count)."""
+        with pytest.raises(ServiceHttpError) as excinfo:
+            client.submit("batch", design=blif("opts"), n_copies=2,
+                          options=options)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "invalid_field"
+        assert excinfo.value.payload["field"] == "options"
+
     def test_quota_exhausted_is_429(self, client):
         with pytest.raises(ServiceHttpError) as excinfo:
             client.submit("locate", design=blif("q"), tenant="limited")
@@ -146,7 +157,7 @@ class TestEndpoints:
 class TestJobExecution:
     def test_locate_round_trip(self, client):
         envelope = client.run(
-            "locate", design=blif(f"rt_{client.api_version}"), format="blif"
+            "locate", design=blif("rt"), format="blif"
         )
         assert envelope["ok"] is True
         assert envelope["command"] == "locate"
@@ -159,7 +170,7 @@ class TestJobExecution:
         """The PR 7 acceptance criterion: an identical resubmission is
         served from the store (no IR compile, CNF encode, or catalog
         build of its own) with a bit-identical verdict."""
-        text = blif(f"warmpair_{client.api_version}")
+        text = blif("warmpair")
         cold = client.run("batch", design=text, n_copies=2,
                           options={"seed": 7})
         warm = client.run("batch", design=text, n_copies=2,
@@ -205,7 +216,7 @@ class TestJobExecution:
 
     def test_events_stream_ends_with_result(self, client):
         submitted = client.submit(
-            "locate", design=blif(f"sse_{client.api_version}"), format="blif"
+            "locate", design=blif("sse"), format="blif"
         )
         events = list(client.events(submitted["job_id"]))
         assert events, "stream yielded nothing"
@@ -215,20 +226,18 @@ class TestJobExecution:
         assert payload["envelope"]["ok"] is True
 
     def test_verify_command(self, client):
-        text = blif(f"verifyme_{client.api_version}")
+        text = blif("verifyme")
         envelope = client.run("verify", design=text, suspect=text)
         assert envelope["result"]["equivalent"] is True
 
     def test_prepare_command(self, client):
-        envelope = client.run(
-            "prepare", design=blif(f"prep_{client.api_version}")
-        )
+        envelope = client.run("prepare", design=blif("prep"))
         assert envelope["ok"] is True
         assert len(envelope["result"]["digest"]) == 64
         assert envelope["result"]["prepared"] is True
 
     def test_job_listing_paginates(self, client):
-        tenant = f"pager_{client.api_version}"
+        tenant = "pager"
         for i in range(3):
             client.run("prepare", design=blif(f"{tenant}_{i}"), tenant=tenant)
         listing = client.jobs(tenant=tenant, limit=2, offset=0)

@@ -1,10 +1,10 @@
 """Tests for the multi-process execution backend (``service/executor.py``).
 
-Covers the ISSUE 9 tentpole robustness paths: concurrent multi-worker
-execution with per-worker liveness, the worker-crash → requeue →
-structured-failure salvage chain (driven by the
-``REPRO_SERVICE_CRASH_TOKEN`` fault hook), round-robin tenant fairness
-in the queue, and generation-guarded pool rebuilds.
+Covers the backend's robustness paths: concurrent multi-worker execution
+with per-worker liveness, the worker-crash → requeue → structured-failure
+salvage chain (driven by the ``REPRO_WORKER_CRASH`` fault hook),
+round-robin tenant fairness in the queue, generation-guarded pool
+rebuilds, and the process-global state a stopped server restores.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.service import (
     ServiceHttpError,
 )
 from repro.service.queue import JobQueue
-from repro.store import deactivate_store
+from repro.store import ArtifactStore, active_store, store_activated
 
 CRASH_TOKEN = "__service_crash_me__"
 
@@ -51,13 +51,11 @@ def server(monkeypatch):
     tests): crash tests mutate pool state, and each test deserves a
     pristine generation counter.
     """
-    monkeypatch.setenv("REPRO_SERVICE_CRASH_TOKEN", CRASH_TOKEN)
+    monkeypatch.setenv("REPRO_WORKER_CRASH", CRASH_TOKEN)
     srv = Server(port=0, workers=2)
     srv.start_in_thread()
     yield srv
     srv.stop_thread()
-    deactivate_store()
-    telemetry.disable()
     telemetry.get_tracer().reset()
     telemetry.get_registry().reset()
 
@@ -185,6 +183,25 @@ class TestTenantFairness:
         assert again is first is job
         assert again.attempts == 1
         assert again.status == "queued"
+
+
+class TestServerLifecycle:
+    def test_stop_restores_telemetry_flags_and_active_store(self):
+        """A stopped server leaves no process-global state behind: later
+        in-process API calls must not record metrics or use its store."""
+
+        def snapshot():
+            return (telemetry.tracing_enabled(), telemetry.metrics_enabled(),
+                    active_store())
+
+        before = snapshot()
+        Server(port=0).start_in_thread().stop_thread()
+        assert snapshot() == before
+        # A store the embedder activated survives a server with its own.
+        with store_activated(ArtifactStore()):
+            before = snapshot()
+            Server(port=0, store=ArtifactStore()).start_in_thread().stop_thread()
+            assert snapshot() == before
 
 
 class TestExecutorUnit:

@@ -1,10 +1,8 @@
-"""Tests for the typed ``/v1`` protocol and the legacy-alias parity.
+"""Tests for the typed ``/v1`` protocol.
 
-Covers the ISSUE 9 API-redesign satellites: protocol validation units,
-``/v1``-vs-legacy byte-for-byte body parity, the ``Deprecation``
-migration signals, listing pagination validation, and the reworked
-:class:`ServiceClient` (keyword-only constructor shim, ``submit_many``,
-429 retry-with-backoff).
+Covers protocol validation units, unversioned paths (plain 404s),
+listing pagination validation, and :class:`ServiceClient` (keyword-only
+constructor, ``submit_many``, 429 retry-with-backoff).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from repro.service import (
     TenantQuota,
 )
 from repro.service.queue import ServiceJob
-from repro.store import deactivate_store
 
 
 def blif(name: str) -> str:
@@ -57,8 +54,6 @@ def server():
     srv.start_in_thread()
     yield srv
     srv.stop_thread()
-    deactivate_store()
-    telemetry.disable()
     telemetry.get_tracer().reset()
     telemetry.get_registry().reset()
 
@@ -135,41 +130,18 @@ class TestProtocolUnits:
         assert "envelope" not in listed.as_dict()
 
 
-class TestRouteParity:
-    """Legacy aliases must serve the exact ``/v1`` bytes, plus headers."""
-
-    def test_terminal_job_body_is_byte_identical(self, server, client):
-        submitted = client.submit("prepare", design=blif("parity"))
+class TestUnversionedRoutes:
+    def test_unmatched_routes_get_no_deprecation_header(self, server, client):
+        # Every route lives under /v1: unprefixed paths, even ones that
+        # name a real route or job, are plain 404s.
+        submitted = client.submit("prepare", design=blif("unversioned"))
         client.wait(submitted["job_id"])
-        path = f"/jobs/{submitted['job_id']}"
-        s1, h1, b1 = raw_get(server, "/v1" + path)
-        s2, h2, b2 = raw_get(server, path)
-        assert s1 == s2 == 200
-        assert b1 == b2
-        assert "Deprecation" not in h1
-        assert h2["Deprecation"] == "true"
-        assert 'rel="successor-version"' in h2["Link"]
-
-    def test_error_body_is_byte_identical(self, server):
-        s1, h1, b1 = raw_get(server, "/v1/jobs/nope")
-        s2, h2, b2 = raw_get(server, "/jobs/nope")
-        assert s1 == s2 == 404
-        assert b1 == b2
-        assert json.loads(b1)["code"] == "unknown_job"
-        assert "Deprecation" not in h1 and h2["Deprecation"] == "true"
-
-    def test_deprecated_hits_are_counted(self, server, client):
-        before = client.stats()["result"]["deprecated"]["hits"]
-        raw_get(server, "/health")
-        raw_get(server, "/stats")
-        after = client.stats()["result"]
-        assert after["deprecated"]["hits"] >= before + 2
-        assert after["deprecated"]["by_route"].get("/health", 0) >= 1
-
-    def test_unmatched_routes_get_no_deprecation_header(self, server):
-        # Only *matched* legacy aliases are deprecated; garbage is just 404.
-        _, headers, _ = raw_get(server, "/completely/unknown")
-        assert "Deprecation" not in headers
+        for path in ("/completely/unknown", "/health",
+                     f"/jobs/{submitted['job_id']}"):
+            status, headers, body = raw_get(server, path)
+            assert status == 404, path
+            assert json.loads(body)["code"] == "not_found"
+            assert "Deprecation" not in headers
 
 
 class TestListingValidation:
@@ -198,22 +170,11 @@ class TestListingValidation:
 
 
 class TestClientRework:
-    def test_positional_args_warn_but_work(self, server):
-        with pytest.warns(DeprecationWarning):
-            shim = ServiceClient("127.0.0.1", server.port, 30.0)
-        assert (shim.host, shim.port, shim.timeout) == (
-            "127.0.0.1", server.port, 30.0
-        )
-        assert shim.health()["status"] == "ok"
-
-    def test_too_many_positionals_is_type_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                ServiceClient("127.0.0.1", 1, 1.0, "extra")
-
-    def test_unknown_api_version_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceClient(api_version="v2")
+    def test_constructor_is_keyword_only(self, server):
+        with pytest.raises(TypeError):
+            ServiceClient("127.0.0.1", server.port)
+        with pytest.raises(TypeError):
+            ServiceClient(port=server.port, api_version="v1")
 
     def test_submit_many(self, client):
         accepted = client.submit_many([
