@@ -11,7 +11,7 @@ the paper's "without changing the functionality" claim rests on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from ..budget import Budget
@@ -158,7 +158,12 @@ def check(
     model; the differential suite pins verdicts identical either way.
     ``solver_config`` picks the CDCL inner-loop configuration (default:
     all speed features on).
+
+    A ``budget`` deadline covers the whole call: its clock starts here,
+    preprocessing stops once it has passed, and the solver gets only the
+    time that remains.
     """
+    clock = budget.start() if budget is not None and budget.deadline_s is not None else None
     if structurally_identical(left, right):
         return CecResult(
             CecVerdict.EQUIVALENT,
@@ -171,7 +176,7 @@ def check(
     cnf = encoding.cnf
     if simplify:
         frozen = [encoding.var_of[net] for net in left.inputs]
-        pre = preprocess(cnf, frozen=frozen, config=preprocess_config)
+        pre = preprocess(cnf, frozen=frozen, config=preprocess_config, clock=clock)
         if pre.status is False:
             return CecResult(
                 CecVerdict.EQUIVALENT,
@@ -180,10 +185,18 @@ def check(
                 reason="refuted during preprocessing",
             )
         cnf = pre.cnf
+    solve_budget = budget
+    if clock is not None:
+        solve_budget = replace(budget, deadline_s=max(0.0, clock.remaining_seconds()))
     solver = CdclSolver(cnf, config=solver_config)
-    result = solver.solve(budget=budget)
+    result = solver.solve(budget=solve_budget)
     if result.unknown:
-        return CecResult(CecVerdict.UNDECIDED, None, result.stats, result.reason)
+        reason = result.reason
+        if clock is not None:
+            # Name the caller's limits, not the remainder the solver got.
+            stats = result.stats
+            reason = clock.exhausted_reason(stats.conflicts, stats.decisions) or reason
+        return CecResult(CecVerdict.UNDECIDED, None, result.stats, reason)
     if not result.satisfiable:
         return CecResult(CecVerdict.EQUIVALENT, None, result.stats)
     model = result.model if pre is None else pre.extend_model(result.model)

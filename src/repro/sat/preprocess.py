@@ -17,7 +17,10 @@ map so verdicts and (extended) models are unchanged:
   (bloom) prefiltering keeps the candidate scans cheap.
 * **Failed-literal probing**: assume each candidate literal, run unit
   propagation; a conflict proves the negation as a root-level fact.
-  Propagation-bounded so it cannot dominate preprocessing time.
+  ``probe_limit`` caps the propagations of the whole call, a guard
+  against pathological inputs rather than a time bound: on the
+  paper-flow miters the cap is never reached and probing is the largest
+  phase.
 
 Eliminated variables go on a reconstruction stack
 (:class:`Reconstruction`) storing their removed clauses; extending a
@@ -29,6 +32,12 @@ counterexample extraction, activation literals — must be passed as
 equivalence-preserving over the original variable set and therefore safe
 even for incremental sessions that keep adding clauses; BVE is not, and
 is switched off for that use via :data:`INCREMENTAL_SAFE`.
+
+A started :class:`~repro.budget.BudgetClock` passed as ``clock`` is read
+between probes and between eliminations; once its deadline has passed,
+preprocessing stops and returns the CNF simplified so far.  That CNF is
+sound, because every probe and every elimination completes before the
+clause store changes again.
 
 Everything here uses the solver's internal literal encoding only at the
 boundary; the public API speaks DIMACS-signed literals like the rest of
@@ -42,6 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import telemetry
+from ..budget import BudgetClock
 from .cnf import Cnf
 
 _TRUE = 1
@@ -101,7 +111,12 @@ class PreprocessStats:
     clauses_in: int = 0
     clauses_out: int = 0
     vars_in: int = 0
+    #: Propagations spent probing (the ``probe_limit`` budget used).
+    probe_propagations: int = 0
     seconds: float = 0.0
+    probe_seconds: float = 0.0
+    subsume_seconds: float = 0.0
+    bve_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
         return dict(self.__dict__)
@@ -176,7 +191,18 @@ class PreprocessResult:
 
 
 class _Store:
-    """Mutable clause database with occurrence lists and signatures."""
+    """Mutable clause database with occurrence lists and signatures.
+
+    Invariants the simplification loops rely on:
+
+    * ``occ[lit]`` holds exactly the indices of the live clauses that
+      contain ``lit``, in increasing clause index (clauses are appended,
+      and deletion keeps the order of the rest);
+    * live clauses are sorted, duplicate-free, non-tautological and have at
+      least two literals (units go to ``units``/``assign`` instead);
+    * ``units[:propagated]`` have been applied: their variables occur in
+      no live clause, so :meth:`propagate_units` never revisits them.
+    """
 
     def __init__(self, n_vars: int, clauses: Iterable[Sequence[int]]) -> None:
         self.n_vars = n_vars
@@ -185,6 +211,7 @@ class _Store:
         self.occ: List[List[int]] = [[] for _ in range(2 * (n_vars + 1))]
         self.assign: List[int] = [_UNASSIGNED] * (n_vars + 1)
         self.units: List[int] = []
+        self.propagated = 0
         self.unsat = False
         self.touched: Set[int] = set()
         for clause in clauses:
@@ -227,64 +254,43 @@ class _Store:
         self.assign[var] = value
         self.units.append(lit)
 
-    def live(self, index: int) -> bool:
-        return self.clauses[index] is not None
-
     def delete(self, index: int) -> None:
         clause = self.clauses[index]
         if clause is None:
             return
         self.clauses[index] = None
         for lit in clause:
-            occ = self.occ[lit]
-            try:
-                occ.remove(index)
-            except ValueError:
-                pass
+            self.occ[lit].remove(index)
 
     def strengthen(self, index: int, lit: int) -> None:
         """Remove ``lit`` from clause ``index`` (caller guarantees it's there)."""
         clause = self.clauses[index]
         assert clause is not None
         clause.remove(lit)
-        try:
-            self.occ[lit].remove(index)
-        except ValueError:
-            pass
+        self.occ[lit].remove(index)
         self.sigs[index] = self._sig(clause)
         if len(clause) == 1:
             self.push_unit(clause[0])
             self.delete(index)
-        elif not clause:
-            self.unsat = True
         else:
             self.touched.add(index)
 
-    def propagate_units(self) -> bool:
-        """Apply all pending root-level units to the clause store.
+    def propagate_units(self) -> None:
+        """Apply the root-level units not yet applied to the clause store.
 
-        Returns True when anything changed; sets ``unsat`` on conflict.
+        Clauses a unit satisfies are deleted; its negation is removed from
+        the rest.  Sets ``unsat`` on conflict.
         """
-        changed = False
-        head = 0
-        while head < len(self.units) and not self.unsat:
-            lit = self.units[head]
-            head += 1
-            changed = True
-            # Clauses satisfied by lit disappear...
-            for index in list(self.occ[lit]):
+        units = self.units
+        occ = self.occ
+        while self.propagated < len(units) and not self.unsat:
+            lit = units[self.propagated]
+            self.propagated += 1
+            for index in occ[lit][:]:
                 self.delete(index)
-            # ...clauses containing ¬lit lose that literal.
-            for index in list(self.occ[lit ^ 1]):
-                if self.live(index):
+            for index in occ[lit ^ 1][:]:
+                if self.clauses[index] is not None:
                     self.strengthen(index, lit ^ 1)
-        return changed
-
-    def lit_value(self, lit: int) -> int:
-        value = self.assign[lit >> 1]
-        if value == _UNASSIGNED:
-            return -1
-        return value ^ (lit & 1)
 
 
 def _subsumption_round(store: _Store, config: PreprocessConfig, stats: PreprocessStats) -> bool:
@@ -292,22 +298,25 @@ def _subsumption_round(store: _Store, config: PreprocessConfig, stats: Preproces
     changed = False
     queue = sorted(store.touched)
     store.touched = set()
+    occ = store.occ
+    sigs = store.sigs
+    limit = config.subsume_occ_limit
     for index in queue:
         clause = store.clauses[index]
         if clause is None:
             continue
-        sig = store.sigs[index]
+        sig = sigs[index]
         cset = set(clause)
         # Scan through the literal with the fewest occurrences.
-        best = min(clause, key=lambda l: len(store.occ[l]))
-        if config.subsume and len(store.occ[best]) <= config.subsume_occ_limit:
-            for other in list(store.occ[best]):
+        best = min(clause, key=lambda l: len(occ[l]))
+        if config.subsume and len(occ[best]) <= limit:
+            for other in occ[best][:]:
                 if other == index:
                     continue
                 cand = store.clauses[other]
                 if cand is None or len(cand) < len(clause):
                     continue
-                if sig & ~store.sigs[other]:
+                if sig & ~sigs[other]:
                     continue
                 if cset.issubset(cand):
                     store.delete(other)
@@ -316,19 +325,20 @@ def _subsumption_round(store: _Store, config: PreprocessConfig, stats: Preproces
         if not config.ssr:
             continue
         # Self-subsuming resolution: clause with one literal flipped
-        # subsumes `other` → drop the flipped literal from `other`.
+        # subsumes `other` → drop the flipped literal from `other`.  The
+        # flipped clause's signature is the clause's own: a literal and
+        # its negation share a variable bit.
         for lit in clause:
             neg = lit ^ 1
-            occ_neg = store.occ[neg]
-            if len(occ_neg) > config.subsume_occ_limit:
+            occ_neg = occ[neg]
+            if len(occ_neg) > limit:
                 continue
             rest = cset - {lit}
-            rest_sig = store._sig(list(rest)) | (1 << ((lit >> 1) & 63))
-            for other in list(occ_neg):
+            for other in occ_neg[:]:
                 cand = store.clauses[other]
                 if cand is None or other == index or len(cand) < len(clause):
                     continue
-                if rest_sig & ~store.sigs[other]:
+                if sig & ~sigs[other]:
                     continue
                 if rest.issubset(cand):
                     store.strengthen(other, neg)
@@ -343,6 +353,7 @@ def _probe_round(
     store: _Store,
     budget: List[int],
     stats: PreprocessStats,
+    clock: Optional[BudgetClock],
 ) -> bool:
     """Failed-literal probing over binary-clause literals.
 
@@ -350,6 +361,16 @@ def _probe_round(
     scanning; a conflict adds the negation as a root fact.  ``budget``
     is a single-element mutable propagation allowance shared across
     rounds.
+
+    Literal values live in one per-literal array (root units included)
+    that each probe undoes along its trail.  Propagation visits the
+    trail first-in first-out and, per literal, the clauses of
+    ``occ[¬lit]`` in increasing index, so the trail, the budget spent and
+    the failed literals do not depend on how a clause is evaluated.  The
+    occurrence lists are snapshotted once per round, as clause objects:
+    root units found mid-round only delete clauses already satisfied at
+    the root and drop literals already false at the root, neither of
+    which changes any probe's outcome.
     """
     changed = False
     candidates: List[int] = []
@@ -363,48 +384,85 @@ def _probe_round(
             if probe not in seen:
                 seen.add(probe)
                 candidates.append(probe)
-    assign = store.assign
+    clauses = store.clauses
+    occ = [[clauses[i] for i in indices] for indices in store.occ]
+    value = [_UNASSIGNED] * len(occ)
+    units = store.units
+    for unit in units:
+        value[unit] = _TRUE
+        value[unit ^ 1] = _FALSE
+    n_units = len(units)
     for probe in candidates:
         if budget[0] <= 0:
             break
-        if assign[probe >> 1] != _UNASSIGNED:
+        if clock is not None and clock.over_deadline():
+            break
+        if value[probe] != _UNASSIGNED:
             continue
         stats.probes += 1
+        value[probe] = _TRUE
+        value[probe ^ 1] = _FALSE
         trail = [probe]
-        local: Dict[int, int] = {probe >> 1: 1 - (probe & 1)}
-        head = 0
+        left = budget[0]
         conflict = False
-        while head < len(trail) and not conflict:
-            lit = trail[head]
-            head += 1
-            budget[0] -= 1
-            if budget[0] <= 0:
+        for lit in trail:
+            left -= 1
+            if left <= 0:
                 break
-            for index in store.occ[lit ^ 1]:
-                clause = store.clauses[index]
-                if clause is None:
-                    continue
-                unassigned = 0
-                unit = 0
-                satisfied = False
-                for l in clause:
-                    var = l >> 1
-                    value = local.get(var, assign[var])
-                    if value == _UNASSIGNED:
-                        unassigned += 1
-                        unit = l
-                        if unassigned > 1:
-                            break
-                    elif value == 1 - (l & 1):
-                        satisfied = True
+            neg = lit ^ 1
+            for clause in occ[neg]:
+                size = len(clause)
+                if size == 2:
+                    unit = clause[1] if clause[0] == neg else clause[0]
+                    state = value[unit]
+                    if state == _TRUE:
+                        continue
+                    if state == _FALSE:
+                        conflict = True
                         break
-                if satisfied or unassigned > 1:
-                    continue
-                if unassigned == 0:
-                    conflict = True
-                    break
-                local[unit >> 1] = 1 - (unit & 1)
+                elif size == 3:
+                    a, b, c = clause
+                    if a == neg:
+                        a = c
+                    elif b == neg:
+                        b = c
+                    state_a = value[a]
+                    state_b = value[b]
+                    if state_a == _TRUE or state_b == _TRUE:
+                        continue
+                    if state_a == _UNASSIGNED:
+                        if state_b == _UNASSIGNED:
+                            continue
+                        unit = a
+                    elif state_b == _UNASSIGNED:
+                        unit = b
+                    else:
+                        conflict = True
+                        break
+                else:
+                    unit = -1
+                    for l in clause:
+                        state = value[l]
+                        if state == _FALSE:
+                            continue
+                        if state == _TRUE or unit >= 0:
+                            unit = -2  # satisfied, or two unassigned
+                            break
+                        unit = l
+                    if unit == -2:
+                        continue
+                    if unit == -1:
+                        conflict = True
+                        break
+                value[unit] = _TRUE
+                value[unit ^ 1] = _FALSE
                 trail.append(unit)
+            if conflict:
+                break
+        budget[0] = left
+        for lit in trail:
+            value[lit] = _UNASSIGNED
+            value[lit ^ 1] = _UNASSIGNED
         if conflict:
             store.push_unit(probe ^ 1)
             stats.failed_literals += 1
@@ -412,6 +470,10 @@ def _probe_round(
             changed = True
             if store.unsat:
                 return True
+            for unit in units[n_units:]:
+                value[unit] = _TRUE
+                value[unit ^ 1] = _FALSE
+            n_units = len(units)
     return changed
 
 
@@ -421,39 +483,53 @@ def _eliminate_round(
     config: PreprocessConfig,
     recon: Reconstruction,
     stats: PreprocessStats,
+    clock: Optional[BudgetClock],
 ) -> bool:
     """One bounded-variable-elimination sweep over all candidate vars."""
     changed = False
+    occ = store.occ
+    clauses = store.clauses
+    assign = store.assign
     order = sorted(
         (var for var in range(1, store.n_vars + 1)
-         if var not in frozen and store.assign[var] == _UNASSIGNED),
-        key=lambda v: len(store.occ[2 * v]) * len(store.occ[2 * v + 1]),
+         if var not in frozen and assign[var] == _UNASSIGNED),
+        key=lambda v: len(occ[2 * v]) * len(occ[2 * v + 1]),
     )
+    width = config.bve_resolvent_max
     for var in order:
         if store.unsat:
             return True
-        if store.assign[var] != _UNASSIGNED:
+        if clock is not None and clock.over_deadline():
+            break
+        if assign[var] != _UNASSIGNED:
             continue
-        pos = [i for i in store.occ[2 * var] if store.live(i)]
-        neg = [i for i in store.occ[2 * var + 1] if store.live(i)]
+        pos_lit = 2 * var
+        pos = occ[pos_lit][:]
+        neg = occ[pos_lit + 1][:]
         if not pos and not neg:
             continue  # variable no longer occurs; nothing to reconstruct
         before = len(pos) + len(neg)
         limit = before + config.bve_grow
         if len(pos) * len(neg) > max(limit * 4, 16):
             continue  # resolvent work clearly out of budget
+        neg_rests = []
+        for ni in neg:
+            rest = set(clauses[ni])
+            rest.discard(pos_lit + 1)
+            neg_rests.append(rest)
         resolvents: List[List[int]] = []
         ok = True
         for pi in pos:
-            pc = store.clauses[pi]
-            for ni in neg:
-                nc = store.clauses[ni]
-                merged = set(pc) | set(nc)
-                merged.discard(2 * var)
-                merged.discard(2 * var + 1)
-                if any((lit ^ 1) in merged for lit in merged):
+            pos_rest = set(clauses[pi])
+            pos_rest.discard(pos_lit)
+            flipped = {lit ^ 1 for lit in pos_rest}
+            for neg_rest in neg_rests:
+                # Each side is tautology-free, so only a literal of one
+                # side against its negation on the other can clash.
+                if not flipped.isdisjoint(neg_rest):
                     continue  # tautological resolvent
-                if len(merged) > config.bve_resolvent_max:
+                merged = pos_rest | neg_rest
+                if len(merged) > width:
                     ok = False
                     break
                 resolvents.append(sorted(merged))
@@ -464,9 +540,9 @@ def _eliminate_round(
                 break
         if not ok:
             continue
-        removed = [store.clauses[i] for i in pos + neg]
-        recon.record(var, [c for c in removed if c is not None])
-        for index in pos + neg:
+        removed = pos + neg
+        recon.record(var, [clauses[i] for i in removed])
+        for index in removed:
             store.delete(index)
         for resolvent in resolvents:
             store.add(resolvent)
@@ -482,13 +558,15 @@ def preprocess(
     cnf: Cnf,
     frozen: Iterable[int] = (),
     config: Optional[PreprocessConfig] = None,
+    clock: Optional[BudgetClock] = None,
 ) -> PreprocessResult:
     """Simplify ``cnf``; returns an equisatisfiable CNF + reconstruction.
 
     ``frozen`` lists variable numbers that must survive elimination:
     assumption variables, primary inputs needed for counterexamples, and
     any variable the caller will mention in later ``add_clause`` calls.
-    The returned CNF keeps the original variable numbering.
+    The returned CNF keeps the original variable numbering.  ``clock``
+    (optional) stops the work early once its deadline has passed.
     """
     config = config if config is not None else PreprocessConfig()
     frozen_set = {abs(v) for v in frozen}
@@ -496,7 +574,8 @@ def preprocess(
         clauses_in=len(cnf.clauses), vars_in=cnf.n_vars
     )
     recon = Reconstruction()
-    start = time.perf_counter()
+    perf = time.perf_counter
+    start = perf()
     with telemetry.span("sat.preprocess", vars=cnf.n_vars, clauses=len(cnf.clauses)):
         store = _Store(
             cnf.n_vars,
@@ -504,50 +583,63 @@ def preprocess(
         )
         store.propagate_units()
         probe_budget = [config.probe_limit]
-        while not store.unsat and stats.rounds < config.max_rounds:
+
+        def stop() -> bool:
+            return store.unsat or (clock is not None and clock.over_deadline())
+
+        while not stop() and stats.rounds < config.max_rounds:
             stats.rounds += 1
             changed = False
             if config.probe:
-                changed |= _probe_round(store, probe_budget, stats)
-            if store.unsat:
+                t0 = perf()
+                changed |= _probe_round(store, probe_budget, stats, clock)
+                stats.probe_seconds += perf() - t0
+            if stop():
                 break
             if config.subsume or config.ssr:
+                t0 = perf()
                 changed |= _subsumption_round(store, config, stats)
-            if store.unsat:
+                stats.subsume_seconds += perf() - t0
+            if stop():
                 break
             if config.bve:
-                changed |= _eliminate_round(store, frozen_set, config, recon, stats)
+                t0 = perf()
+                changed |= _eliminate_round(store, frozen_set, config, recon, stats, clock)
+                stats.bve_seconds += perf() - t0
             if not changed:
                 break
+        stats.probe_propagations = config.probe_limit - probe_budget[0]
 
-        out = Cnf()
-        for _ in range(cnf.n_vars):
-            out.new_var()
         if store.unsat:
             status: Optional[bool] = False
-            out.add_clause([1])
-            out.add_clause([-1])
+            out_clauses = [(1,), (-1,)]
         else:
+            out_clauses = []
             for var in range(1, store.n_vars + 1):
                 if store.assign[var] == _TRUE:
-                    out.add_clause([var])
+                    out_clauses.append((var,))
                 elif store.assign[var] == _FALSE:
-                    out.add_clause([-var])
-            n_live = 0
+                    out_clauses.append((-var,))
+            n_units = len(out_clauses)
             for clause in store.clauses:
-                if clause is None:
-                    continue
-                n_live += 1
-                out.add_clause([_to_external(l) for l in clause])
+                if clause is not None:
+                    out_clauses.append(tuple([_to_external(l) for l in clause]))
             # No clauses left: the root units alone satisfy the formula.
-            status = True if n_live == 0 else None
+            status = True if len(out_clauses) == n_units else None
+        out = Cnf(n_vars=cnf.n_vars, clauses=out_clauses)
         stats.units_found = len(store.units)
-        stats.clauses_out = len(out.clauses)
-        stats.seconds = time.perf_counter() - start
+        stats.clauses_out = len(out_clauses)
+        stats.seconds = perf() - start
         telemetry.count("sat.preprocess.eliminated_vars", stats.eliminated_vars)
         telemetry.count("sat.preprocess.subsumed", stats.subsumed_clauses)
+        telemetry.count("sat.preprocess.strengthened", stats.strengthened_literals)
         telemetry.count("sat.preprocess.failed_literals", stats.failed_literals)
+        telemetry.count("sat.preprocess.probes", stats.probes)
+        telemetry.count("sat.preprocess.probe_propagations", stats.probe_propagations)
         telemetry.count("sat.preprocess.seconds", stats.seconds)
+        telemetry.count("sat.preprocess.probe_seconds", stats.probe_seconds)
+        telemetry.count("sat.preprocess.subsume_seconds", stats.subsume_seconds)
+        telemetry.count("sat.preprocess.bve_seconds", stats.bve_seconds)
     return PreprocessResult(cnf=out, status=status, reconstruction=recon, stats=stats)
 
 

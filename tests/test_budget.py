@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
 from repro.budget import UNLIMITED, Budget
 from repro.fingerprint import embed, find_locations, full_assignment
 from repro.sat import CecVerdict, SatStatus, check, sat_equivalent, solve_cnf
@@ -174,3 +175,45 @@ def test_cec_decides_with_ample_budget(fingerprinted_pair):
 def test_sat_equivalent_compat_wrapper(fingerprinted_pair):
     base, copy = fingerprinted_pair
     assert sat_equivalent(base, copy).equivalent
+
+
+@pytest.fixture(scope="module")
+def c432_full_pair():
+    from repro.bench import build_benchmark
+
+    base = build_benchmark("C432")
+    catalog = find_locations(base)
+    return base, embed(base, catalog, full_assignment(base, catalog)).circuit
+
+
+def _check_counting(base, copy, budget):
+    """``check`` with metrics on; returns the verdict and the call's counters."""
+    telemetry.get_registry().reset()
+    with telemetry.enabled(trace=False, metrics=True):
+        result = check(base, copy, budget=budget)
+    return result, telemetry.drain_metrics()["counters"]
+
+
+def test_cec_deadline_covers_preprocessing(c432_full_pair):
+    """A deadline already spent when ``check`` starts stops preprocessing
+    before its first probe or elimination; the verdict names the deadline."""
+    base, copy = c432_full_pair
+    result, counters = _check_counting(base, copy, Budget(deadline_s=0))
+    assert result.verdict is CecVerdict.UNDECIDED
+    assert result.reason == "deadline 0s exceeded"
+    assert counters["sat.preprocess.probes"] == 0
+    assert counters["sat.preprocess.probe_propagations"] == 0
+    assert counters["sat.preprocess.eliminated_vars"] == 0
+
+
+def test_cec_ample_deadline_preprocesses_fully(c432_full_pair):
+    """A deadline that never expires changes nothing: same preprocessing
+    work as a conflict-only budget, and a proof."""
+    base, copy = c432_full_pair
+    timed, timed_counters = _check_counting(base, copy, Budget(deadline_s=1e9))
+    plain, plain_counters = _check_counting(base, copy, Budget(max_conflicts=20_000))
+    assert timed.verdict is plain.verdict is CecVerdict.EQUIVALENT
+    for name in ("probes", "probe_propagations", "eliminated_vars", "subsumed",
+                 "strengthened", "failed_literals"):
+        key = f"sat.preprocess.{name}"
+        assert timed_counters[key] == plain_counters[key] > 0, key
