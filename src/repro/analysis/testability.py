@@ -18,7 +18,7 @@ easy to reach when the IP owner wants to compare two copies on a tester.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..cells import functions
 from ..ir import compile_circuit
@@ -131,32 +131,3 @@ def hardest_nets(circuit: Circuit, count: int = 10) -> list:
     finite = [(value, net) for net, value in co.items() if value < INFINITY]
     finite.sort(reverse=True)
     return [net for _, net in finite[:count]]
-
-
-def unobservable_nets(
-    circuit: Circuit,
-    strategy: str = "windowed",
-    budget=None,
-) -> List[str]:
-    """Gate outputs whose value is *provably* never observable.
-
-    Exact counterpart to the SCOAP heuristic above: a net is returned only
-    when the :class:`~repro.odcwin.WindowedOdcEngine` proves that flipping
-    it can never change any primary output (its entire fanout behaviour is
-    a don't care — redundant logic).  SCOAP's ``CO == INFINITY`` nets are
-    always a subset of this in spirit but SCOAP can be pessimistic;
-    this analysis is the ground truth, at SAT cost in the worst case.
-
-    ``strategy`` selects the windowed or global engine (identical
-    verdicts); a ``budget`` bounds per-net SAT work, and nets left UNKNOWN
-    under an exhausted budget are conservatively *not* reported.
-    """
-    from ..odcwin import WindowedOdcEngine
-
-    engine = WindowedOdcEngine(circuit, strategy=strategy)
-    dead: List[str] = []
-    for gate in compile_circuit(circuit).gates_in_order():
-        verdict = engine.classify(gate.name, budget=budget)
-        if verdict.confirmed:
-            dead.append(gate.name)
-    return dead

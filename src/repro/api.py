@@ -101,9 +101,7 @@ def locate(
     Runs only the location-discovery stage of the pipeline (with each
     candidate's ODC condition validated by the
     :class:`~repro.odcwin.WindowedOdcEngine`) and returns the
-    :class:`~repro.fingerprint.locations.LocationCatalog`.  Select the
-    validation strategy with ``opts.strategy`` (``"windowed"`` default,
-    ``"global"`` for the exhaustive baseline; verdicts are identical).
+    :class:`~repro.fingerprint.locations.LocationCatalog`.
     """
     from .fingerprint.locations import find_locations
 

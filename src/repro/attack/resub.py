@@ -1,6 +1,7 @@
 """Simulation-guided Boolean resubstitution pointed at fingerprint removal.
 
-The engine is the :mod:`repro.odcwin` machinery run in reverse.  The
+The engine runs its own window, simulation and SAT tiers over
+:mod:`repro.odcwin`'s window extraction, pointed at removal.  The
 fingerprint embeds by *widening* a target gate with a trigger literal that
 is unobservable while the trigger holds the downstream primary gate's
 controlling value; this engine hunts for inputs that can be *dropped* from
@@ -29,11 +30,12 @@ Per candidate ``(gate, input position)`` the tiers are, cheapest first:
 4. **Exact fallback** (optional): a scratch full-circuit CEC of the
    tentative rewrite, for candidates the window cannot decide.
 
-Soundness mirrors the windowed ODC engine: shared free side inputs
-over-approximate reality, so UNSAT of the window miter is a real proof —
-see the "first escaping boundary output" argument in
-:mod:`repro.odcwin.engine`.  Every committed rewrite therefore preserves
-the circuit function exactly; the harness re-verifies through the ladder
+Soundness: the window is a fanin-closed prefix of the gate's fanout cone
+(:mod:`repro.odcwin.window`), so a difference can leave it only through
+a window output, and the shared free side inputs over-approximate every
+real assignment of the rest of the circuit.  UNSAT of the window miter
+is therefore a real proof.  Every committed rewrite preserves the
+circuit function exactly; the harness re-verifies through the ladder
 anyway.
 
 A separate constant/merge pass (the classical resubstitution with zero
@@ -44,7 +46,7 @@ rewiring — the sweep that collapses logic the literal drops expose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 import numpy as np

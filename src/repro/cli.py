@@ -164,21 +164,17 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_locations(args: argparse.Namespace) -> CommandResult:
-    from .fingerprint import FinderOptions
-
     design = load_design(args.design)
-    catalog = find_locations(design, FinderOptions(strategy=args.strategy))
+    catalog = find_locations(design)
     report = capacity(catalog)
     _say(
         args,
         f"design {design.name}: {design.n_gates} gates",
         f"{report.n_locations} locations, {report.n_slots} slots, "
-        f"{report.n_variants} variants, {report.bits:.2f} bits "
-        f"({args.strategy} engine)",
+        f"{report.n_variants} variants, {report.bits:.2f} bits",
     )
     result: Dict[str, Any] = {
         "design": design.name,
-        "strategy": args.strategy,
         "n_gates": design.n_gates,
         "n_locations": report.n_locations,
         "n_slots": report.n_slots,
@@ -627,12 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("design")
     p.add_argument("-v", "--verbose", action="store_true")
-    p.add_argument(
-        "--strategy", choices=("windowed", "global"), default="windowed",
-        help="ODC validation engine: local windows with simulation and "
-        "last-resort SAT (windowed, default) or the full-circuit "
-        "baseline (global); verdicts are identical",
-    )
     p.set_defaults(func=_cmd_locations)
 
     p = sub.add_parser("embed", help="emit one fingerprinted copy")

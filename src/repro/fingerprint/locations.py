@@ -30,7 +30,7 @@ from ..cells import functions
 from ..ir import compile_circuit
 from ..netlist.circuit import Circuit, Gate
 from ..netlist.graph import fanout_free_cone
-from ..odcwin import STRATEGIES, WindowedOdcEngine
+from ..odcwin import WindowedOdcEngine
 from .modifications import Slot, slot_variants
 
 
@@ -42,12 +42,9 @@ class FinderOptions:
     heuristics by default and expose alternatives for ablations.
     ``allow_xor_targets`` is an extension beyond the paper (XOR gates have
     an identity element and can absorb literals even though they create no
-    ODCs); it is off by default to match the paper.  ``strategy`` selects
-    the :class:`~repro.odcwin.WindowedOdcEngine` mode used to validate
-    each candidate's ODC condition before admitting the location —
-    ``"windowed"`` (local windows, constant propagation, SAT only as a
-    last resort) or ``"global"`` (full-cone resimulation plus a
-    full-circuit miter); both produce bit-identical verdicts.
+    ODCs); it is off by default to match the paper.
+    ``max_slots_per_location`` caps the slots enumerated per location
+    (``None`` for no cap, otherwise at least 1).
     """
 
     allow_xor_targets: bool = False
@@ -57,7 +54,6 @@ class FinderOptions:
     root_choice: str = "highest_depth"  # | "lowest_depth" | "random"
     max_slots_per_location: Optional[int] = None
     seed: int = 0
-    strategy: str = "windowed"  # | "global"
 
     def __post_init__(self) -> None:
         valid_triggers = ("lowest_depth", "highest_depth", "random", "min_activity")
@@ -65,8 +61,11 @@ class FinderOptions:
             raise ValueError(f"bad trigger_choice {self.trigger_choice!r}")
         if self.root_choice not in ("highest_depth", "lowest_depth", "random"):
             raise ValueError(f"bad root_choice {self.root_choice!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"bad strategy {self.strategy!r}")
+        if self.max_slots_per_location is not None and self.max_slots_per_location < 1:
+            raise ValueError(
+                f"max_slots_per_location must be >= 1 or None, "
+                f"got {self.max_slots_per_location!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def _find_locations(
     def validate(root: str, trigger: str, trigger_value: int) -> bool:
         nonlocal engine
         if engine is None:
-            engine = WindowedOdcEngine(circuit, strategy=options.strategy)
+            engine = WindowedOdcEngine(circuit)
         verdict = engine.classify(root, trigger, trigger_value)
         if not verdict.confirmed:
             telemetry.count("fingerprint.candidates_rejected")

@@ -23,6 +23,7 @@ broken netlists), and then always with a typed :class:`repro.errors.ReproError`.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -91,6 +92,28 @@ class LadderConfig:
     detectable_rate: float = 1e-3
     sat_simplify: bool = True
     sat_portfolio: int = 0
+
+    def __post_init__(self) -> None:
+        def check(name: str, kind: type, label: str) -> None:
+            value = getattr(self, name)
+            # bool is an int subclass: accept it only where a bool is asked for
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise TypeError(f"{name} must be {label}, got {value!r}")
+
+        for name in ("max_exhaustive_inputs", "n_random_vectors", "seed", "sat_portfolio"):
+            check(name, numbers.Integral, "an int")
+        for name in ("use_sat", "sat_simplify"):
+            check(name, bool, "a bool")
+        check("detectable_rate", numbers.Real, "a number")
+        check("sat_budget", Budget, "a Budget")
+        if self.max_exhaustive_inputs < 0:
+            raise ValueError("max_exhaustive_inputs must be >= 0")
+        if self.n_random_vectors < 1:
+            raise ValueError("n_random_vectors must be >= 1")
+        if self.sat_portfolio < 0:
+            raise ValueError("sat_portfolio must be >= 0")
+        if not 0.0 < self.detectable_rate <= 1.0:
+            raise ValueError("detectable_rate must be in (0, 1]")
 
 
 @dataclass(frozen=True)

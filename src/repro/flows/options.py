@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
 from ..fingerprint.locations import FinderOptions
-from ..odcwin import STRATEGIES
 from .ladder import LadderConfig
 
 
@@ -37,8 +36,6 @@ class FlowOptions:
             ``batch``.
         trace: Enable span tracing for the duration of the call.
         metrics: Enable metrics collection for the duration of the call.
-        strategy: ODC-engine strategy override (``"windowed"`` or
-            ``"global"``); ``None`` keeps whatever ``finder`` specifies.
     """
 
     finder: Optional[FinderOptions] = None
@@ -52,16 +49,10 @@ class FlowOptions:
     measure_overheads: bool = False
     trace: bool = False
     metrics: bool = False
-    strategy: Optional[str] = None
 
     def resolved_finder(self) -> FinderOptions:
-        """The effective finder options with the strategy override applied."""
-        finder = self.finder or FinderOptions()
-        if self.strategy is not None and self.strategy != finder.strategy:
-            from dataclasses import replace
-
-            finder = replace(finder, strategy=self.strategy)
-        return finder
+        """The effective finder options (the defaults when none were given)."""
+        return self.finder or FinderOptions()
 
     def __init__(self, **options: Any) -> None:
         known = {f.name: f for f in fields(self)}
@@ -73,9 +64,13 @@ class FlowOptions:
             )
         for name, spec in known.items():
             object.__setattr__(self, name, options.get(name, spec.default))
-        if self.strategy is not None and self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"bad strategy {self.strategy!r} (valid: {', '.join(STRATEGIES)})"
+        if self.finder is not None and not isinstance(self.finder, FinderOptions):
+            raise TypeError(
+                f"finder must be FinderOptions, got {type(self.finder).__name__}"
+            )
+        if self.ladder is not None and not isinstance(self.ladder, LadderConfig):
+            raise TypeError(
+                f"ladder must be LadderConfig, got {type(self.ladder).__name__}"
             )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")

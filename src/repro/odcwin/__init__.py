@@ -1,18 +1,18 @@
-"""Windowed, simulation-guided ODC classification (see ARCHITECTURE.md).
+"""Exact conditional-observability (ODC) classification (see ARCHITECTURE.md).
 
 Public surface:
 
-* :class:`WindowConfig` / :class:`Window` / :func:`extract_window` —
-  local TFO-window extraction over the compiled CSR adjacency.
-* :class:`WindowedOdcEngine` — per-circuit candidate classifier with
-  ``"windowed"`` and ``"global"`` strategies that agree bit-for-bit.
+* :class:`WindowedOdcEngine` — per-circuit candidate classifier:
+  frontier constant propagation, then the full-circuit flip miter.
 * :class:`OdcVerdict` / :class:`OdcStatus` / :class:`EngineStats` —
   result and accounting types.
 * :func:`verify_witness` — simulation check of a REFUTED witness.
+* :class:`WindowConfig` / :class:`Window` / :func:`extract_window` —
+  local TFO-window extraction over the compiled CSR adjacency, used by
+  the resubstitution attack (:mod:`repro.attack.resub`).
 """
 
 from .engine import (
-    STRATEGIES,
     EngineStats,
     OdcStatus,
     OdcVerdict,
@@ -22,7 +22,6 @@ from .engine import (
 from .window import Window, WindowConfig, extract_window
 
 __all__ = [
-    "STRATEGIES",
     "EngineStats",
     "OdcStatus",
     "OdcVerdict",

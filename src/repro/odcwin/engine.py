@@ -1,4 +1,4 @@
-"""Windowed, simulation-guided ODC classification engine.
+"""Exact conditional-observability (ODC) classification engine.
 
 The engine answers one question per *candidate*: given a net ``n`` and
 an optional condition ``X == c`` on another net, is flipping ``n``'s
@@ -6,59 +6,51 @@ value ever observable at a primary output while the condition holds?
 The paper's fingerprint locations are exactly the candidates where the
 answer is *no* (the trigger at the primary gate's controlling value
 makes the fanout-free cone unobservable), so this engine is the
-validation substrate behind :func:`repro.fingerprint.locations.find_locations`
-and the redundancy analysis in :mod:`repro.analysis.testability`.
+validation substrate behind
+:func:`repro.fingerprint.locations.find_locations`.
 
-Two strategies compute the same exact verdict:
+Two exact tiers decide every candidate:
 
-* ``"global"`` — the baseline: per candidate, re-simulate the *full*
-  fanout cone against the shared packed stimulus (refutes with a
-  concrete witness vector), then prove the remainder with a
-  full-circuit flip miter on one persistent
-  :class:`~repro.sat.solver.CdclSolver` (base circuit Tseitin-encoded
-  once; per-candidate cone deltas retired through activation literals,
-  the :class:`~repro.sat.incremental.IncrementalCecSession` discipline).
-
-* ``"windowed"`` — the fast path: re-simulate only a local
-  :class:`~repro.odcwin.window.Window`, then try two cheap *sound
-  confirmations* before any global work: ternary constant propagation
-  through the window under the condition, and a window-local Tseitin
-  miter with free side inputs.  Only candidates that remain UNKNOWN
-  after both are discharged on the shared full-circuit miter.
-
-Soundness ledger (why the strategies agree bit-for-bit):
-
-* a simulation difference at a primary output inside the window is a
-  real witness — REFUTED is exact;
-* a difference that cannot even reach the window boundary (constant
-  propagation, or UNSAT of the window miter over *free* side inputs)
-  can never reach a primary output — CONFIRMED is exact;
-* everything else falls through to the full-circuit miter, which is
-  exact in both directions.  With an unlimited budget no candidate is
-  ever left UNKNOWN.
+* **Frontier constant propagation** (sound CONFIRMED).  The original
+  and the flipped copy are propagated in three-valued logic along the
+  flip's *frontier* only — the gates with a fanin that may differ
+  between the copies — in ascending IR id, a topological order, until
+  no difference is left.  The seed is unknown in both copies, and the
+  only constant is the condition's value, injected wherever the walk
+  reads the condition net while that net carries no difference (its
+  value is then the same in both copies).  So a frontier gate's two
+  copies become the same constant exactly when it reads the condition
+  net at its controlling value; every other frontier gate is unknown in
+  both copies and passes the difference on.  If no difference reaches a
+  primary output, the flip is unobservable whenever the condition
+  holds.  A fingerprint location's candidate always ends here at the
+  primary gate P: its FFC root feeds only P, and P reads the trigger,
+  which lies outside the root's cone, at P's controlling value.
+* **The full-circuit flip miter** (exact both ways).  Every other
+  candidate goes to one persistent
+  :class:`~repro.sat.solver.CdclSolver` holding the base circuit: the
+  candidate adds a flipped copy of the seed's fanout cone and XOR
+  difference detectors on the primary outputs it reaches, behind an
+  activation literal that is retired afterwards.  UNSAT is CONFIRMED; a
+  model is REFUTED, and its primary-input values are the witness.  Only
+  an exhausted budget leaves a candidate UNKNOWN.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional
 
 from .. import telemetry
 from ..budget import Budget
 from ..cells import functions
 from ..ir import compile_circuit
-from ..ir.kernels import eval_gate
 from ..netlist.circuit import Circuit
 from ..sat.solver import CdclSolver
 from ..sat.tseitin import _encode, encode_circuit
 from ..sim.simulator import Simulator
-from ..sim.vectors import WORD_BITS, random_stimulus, vector_of
-from .window import Window, WindowConfig, extract_window
-
-STRATEGIES = ("windowed", "global")
 
 
 class OdcStatus(Enum):
@@ -73,10 +65,10 @@ class OdcStatus(Enum):
 class OdcVerdict:
     """Verdict for one ``(net, condition)`` candidate.
 
-    ``method`` records the tier that decided: ``"sim"``, ``"constprop"``,
-    ``"window-sat"``, ``"miter-sat"`` or ``"trivial"``.  ``witness`` is a
-    primary-input assignment proving REFUTED (condition holds and the
-    flip reaches a primary output); CONFIRMED verdicts carry ``None``.
+    ``method`` records the tier that decided: ``"constprop"`` or
+    ``"miter-sat"``.  ``witness`` is a primary-input assignment proving
+    REFUTED (condition holds and the flip reaches a primary output);
+    CONFIRMED verdicts carry ``None``.
     """
 
     net: str
@@ -85,7 +77,6 @@ class OdcVerdict:
     status: OdcStatus
     method: str
     witness: Optional[Dict[str, int]] = None
-    window_gates: int = 0
 
     @property
     def confirmed(self) -> bool:
@@ -101,104 +92,34 @@ class EngineStats:
     """Work accounting across all candidates classified by one engine."""
 
     candidates: int = 0
-    windows_built: int = 0
-    sim_refuted: int = 0
     const_confirmed: int = 0
-    cone_const_confirmed: int = 0
-    window_sat_confirmed: int = 0
     miter_sat_calls: int = 0
     miter_refuted: int = 0
     miter_confirmed: int = 0
     unknown: int = 0
-    window_gate_total: int = 0
-    by_method: Dict[str, int] = field(default_factory=dict)
-
-    def _decided(self, method: str) -> None:
-        self.by_method[method] = self.by_method.get(method, 0) + 1
-
-
-def _ternary(kind: str, vals: Sequence[Optional[int]]) -> Optional[int]:
-    """Three-valued gate evaluation (``None`` = unknown)."""
-    if kind == "CONST0":
-        return 0
-    if kind == "CONST1":
-        return 1
-    if kind == "BUF":
-        return vals[0]
-    if kind == "INV":
-        return None if vals[0] is None else 1 - vals[0]
-    base = functions.base_operator(kind)
-    if base == "AND":
-        if any(v == 0 for v in vals):
-            out: Optional[int] = 0
-        elif all(v == 1 for v in vals):
-            out = 1
-        else:
-            out = None
-    elif base == "OR":
-        if any(v == 1 for v in vals):
-            out = 1
-        elif all(v == 0 for v in vals):
-            out = 0
-        else:
-            out = None
-    else:  # XOR family
-        if any(v is None for v in vals):
-            out = None
-        else:
-            out = sum(vals) & 1
-    if out is not None and functions.is_inverting(kind):
-        out = 1 - out
-    return out
 
 
 class WindowedOdcEngine:
     """Classify flip-observability candidates of one circuit.
 
-    Construct once per circuit (the shared stimulus is simulated once
-    and the full-circuit miter is encoded lazily, on the first candidate
-    that needs it), then call :meth:`classify` per candidate.  The
-    circuit must not be structurally mutated while the engine lives —
-    detected through the circuit version and rejected, the same contract
-    as :class:`~repro.sat.incremental.IncrementalCecSession`.
+    Construct once per circuit (the full-circuit miter is encoded
+    lazily, on the first candidate that needs it), then call
+    :meth:`classify` per candidate.  The circuit must not be
+    structurally mutated while the engine lives — detected through the
+    circuit version and rejected, the same contract as
+    :class:`~repro.sat.incremental.IncrementalCecSession`.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        strategy: str = "windowed",
-        config: Optional[WindowConfig] = None,
-    ) -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"bad strategy {strategy!r} (valid: {', '.join(STRATEGIES)})"
-            )
+    def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self.strategy = strategy
-        self.config = config or WindowConfig()
         self.stats = EngineStats()
         self._version = circuit.version
         self._compiled = compile_circuit(circuit)
         self._po_ids = [int(i) for i in self._compiled.output_ids]
         self._po_set = set(self._po_ids)
-        self._matrix: Optional[np.ndarray] = None
-        self._stimulus = None
-        # Lazy persistent full-circuit encoding (the exact tier).
+        # Lazy persistent full-circuit encoding (the miter tier).
         self._solver: Optional[CdclSolver] = None
         self._var_of: Optional[Dict[str, int]] = None
-
-    # ------------------------------------------------------------------ #
-    # shared infrastructure
-    # ------------------------------------------------------------------ #
-
-    def _values(self) -> np.ndarray:
-        """Packed value matrix of the whole circuit under the shared stimulus."""
-        if self._matrix is None:
-            self._stimulus = random_stimulus(
-                self.circuit.inputs, self.config.n_vectors, seed=self.config.seed
-            )
-            self._matrix = Simulator(self.circuit).run_matrix(self._stimulus)
-        return self._matrix
 
     def _exact(self) -> CdclSolver:
         """The persistent full-circuit solver, encoded on first use."""
@@ -212,18 +133,6 @@ class WindowedOdcEngine:
                 self._var_of = dict(encoding.var_of)
         return self._solver
 
-    def _condition_words(self, cond_id: Optional[int], value: int) -> np.ndarray:
-        values = self._values()
-        words = values.shape[1]
-        if cond_id is None:
-            return np.full(words, ~np.uint64(0), dtype=np.uint64)
-        row = values[cond_id]
-        return row if value else ~row
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
-
     def classify(
         self,
         net: str,
@@ -234,10 +143,8 @@ class WindowedOdcEngine:
         """Classify one candidate; exact CONFIRMED/REFUTED verdict.
 
         ``condition_net=None`` asks the unconditional question — is the
-        net observable at all? — which is the redundancy query used by
-        :func:`repro.analysis.testability.unobservable_nets`.  A
-        ``budget`` bounds only the final SAT tier; exhausting it yields
-        an UNKNOWN verdict instead of hanging.
+        net observable at all?  A ``budget`` bounds only the miter tier;
+        exhausting it yields an UNKNOWN verdict instead of hanging.
         """
         if self.circuit.version != self._version:
             raise ValueError("circuit was mutated after engine construction")
@@ -249,205 +156,59 @@ class WindowedOdcEngine:
             raise ValueError("condition_value must be 0 or 1")
         self.stats.candidates += 1
         telemetry.count("odcwin.candidates")
-        verdict = (
-            self._classify_windowed(net, condition_net, condition_value, budget)
-            if self.strategy == "windowed"
-            else self._classify_global(net, condition_net, condition_value, budget)
-        )
-        self.stats._decided(verdict.method)
+        compiled = self._compiled
+        cond_id = None if condition_net is None else compiled.id_of(condition_net)
+        if self._const_confirm(compiled.id_of(net), cond_id, condition_value):
+            self.stats.const_confirmed += 1
+            telemetry.count("odcwin.const_confirmed")
+            verdict = OdcVerdict(
+                net, condition_net, condition_value, OdcStatus.CONFIRMED,
+                "constprop",
+            )
+        else:
+            telemetry.count("odcwin.miter_discharged")
+            verdict = self._miter_decide(net, condition_net, condition_value, budget)
         telemetry.count(f"odcwin.verdict.{verdict.status.value}")
         return verdict
 
-    def classify_many(
-        self,
-        candidates: Sequence,
-        budget: Optional[Budget] = None,
-    ) -> List[OdcVerdict]:
-        """Classify ``(net, condition_net, condition_value)`` triples in order."""
-        return [
-            self.classify(net, cond, value, budget=budget)
-            for net, cond, value in candidates
-        ]
-
     # ------------------------------------------------------------------ #
-    # simulation tier (exact REFUTED, shared by both strategies)
-    # ------------------------------------------------------------------ #
-
-    def _sim_refute(
-        self,
-        seed_id: int,
-        member_ids: Sequence[int],
-        po_ids: Sequence[int],
-        seed_is_po: bool,
-        cond_words: np.ndarray,
-    ) -> Optional[int]:
-        """First stimulus index where the flip hits a visible PO, or None.
-
-        ``member_ids`` must be a topologically sorted, fanin-closed slice
-        of the seed's fanout cone (a window or the full cone); only
-        differences at *primary outputs inside that slice* count.
-        """
-        values = self._values()
-        flipped: Dict[int, np.ndarray] = {seed_id: ~values[seed_id]}
-        compiled = self._compiled
-        for gid in member_ids:
-            gid = int(gid)
-            row = compiled.fanin_row(gid)
-            if not any(int(f) in flipped for f in row):
-                continue
-            operands = [
-                flipped[int(f)] if int(f) in flipped else values[int(f)]
-                for f in row
-            ]
-            out = eval_gate(int(compiled.kinds[gid]), operands)
-            if not np.array_equal(out, values[gid]):
-                flipped[gid] = out
-        diff = np.zeros(values.shape[1], dtype=np.uint64)
-        for po in po_ids:
-            po = int(po)
-            if po in flipped:
-                diff |= flipped[po] ^ values[po]
-        if seed_is_po:
-            diff |= ~np.uint64(0)
-        diff &= cond_words
-        nonzero = np.nonzero(diff)[0]
-        if not len(nonzero):
-            return None
-        word = int(nonzero[0])
-        bits = int(diff[word])
-        return word * WORD_BITS + ((bits & -bits).bit_length() - 1)
-
-    # ------------------------------------------------------------------ #
-    # ternary constant propagation tier (sound CONFIRMED, windowed only)
+    # frontier constant propagation tier (sound CONFIRMED)
     # ------------------------------------------------------------------ #
 
     def _const_confirm(
-        self,
-        window: Window,
-        cond_id: Optional[int],
-        cond_value: int,
+        self, seed_id: int, cond_id: Optional[int], cond_value: int
     ) -> bool:
-        """True when constant propagation proves no escape from the window.
+        """True when constant propagation proves no difference reaches a PO.
 
-        Both copies of the window (seed as-is / seed flipped) are
-        propagated in three-valued logic; a member is *pairwise equal*
-        when all its fanins are, or when both copies evaluate to the
-        same known constant (the condition typically forces the first
-        gate to its controlled value, killing the difference at the
-        window's entry).  Condition values are only injected at nets the
-        flip cannot reach (side inputs), so the propagation stays sound.
+        ``differs`` holds every net that may differ between the original
+        and the flipped copy.  Gates leave the frontier heap in ascending
+        id and every gate pushed later consumes a gate popped earlier, so
+        when a gate is popped each of its fanins is settled: it differs,
+        or it has the same value in both copies.
         """
-        if window.seed_escapes or window.seed_is_po:
-            return False
+        if seed_id in self._po_set:
+            return False  # flipping a primary output changes it
         compiled = self._compiled
-        seed = window.seed_id
-        member_set = set(int(g) for g in window.gate_ids)
-        val_a: Dict[int, Optional[int]] = {}
-        val_b: Dict[int, Optional[int]] = {}
-        equal: Dict[int, bool] = {}
-        if cond_id is not None and cond_id != seed and cond_id not in member_set:
-            val_a[cond_id] = val_b[cond_id] = cond_value
-        if cond_id == seed:
-            val_a[seed] = cond_value
-            val_b[seed] = 1 - cond_value
-        else:
-            val_a[seed] = val_b[seed] = None
-        equal[seed] = False
-        for gid in window.gate_ids:
-            gid = int(gid)
-            gate = compiled.gate_of(gid)
-            row = [int(f) for f in compiled.fanin_row(gid)]
-            ins_a = [val_a.get(f) for f in row]
-            ins_b = [val_b.get(f) for f in row]
-            a = _ternary(gate.kind, ins_a)
-            b = _ternary(gate.kind, ins_b)
-            val_a[gid], val_b[gid] = a, b
-            equal[gid] = all(equal.get(f, True) for f in row) or (
-                a is not None and a == b
-            )
-        return all(equal[int(o)] for o in window.output_ids)
-
-    # ------------------------------------------------------------------ #
-    # window-local SAT tier (sound CONFIRMED, windowed only)
-    # ------------------------------------------------------------------ #
-
-    def _window_sat_confirm(
-        self,
-        window: Window,
-        cond_id: Optional[int],
-        cond_value: int,
-    ) -> bool:
-        """True when the window miter over *free* side inputs is UNSAT.
-
-        Side inputs are unconstrained, so any real escape assignment is
-        still a model — UNSAT soundly proves the flip can never cross
-        the window boundary while the condition holds.
-        """
-        if window.seed_escapes or window.seed_is_po:
-            return False
-        compiled = self._compiled
-        solver = CdclSolver()
-        member_set = set(int(g) for g in window.gate_ids)
-        shared: Dict[int, int] = {}  # side-input net ID -> shared variable
-
-        def side_var(fid: int) -> int:
-            var = shared.get(fid)
-            if var is None:
-                var = solver.new_var()
-                shared[fid] = var
-            return var
-
-        seed_a = solver.new_var()
-        seed_b = solver.new_var()
-        solver.add_clause([seed_a, seed_b])
-        solver.add_clause([-seed_a, -seed_b])
-        copy_a: Dict[int, int] = {window.seed_id: seed_a}
-        copy_b: Dict[int, int] = {window.seed_id: seed_b}
-        for gid in window.gate_ids:
-            gid = int(gid)
-            gate = compiled.gate_of(gid)
-            row = [int(f) for f in compiled.fanin_row(gid)]
-            ins_a = [copy_a[f] if f in copy_a else side_var(f) for f in row]
-            ins_b = [copy_b[f] if f in copy_b else side_var(f) for f in row]
-            out_a = solver.new_var()
-            _encode(solver, gate.kind, out_a, ins_a)
-            copy_a[gid] = out_a
-            if ins_a == ins_b:
-                copy_b[gid] = out_a  # flip cannot reach this member
-                continue
-            out_b = solver.new_var()
-            _encode(solver, gate.kind, out_b, ins_b)
-            copy_b[gid] = out_b
-
-        diffs: List[int] = []
-        for oid in window.output_ids:
-            oid = int(oid)
-            if copy_a[oid] == copy_b[oid]:
-                continue
-            d = solver.new_var()
-            a, b = copy_a[oid], copy_b[oid]
-            solver.add_clause([-d, a, b])
-            solver.add_clause([-d, -a, -b])
-            solver.add_clause([d, -a, b])
-            solver.add_clause([d, a, -b])
-            diffs.append(d)
-        if not diffs:
-            return True
-        solver.add_clause(diffs)
-        assumptions: List[int] = []
-        if cond_id is not None:
-            if cond_id == window.seed_id:
-                cond_var: Optional[int] = seed_a
-            elif cond_id in member_set:
-                cond_var = copy_a[cond_id]
-            elif cond_id in shared:
-                cond_var = shared[cond_id]
-            else:
-                cond_var = None  # outside the window: leave unconstrained
-            if cond_var is not None:
-                assumptions.append(cond_var if cond_value else -cond_var)
-        result = solver.solve(assumptions=assumptions)
-        return not result.satisfiable and not result.unknown
+        # Readers of the condition net for which its value is controlling.
+        blockers = set() if cond_id is None else {
+            gid for gid in compiled.fanout_row(cond_id).tolist()
+            if functions.controlling_value(compiled.gate_of(gid).kind) == cond_value
+        }
+        differs = {seed_id}
+        frontier = compiled.fanout_row(seed_id).tolist()  # ascending: a heap
+        queued = set(frontier)
+        while frontier:
+            gid = heapq.heappop(frontier)
+            if gid in blockers and cond_id not in differs:
+                continue  # both copies give the controlled output: it dies here
+            if gid in self._po_set:
+                return False
+            differs.add(gid)
+            for nxt in compiled.fanout_row(gid).tolist():
+                if nxt not in queued:
+                    queued.add(nxt)
+                    heapq.heappush(frontier, nxt)
+        return True
 
     # ------------------------------------------------------------------ #
     # exact full-circuit miter tier (decides both ways)
@@ -459,14 +220,14 @@ class WindowedOdcEngine:
         cond_net: Optional[str],
         cond_value: int,
         budget: Optional[Budget],
-        window_gates: int,
     ) -> OdcVerdict:
         """Full-circuit flip miter: exact in both directions.
 
         The base circuit is encoded once per engine; each candidate adds
         a flipped copy of the seed's fanout cone plus XOR difference
-        detectors, gates the "some visible output differs" clause behind
-        a fresh activation literal, solves under assumptions, and then
+        detectors on the primary outputs it reaches (the seed itself
+        when it is one), gates the "some output differs" clause behind a
+        fresh activation literal, solves under assumptions, and then
         permanently retires the activation literal — the
         :class:`IncrementalCecSession` discipline, so learned clauses
         accumulate across candidates.
@@ -475,59 +236,17 @@ class WindowedOdcEngine:
         solver = self._exact()
         var_of = self._var_of
         assert var_of is not None
-        seed_id = compiled.id_of(net)
         self.stats.miter_sat_calls += 1
         telemetry.count("odcwin.miter_calls")
 
-        cond_lit: Optional[int] = None
-        if cond_net is not None:
-            cond_var = var_of[cond_net]
-            cond_lit = cond_var if cond_value else -cond_var
-
-        def finish(result, method: str) -> OdcVerdict:
-            if result.unknown:
-                self.stats.unknown += 1
-                return OdcVerdict(
-                    net, cond_net, cond_value, OdcStatus.UNKNOWN,
-                    method, None, window_gates,
-                )
-            if result.satisfiable:
-                witness = {
-                    name: int(result.value(var_of[name]))
-                    for name in self.circuit.inputs
-                }
-                self.stats.miter_refuted += 1
-                return OdcVerdict(
-                    net, cond_net, cond_value, OdcStatus.REFUTED,
-                    method, witness, window_gates,
-                )
-            self.stats.miter_confirmed += 1
-            return OdcVerdict(
-                net, cond_net, cond_value, OdcStatus.CONFIRMED,
-                method, None, window_gates,
-            )
-
-        with telemetry.span(
-            "odcwin.miter", design=self.circuit.name, net=net
-        ):
-            if seed_id in self._po_set:
-                # Flipping a primary output always changes it: the verdict
-                # reduces to satisfiability of the condition itself.
-                assumptions = [cond_lit] if cond_lit is not None else []
-                return finish(
-                    solver.solve(assumptions=assumptions, budget=budget),
-                    "miter-sat",
-                )
-
-            flip: Dict[int, int] = {}
+        with telemetry.span("odcwin.miter", design=self.circuit.name, net=net):
             seed_var = var_of[net]
             flipped_seed = solver.new_var()
             solver.add_clause([-flipped_seed, -seed_var])
             solver.add_clause([flipped_seed, seed_var])
-            flip[seed_id] = flipped_seed
+            flip: Dict[int, int] = {compiled.id_of(net): flipped_seed}
             for gid in compiled.fanout_cone(net):
                 gid = int(gid)
-                gate = compiled.gate_of(gid)
                 row = [int(f) for f in compiled.fanin_row(gid)]
                 if not any(f in flip for f in row):
                     continue
@@ -536,10 +255,11 @@ class WindowedOdcEngine:
                     for f in row
                 ]
                 out = solver.new_var()
-                _encode(solver, gate.kind, out, ins)
+                _encode(solver, compiled.gate_of(gid).kind, out, ins)
                 flip[gid] = out
 
-            diffs: List[int] = []
+            activation = solver.new_var()
+            activate = [-activation]
             for po in self._po_ids:
                 if po not in flip:
                     continue
@@ -550,154 +270,30 @@ class WindowedOdcEngine:
                 solver.add_clause([-d, -a, -b])
                 solver.add_clause([d, -a, b])
                 solver.add_clause([d, a, -b])
-                diffs.append(d)
-            if not diffs:
-                # The cone never reaches a primary output: dead logic.
-                self.stats.miter_confirmed += 1
-                return OdcVerdict(
-                    net, cond_net, cond_value, OdcStatus.CONFIRMED,
-                    "trivial", None, window_gates,
-                )
-            activation = solver.new_var()
-            solver.add_clause([-activation] + diffs)
+                activate.append(d)
+            solver.add_clause(activate)
             assumptions = [activation]
-            if cond_lit is not None:
-                assumptions.append(cond_lit)
+            if cond_net is not None:
+                cond_var = var_of[cond_net]
+                assumptions.append(cond_var if cond_value else -cond_var)
             try:
-                return finish(
-                    solver.solve(assumptions=assumptions, budget=budget),
-                    "miter-sat",
-                )
+                result = solver.solve(assumptions=assumptions, budget=budget)
             finally:
                 solver.add_clause([-activation])
 
-    # ------------------------------------------------------------------ #
-    # strategies
-    # ------------------------------------------------------------------ #
-
-    def _cone_const_confirm(
-        self, seed_id: int, cond_id: Optional[int], cond_value: int
-    ) -> bool:
-        """Constant-propagate over the candidate's *entire* fanout cone.
-
-        An uncut "window" spanning the full cone (outputs are exactly the
-        cone's primary outputs), so the same sound constant propagation
-        applies — at O(circuit) cost.  O(cone) per call, but still far
-        cheaper than the full-circuit miter it guards.
-        """
-        compiled = self._compiled
-        cone = compiled.fanout_cone(compiled.name_of(seed_id))
-        full = extract_window(
-            compiled, seed_id,
-            WindowConfig(
-                max_levels=len(compiled.names) + 1,
-                max_gates=max(1, len(cone)),
-            ),
-        )
-        return self._const_confirm(full, cond_id, cond_value)
-
-    def _classify_windowed(
-        self,
-        net: str,
-        cond_net: Optional[str],
-        cond_value: int,
-        budget: Optional[Budget],
-    ) -> OdcVerdict:
-        compiled = self._compiled
-        seed_id = compiled.id_of(net)
-        cond_id = None if cond_net is None else compiled.id_of(cond_net)
-        window = extract_window(compiled, seed_id, self.config)
-        self.stats.windows_built += 1
-        self.stats.window_gate_total += window.n_gates
-        telemetry.count("odcwin.windows_built")
-        telemetry.observe("odcwin.window_gates", window.n_gates)
-
-        index = self._sim_refute(
-            seed_id,
-            window.gate_ids,
-            window.po_ids,
-            window.seed_is_po,
-            self._condition_words(cond_id, cond_value),
-        )
-        if index is not None:
-            self.stats.sim_refuted += 1
-            telemetry.count("odcwin.sim_refuted")
+        if result.unknown:
+            self.stats.unknown += 1
+            return OdcVerdict(net, cond_net, cond_value, OdcStatus.UNKNOWN, "miter-sat")
+        if result.satisfiable:
+            witness = {
+                name: int(result.value(var_of[name])) for name in self.circuit.inputs
+            }
+            self.stats.miter_refuted += 1
             return OdcVerdict(
-                net, cond_net, cond_value, OdcStatus.REFUTED,
-                "sim", vector_of(self._stimulus, index), window.n_gates,
+                net, cond_net, cond_value, OdcStatus.REFUTED, "miter-sat", witness
             )
-        if self._const_confirm(window, cond_id, cond_value):
-            self.stats.const_confirmed += 1
-            telemetry.count("odcwin.const_confirmed")
-            return OdcVerdict(
-                net, cond_net, cond_value, OdcStatus.CONFIRMED,
-                "constprop", None, window.n_gates,
-            )
-        if self._window_sat_confirm(window, cond_id, cond_value):
-            self.stats.window_sat_confirmed += 1
-            telemetry.count("odcwin.window_sat_confirmed")
-            return OdcVerdict(
-                net, cond_net, cond_value, OdcStatus.CONFIRMED,
-                "window-sat", None, window.n_gates,
-            )
-        # Escalation: the window tiers were defeated (e.g. a degenerate
-        # window — the seed's fanout gate can sit more than ``max_levels``
-        # longest-path levels above the seed and be cut immediately).
-        # A whole-cone constant propagation is O(cone) and usually decides
-        # these, keeping the full-circuit miter as a true last resort.
-        if self._cone_const_confirm(seed_id, cond_id, cond_value):
-            self.stats.cone_const_confirmed += 1
-            telemetry.count("odcwin.cone_const_confirmed")
-            return OdcVerdict(
-                net, cond_net, cond_value, OdcStatus.CONFIRMED,
-                "constprop", None, window.n_gates,
-            )
-        telemetry.count("odcwin.miter_discharged")
-        return self._miter_decide(net, cond_net, cond_value, budget, window.n_gates)
-
-    def _classify_global(
-        self,
-        net: str,
-        cond_net: Optional[str],
-        cond_value: int,
-        budget: Optional[Budget],
-    ) -> OdcVerdict:
-        """The baseline: O(circuit) work per candidate, no locality.
-
-        Re-simulates and constant-propagates over the candidate's *entire*
-        fanout cone (the naive global computation the windowed engine
-        exists to avoid), with the shared full-circuit miter for anything
-        the two global passes cannot decide.  Tier soundness is identical
-        to the windowed path, so verdicts agree bit-for-bit — only the
-        per-candidate cost differs.
-        """
-        compiled = self._compiled
-        seed_id = compiled.id_of(net)
-        cond_id = None if cond_net is None else compiled.id_of(cond_net)
-        cone = compiled.fanout_cone(net)
-        cone_pos = [int(g) for g in cone if int(g) in self._po_set]
-        index = self._sim_refute(
-            seed_id,
-            cone,
-            cone_pos,
-            seed_id in self._po_set,
-            self._condition_words(cond_id, cond_value),
-        )
-        if index is not None:
-            self.stats.sim_refuted += 1
-            telemetry.count("odcwin.sim_refuted")
-            return OdcVerdict(
-                net, cond_net, cond_value, OdcStatus.REFUTED,
-                "sim", vector_of(self._stimulus, index), 0,
-            )
-        if self._cone_const_confirm(seed_id, cond_id, cond_value):
-            self.stats.const_confirmed += 1
-            telemetry.count("odcwin.const_confirmed")
-            return OdcVerdict(
-                net, cond_net, cond_value, OdcStatus.CONFIRMED,
-                "constprop", None, 0,
-            )
-        return self._miter_decide(net, cond_net, cond_value, budget, 0)
+        self.stats.miter_confirmed += 1
+        return OdcVerdict(net, cond_net, cond_value, OdcStatus.CONFIRMED, "miter-sat")
 
 
 def verify_witness(circuit: Circuit, verdict: OdcVerdict) -> bool:

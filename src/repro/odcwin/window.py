@@ -1,9 +1,10 @@
 """Local window extraction over the compiled-circuit CSR adjacency.
 
-A *window* is the slice of a circuit the windowed ODC engine reasons
-about for one candidate net: the net's transitive fanout cone, cut at a
-maximum level distance and a maximum gate count, plus the *side inputs*
-(fanins of window members that are neither members nor the seed net).
+A *window* is the slice of a circuit the resubstitution attack
+(:mod:`repro.attack.resub`) reasons about for one candidate gate: the
+gate's transitive fanout cone, cut at a maximum level distance and a
+maximum gate count, plus the *side inputs* (fanins of window members
+that are neither members nor the seed net).
 Because compiled-IR net IDs are topologically numbered, a min-heap walk
 over the fanout CSR pops members in strictly ascending ID order — the
 member array *is* an evaluation order, and truncating it at any point
@@ -12,7 +13,7 @@ still leaves a closed topological prefix of the cone.
 Boundary bookkeeping matters for soundness: a member whose fanout row
 leaves the window (because the level or size cut excluded a consumer)
 is a *boundary output* — a value difference reaching it may still
-propagate to a primary output the window cannot see, so the engine may
+propagate to a primary output the window cannot see, so a caller may
 never refute or confirm from boundary behaviour alone.  Primary outputs
 inside the window are *exact* outputs: a difference there is a real
 observability witness.
@@ -31,29 +32,22 @@ from ..ir.compiled import CompiledCircuit
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Tuning knobs for window extraction and windowed classification.
+    """Tuning knobs for window extraction.
 
     Attributes:
         max_levels: Cone depth kept beyond the seed net's level; gates
             further than this become boundary cut points.
         max_gates: Hard cap on window membership (cone truncated beyond).
-        n_vectors: Packed random vectors for the shared simulation
-            pre-filter (must be a positive multiple of 64).
-        seed: Stimulus seed so engines are reproducible.
     """
 
     max_levels: int = 8
     max_gates: int = 48
-    n_vectors: int = 512
-    seed: int = 2015
 
     def __post_init__(self) -> None:
         if self.max_levels < 1:
             raise ValueError("max_levels must be >= 1")
         if self.max_gates < 1:
             raise ValueError("max_gates must be >= 1")
-        if self.n_vectors <= 0 or self.n_vectors % 64:
-            raise ValueError("n_vectors must be a positive multiple of 64")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .. import telemetry
 from ..budget import Budget
 from ..envelope import build_envelope, cache_delta
 from ..errors import DesignLoadError, ReproError
+from ..fingerprint.locations import FinderOptions
 from ..flows.ladder import LadderConfig
 from ..flows.options import FlowOptions
 from ..netlist.circuit import Circuit
@@ -89,14 +90,21 @@ def flow_options(
     overrides the ladder's SAT budget unconditionally — quotas are the
     server operator's policy, not the client's.  So is parallelism: the
     service runs ``--workers`` processes, and a job may not start a pool
-    of its own, so ``jobs`` must stay 1.  Raises
-    :class:`InvalidOptionsError` for unknown or out-of-range options; the
-    protocol calls this at submission, so bad options are a 400.
+    of its own, so ``jobs`` must stay 1.  The ``finder``, ``ladder`` and
+    ``ladder.sat_budget`` objects are built into their option types
+    here.  Raises :class:`InvalidOptionsError` for unknown, wrong-typed
+    or out-of-range options; the protocol calls this at submission, so
+    bad options are a 400.
     """
     options = dict(payload.get("options") or {})
     ladder = options.pop("ladder", None)
     try:
+        if isinstance(options.get("finder"), dict):
+            options["finder"] = FinderOptions(**options["finder"])
         if isinstance(ladder, dict):
+            ladder = dict(ladder)
+            if isinstance(ladder.get("sat_budget"), dict):
+                ladder["sat_budget"] = Budget(**ladder["sat_budget"])
             ladder = LadderConfig(**ladder)
         if tenant_budget is not None:
             ladder = dataclasses.replace(

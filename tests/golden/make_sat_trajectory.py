@@ -135,10 +135,10 @@ class _RecordingSolver(CdclSolver):
 
     logs: List[Dict[str, object]] = []
 
-    def __init__(self, cnf: Optional[Cnf] = None, restart_base=None, config=None):
+    def __init__(self, cnf: Optional[Cnf] = None, config=None):
         self._log = _log_of_cnf(cnf if cnf is not None else Cnf())
         self.logs.append(self._log)
-        super().__init__(cnf, restart_base, config)
+        super().__init__(cnf, config)
 
     def new_var(self) -> int:
         calls = self._log["calls"]

@@ -51,6 +51,11 @@ class TestFlowOptions:
         with pytest.raises(ValueError, match="jobs"):
             FlowOptions(jobs=0)
 
+    @pytest.mark.parametrize("name", ["finder", "ladder"])
+    def test_nested_options_must_be_typed(self, name):
+        with pytest.raises(TypeError, match=name):
+            FlowOptions(**{name: {"seed": 3}})
+
     def test_replace(self):
         opts = FlowOptions(seed=1)
         changed = opts.replace(jobs=4)

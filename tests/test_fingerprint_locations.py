@@ -151,6 +151,12 @@ class TestMultiSlotLocations:
         catalog = find_locations(c, FinderOptions(max_slots_per_location=1))
         assert all(len(l.slots) <= 1 for l in catalog)
 
+    @pytest.mark.parametrize("cap", [0, -1, -3])
+    def test_slot_cap_below_one_rejected(self, cap):
+        """A cap below 1 is an error, not a silent cap of 1."""
+        with pytest.raises(ValueError, match="max_slots_per_location"):
+            FinderOptions(max_slots_per_location=cap)
+
     def test_targets_unique_across_catalog(self):
         base = build_benchmark("C880")
         catalog = find_locations(base)

@@ -243,7 +243,7 @@ class TestWindowedOdcInvariants:
         from repro.flows.ladder import run_ladder
 
         base = small_circuit(seed, n_gates=50)
-        catalog = find_locations(base, FinderOptions(strategy="windowed"))
+        catalog = find_locations(base, FinderOptions())
         if not catalog.n_locations:
             return
         copy = embed(base, catalog, full_assignment(base, catalog))
@@ -272,7 +272,7 @@ class TestWindowedOdcInvariants:
             "XOR": "XNOR", "XNOR": "XOR", "INV": "BUF", "BUF": "INV",
         }
         base = small_circuit(seed, n_gates=45)
-        engine = WindowedOdcEngine(base, strategy="windowed")
+        engine = WindowedOdcEngine(base)
         rng = _random.Random(seed)
         gates = [g for g in base.gates if g.kind in complement]
         for gate in rng.sample(gates, min(4, len(gates))):

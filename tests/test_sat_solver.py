@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.budget import Budget
-from repro.sat import CdclSolver, Cnf, SolverAbortedError, SolverStats, solve_cnf
+from repro.sat import CdclSolver, Cnf, SolverAbortedError, SolverConfig, SolverStats, solve_cnf
 
 
 def brute_force_sat(cnf: Cnf) -> bool:
@@ -136,8 +136,8 @@ class TestAgainstBruteForce:
     @given(formulas)
     @settings(max_examples=40, deadline=None)
     def test_restart_base_does_not_change_verdict(self, cnf):
-        a = CdclSolver(cnf, restart_base=2).solve()
-        b = CdclSolver(cnf, restart_base=1000).solve()
+        a = CdclSolver(cnf, config=SolverConfig(restart_base=2)).solve()
+        b = CdclSolver(cnf, config=SolverConfig(restart_base=1000)).solve()
         assert a.satisfiable == b.satisfiable
 
 
@@ -270,7 +270,7 @@ class TestSolverStatsExtensions:
         for _ in range(180):
             clause = rng.sample(range(1, n_vars + 1), 3)
             cnf.add_clause([v if rng.random() < 0.5 else -v for v in clause])
-        solver = CdclSolver(cnf, restart_base=4)
+        solver = CdclSolver(cnf, config=SolverConfig(restart_base=4))
         solver._reduce_limit = 8
         result = solver.solve()
         assert not result.unknown

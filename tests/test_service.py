@@ -18,7 +18,8 @@ from repro.service import (
     TenantQuota,
     run_service_job,
 )
-from repro.service.jobs import ServiceJobFailed
+from repro.budget import Budget
+from repro.service.jobs import ServiceJobFailed, flow_options
 from repro.store import deactivate_store
 
 
@@ -134,8 +135,16 @@ class TestEndpoints:
         {"bogus": 1},
         {"ladder": {"bogus": 1}},
         {"jobs": -7},
+        {"finder": {"seed": 3, "bogus": 1}},
+        {"finder": "lowest_depth"},
+        {"ladder": {"sat_budget": {"max_conflicts": 5, "bogus": 1}}},
+        {"ladder": {"sat_budget": 5}},
+        {"ladder": {"max_exhaustive_inputs": "x"}},
+        {"ladder": {"n_random_vectors": -5}},
     ], ids=["own-pool", "unknown-field", "unknown-ladder-field",
-            "negative-jobs"])
+            "negative-jobs", "unknown-finder-field", "finder-not-object",
+            "unknown-budget-field", "budget-not-object",
+            "wrong-typed-ladder-field", "negative-random-vectors"])
     def test_bad_options_are_invalid_field(self, client, options):
         """Options must build the FlowOptions the job runs with, and a
         job may not start a process pool of its own (the service's
@@ -193,6 +202,22 @@ class TestJobExecution:
 
         assert verdicts(cold) == verdicts(warm)
         assert all(r["equivalent"] for r in verdicts(cold))
+
+    @pytest.mark.parametrize("options", [
+        {"finder": {"seed": 3}},
+        {"ladder": {"sat_budget": {"max_conflicts": 5}}},
+    ], ids=["finder-object", "budget-object"])
+    def test_nested_option_objects_are_built(self, client, options):
+        """``finder`` and ``ladder.sat_budget`` objects build their
+        option types at submission, so the job runs with them."""
+        opts = flow_options({"options": options})
+        assert opts.resolved_finder().seed == options.get("finder", {}).get("seed", 0)
+        if "ladder" in options:
+            assert opts.ladder.sat_budget == Budget(max_conflicts=5)
+        envelope = client.run("batch", design=blif("nested"), n_copies=2,
+                              options=options)
+        assert envelope["ok"] is True
+        assert envelope["result"]["n_copies"] == 2
 
     def test_failed_job_returns_error_envelope(self, client):
         submitted = client.submit("locate", design="this is not blif",

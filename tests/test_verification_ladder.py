@@ -184,3 +184,21 @@ def test_session_base_mismatch_rejected(wide_pair, fig1_circuit):
     session = IncrementalCecSession(base)
     with pytest.raises(ValueError, match="session base"):
         run_ladder(fig1_circuit, copy, session=session)
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("max_exhaustive_inputs", "x", TypeError),
+    ("max_exhaustive_inputs", -1, ValueError),
+    ("n_random_vectors", -5, ValueError),
+    ("n_random_vectors", 2.5, TypeError),
+    ("seed", True, TypeError),
+    ("sat_portfolio", -1, ValueError),
+    ("use_sat", 1, TypeError),
+    ("sat_simplify", "yes", TypeError),
+    ("detectable_rate", 0.0, ValueError),
+    ("detectable_rate", "1e-3", TypeError),
+    ("sat_budget", {"max_conflicts": 5}, TypeError),
+])
+def test_config_rejects_bad_fields(name, value, error):
+    with pytest.raises(error, match=name):
+        LadderConfig(**{name: value})
