@@ -73,23 +73,36 @@ def sweep_buffers(circuit: Circuit) -> int:
 
     Buffers driving primary outputs are kept (the PO name must survive).
     Returns the number of buffers removed.
+
+    Gate-table order is observable and ``replace_gate`` moves a gate to
+    the end, so each buffer's consumers are rewired in their current
+    table order, once per pin that reads the buffer.  ``readers`` (net ->
+    {consumer: pins}) holds that order for the whole sweep: a rewired
+    consumer moves to the end of each of its input nets' entries.
     """
+    readers: Dict[str, Dict[str, int]] = {}
+    for gate in circuit:
+        for net in gate.inputs:
+            entry = readers.setdefault(net, {})
+            entry[gate.name] = entry.get(gate.name, 0) + 1
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for name in circuit.gate_names():
-            gate = circuit.driver(name)  # re-fetch: earlier sweeps rewire
-            if gate is None or gate.kind != "BUF" or circuit.is_output(gate.name):
-                continue
-            source = gate.inputs[0]
-            for consumer_name in list(circuit.fanouts(gate.name)):
+    for name in circuit.gate_names():
+        gate = circuit.driver(name)  # re-fetch: earlier buffers rewire
+        if gate is None or gate.kind != "BUF" or circuit.is_output(name):
+            continue
+        source = gate.inputs[0]
+        for consumer_name, pins in readers.pop(name, {}).items():
+            for _ in range(pins):
                 consumer = circuit.gate(consumer_name)
-                new_inputs = [source if n == gate.name else n for n in consumer.inputs]
+                new_inputs = [source if n == name else n for n in consumer.inputs]
                 circuit.replace_gate(consumer_name, consumer.kind, new_inputs, cell=consumer.cell)
-            circuit.remove_gate(gate.name)
-            removed += 1
-            changed = True
+            for net in set(new_inputs):
+                entry = readers.setdefault(net, {})
+                moved = entry.pop(consumer_name, 0)
+                entry[consumer_name] = moved + pins if net == source else moved
+        del readers[source][name]
+        circuit.remove_gate(name)
+        removed += 1
     return removed
 
 

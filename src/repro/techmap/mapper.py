@@ -61,6 +61,9 @@ class TechMapper:
         self.library = library
         self.style = style
         self.minimize = minimize
+        #: What the last :meth:`map` call's clean-up removed, as
+        #: :func:`~repro.netlist.transform.cleanup` counts it.
+        self.cleanup_totals: Dict[str, int] = {}
 
     def map(self, network: SopNetwork, name: Optional[str] = None) -> Circuit:
         """Map the whole network; returns a validated, cleaned circuit."""
@@ -98,7 +101,7 @@ class TechMapper:
                 signal_of[net] = net
         builder.circuit.add_outputs(network.outputs)
         circuit = builder.done(validate=True)
-        cleanup(circuit)
+        self.cleanup_totals = cleanup(circuit)
         circuit.validate()
         return circuit
 
@@ -130,7 +133,7 @@ class TechMapper:
         for output in network.outputs:
             aig.add_output(output, literal_of[output])
         circuit = aig_to_circuit(aig, name or network.name, self.library)
-        cleanup(circuit)
+        self.cleanup_totals = cleanup(circuit)
         circuit.validate()
         return circuit
 
@@ -232,8 +235,15 @@ def map_network(
         "techmap.map", design=name or network.name, style=style,
         nodes=len(network.nodes),
     ) as map_span:
-        circuit = TechMapper(library, style, minimize=minimize).map(network, name=name)
-        map_span.set(gates=circuit.n_gates)
+        mapper = TechMapper(library, style, minimize=minimize)
+        circuit = mapper.map(network, name=name)
+        removed = mapper.cleanup_totals
+        map_span.set(
+            gates=circuit.n_gates,
+            **{f"cleanup_{kind}": amount for kind, amount in removed.items()},
+        )
         telemetry.count("techmap.networks")
         telemetry.count("techmap.gates", circuit.n_gates)
+        for kind, amount in removed.items():
+            telemetry.count(f"techmap.cleanup.{kind}", amount)
         return circuit

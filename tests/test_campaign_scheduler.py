@@ -227,7 +227,16 @@ class TestCrashQuarantine:
         """``wait`` can wake before the executor has marked every future
         broken.  Make it hand back all but one broken future: the one
         left in flight shared the pool with the others, so it is a
-        suspect, not a culprit, and the campaign still finishes clean."""
+        suspect, not a culprit, and the campaign still finishes clean.
+
+        The scenario is pinned so the crash always reaches ``wait`` with
+        company: the first-submitted job hangs on its first attempt, and
+        only the last-submitted job's worker dies.  By then the whole
+        window is submitted (``submit`` cannot see the broken pool) and
+        the hung job is still in flight (the crasher is never alone).
+        The hung worker outlives the broken pool until the job's timeout
+        (it ignores the pool's SIGTERM), so the timeout is 10 s: far
+        beyond the crash, which comes within a few c17 jobs."""
         from concurrent.futures import ALL_COMPLETED
         from concurrent.futures.process import BrokenProcessPool
 
@@ -249,12 +258,23 @@ class TestCrashQuarantine:
             withheld.append(done.pop())
             return done, set(withheld)
 
+        real_payload = scheduler._payload
+        submitted = []
+
+        def recorded_payload(row, attempt, options):
+            submitted.append(row.job_id)
+            return real_payload(row, attempt, options)
+
         monkeypatch.setattr(scheduler, "wait", partial_wait)
+        monkeypatch.setattr(scheduler, "_payload", recorded_payload)
         spec = fp_spec()
-        victim = job_ids(spec)[0]
-        monkeypatch.setenv("REPRO_WORKER_CRASH", f"{victim}:1")
+        ids = job_ids(spec)  # pending jobs are submitted in job-id order
+        monkeypatch.setenv("REPRO_CAMPAIGN_HANG_JOBS", f"{ids[0]}:1")
+        monkeypatch.setenv("REPRO_WORKER_CRASH", f"{ids[-1]}:1")
         db = str(tmp_path / "c.db")
-        summary = run_campaign(spec, db, CampaignOptions(jobs=2, **FAST))
+        summary = run_campaign(
+            spec, db, CampaignOptions(jobs=2, timeout_s=10.0, backoff_s=0.01))
+        assert submitted[:len(ids)] == ids
         assert withheld, "the crash never reached the wrapped wait"
         assert summary.quarantined == 0
         assert summary.complete and summary.clean

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro import telemetry
 from repro.netlist import parse_blif
 from repro.sim import Simulator
 from repro.techmap import MappingError, TechMapper, map_network
@@ -138,3 +139,49 @@ class TestAigStyle:
         plain = map_network(network)
         via_aig = map_network(network, style="aig")
         assert exhaustive_equivalent(plain, via_aig).equivalent
+
+
+# A NOT node (mapped to INV + BUF), a constant folded out of an AND and
+# a buffer node nothing reads: clean-up sweeps, folds and removes.
+CLEANUP_BLIF = (
+    ".model t\n.inputs a b\n.outputs f\n"
+    ".names a n\n0 1\n.names k\n1\n.names n k b f\n111 1\n"
+    ".names a d\n1 1\n.end\n"
+)
+
+
+@pytest.fixture
+def clean_telemetry():
+    telemetry.disable()
+    telemetry.get_tracer().reset()
+    telemetry.get_registry().reset()
+    yield
+    telemetry.disable()
+    telemetry.get_tracer().reset()
+    telemetry.get_registry().reset()
+
+
+class TestCleanupTelemetry:
+    @pytest.mark.parametrize("style", ["aoi", "nand", "aig"])
+    def test_mapper_keeps_cleanup_totals(self, style):
+        mapper = TechMapper(style=style)
+        mapper.map(parse_blif(CLEANUP_BLIF))
+        assert sorted(mapper.cleanup_totals) == ["buffers", "constants", "dead"]
+        if style != "aig":  # strashing leaves nothing to clean up
+            assert mapper.cleanup_totals == {"constants": 1, "buffers": 2, "dead": 1}
+
+    def test_totals_reach_counters_and_span(self, clean_telemetry):
+        with telemetry.enabled(trace=True, metrics=True):
+            circuit = map_network(parse_blif(CLEANUP_BLIF))
+        (root,) = telemetry.get_tracer().drain()
+        counters = telemetry.get_registry().snapshot()["counters"]
+        assert root.name == "techmap.map"
+        assert root.attrs["gates"] == circuit.n_gates
+        for kind, amount in {"constants": 1, "buffers": 2, "dead": 1}.items():
+            assert counters[f"techmap.cleanup.{kind}"] == amount
+            assert root.attrs[f"cleanup_{kind}"] == amount
+
+    def test_nothing_counted_when_disabled(self, clean_telemetry):
+        map_network(parse_blif(CLEANUP_BLIF))
+        assert telemetry.get_registry().snapshot()["counters"] == {}
+        assert telemetry.get_tracer().finished == []
