@@ -268,8 +268,9 @@ def run_batch_flow(
 
     ``opts.jobs > 1`` verifies across that many worker processes, each
     with its own :class:`~repro.sat.incremental.IncrementalCecSession`;
-    results are identical to a serial run, only faster on multi-core
-    hosts.  When telemetry is enabled, workers serialize their span
+    results are identical to a serial run (a session's verdict for a
+    copy depends only on the base, the copy and the budget), only faster
+    on multi-core hosts.  When telemetry is enabled, workers serialize their span
     trees and metric snapshots back with the results, so the parent's
     trace covers the whole pool (one track per worker pid).
     """

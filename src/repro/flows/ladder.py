@@ -201,8 +201,9 @@ def run_ladder(
     When a ``session`` (an :class:`~repro.sat.incremental.IncrementalCecSession`
     whose base is ``left``) is supplied, the SAT tier runs through it
     instead of a scratch miter, so repeated calls against the same base
-    share one solver and its learned clauses.  Budgets and UNDECIDED
-    degradation behave identically either way.
+    share one preprocessed base encoding and encode only each copy's
+    delta.  Budgets and UNDECIDED degradation behave identically either
+    way.
     """
     with telemetry.span("ladder.verify", design=left.name) as ladder_span:
         report = _run_tiers(left, right, config, session)

@@ -228,9 +228,9 @@ class WindowedOdcEngine:
         detectors on the primary outputs it reaches (the seed itself
         when it is one), gates the "some output differs" clause behind a
         fresh activation literal, solves under assumptions, and then
-        permanently retires the activation literal — the
-        :class:`IncrementalCecSession` discipline, so learned clauses
-        accumulate across candidates.
+        permanently retires the activation literal, so learned clauses
+        accumulate across candidates (and so do the retired candidates'
+        cones and detectors: the solver only grows).
         """
         compiled = self._compiled
         solver = self._exact()

@@ -9,12 +9,13 @@ ODC modifications.  :class:`IncrementalCecSession` exploits that:
 
 1. **Encode the base once.**  The base circuit is Tseitin-encoded a single
    time (stable variable numbering from the compiled IR's interned order)
-   into one persistent :class:`~repro.sat.solver.CdclSolver`.
+   and preprocessed once; every copy's :class:`~repro.sat.solver.CdclSolver`
+   starts from that cached base encoding.
 
 2. **Encode each copy as a delta.**  Copy gates are walked in topological
    order and structurally hashed over (kind, CNF fanin variables); a gate
-   whose key already exists — in the base, or in a previously verified
-   copy — reuses that variable and contributes *zero* clauses.  Only gates
+   whose key already exists — in the base, or earlier in the same copy —
+   reuses that variable and contributes *zero* clauses.  Only gates
    inside the modified cones allocate fresh variables.
 
 3. **Discharge clean outputs structurally.**  An output whose copy
@@ -28,12 +29,13 @@ ODC modifications.  :class:`IncrementalCecSession` exploits that:
    SAT obligations hardest-last (by dirty-cone size), so cheap proofs land
    first and a budget interruption wastes the least work.
 
-5. **One persistent solver, assumptions, activation literals.**  Each
-   copy's miter clauses are gated behind a fresh activation literal and
-   solved under assumptions, so learned clauses accumulate across copies
-   and outputs; after the copy's verdict the activation literal is
-   permanently negated, retiring its miter clauses without touching the
-   shared base encoding.
+5. **One solver per copy, assumptions per output.**  A copy's delta and
+   its per-output difference detectors go into a solver holding only the
+   base encoding, and each output is solved under the assumption that
+   its detector fires, so lemmas learned on one output serve the copy's
+   later outputs.  The next copy starts from the base encoding again, so
+   a verdict depends only on the base, the copy and the budget — never
+   on which copies the session verified before.
 """
 
 from __future__ import annotations
@@ -57,24 +59,6 @@ from .preprocess import INCREMENTAL_SAFE, preprocess
 from .solver import CdclSolver, SolverConfig
 from . import portfolio as portfolio_mod
 from .tseitin import _encode, encode_circuit
-
-
-class _SolverSink:
-    """Duck-typed ``Cnf`` facade over a live solver.
-
-    :func:`repro.sat.tseitin._encode` only calls ``add_clause`` and
-    ``new_var``, so this adapter lets the gate encoders write clauses
-    straight into the persistent solver instead of a throwaway CNF.
-    """
-
-    def __init__(self, solver: CdclSolver) -> None:
-        self._solver = solver
-
-    def new_var(self) -> int:
-        return self._solver.new_var()
-
-    def add_clause(self, literals: Sequence[int]) -> None:
-        self._solver.add_clause(literals)
 
 
 @dataclass
@@ -106,7 +90,7 @@ class IncrementalCecSession:
             (must be a multiple of 64; signatures cost one word-parallel
             sweep per copy).
         seed: Stimulus seed, so sessions are reproducible.
-        solver_config: Inner-loop configuration for the persistent solver
+        solver_config: Inner-loop configuration for each copy's solver
             (default: all speed features on).
         simplify_base: Run the incremental-safe preprocessor (probing +
             subsumption + self-subsuming resolution, **no** variable
@@ -167,14 +151,8 @@ class IncrementalCecSession:
     _key = staticmethod(gate_key)
 
     def _load_base(self) -> None:
-        """A fresh persistent solver holding only the base encoding."""
+        """A fresh solver holding only the base encoding."""
         self.solver = CdclSolver(self._base_cnf, config=self._solver_config)
-        self._sink = _SolverSink(self.solver)
-        # Structural-hash table over CNF variables: (kind, fanin vars)
-        # -> output var.  Seeded from the base; grows with every fresh
-        # gate a copy introduces, so later copies share earlier copies'
-        # deltas too.
-        self._strash: Dict[Tuple, int] = dict(self._base_strash)
 
     def _snapshot(
         self,
@@ -229,17 +207,29 @@ class IncrementalCecSession:
         ``portfolio`` ≥ 2 races that many solver configurations (in OS
         processes, first verdict wins) on each *hard* obligation — one
         whose dirty cone reaches :data:`PORTFOLIO_CONE_THRESHOLD` nets —
-        seeded with the session's full clause database, learned clauses
-        included.  Racer work is merged into the session's solver stats
-        exactly once; verdicts are unaffected (every configuration is
-        sound and complete).
+        seeded with the solver's clause database (the base encoding, the
+        copy's delta and what its earlier obligations learned).  Racer
+        work is merged into the session's solver stats exactly once;
+        verdicts are unaffected (every configuration is sound and
+        complete).
         """
         with telemetry.span(
             "cec.verify", design=copy.name, outputs=len(copy.outputs)
         ) as verify_span:
+            # Every copy starts from the base encoding alone, so a verdict
+            # never depends on the copies verified before; a solver an
+            # exception escaped from (a job timeout, say) is replaced the
+            # same way.  The counters carry over to the new solver.
+            previous = self.solver
+            rebuilt = not previous.usable or previous.n_vars != self._base_cnf.n_vars
+            if rebuilt:
+                self._load_base()
+                self.solver.stats = previous.stats
+                telemetry.count("sat.incremental.rebuilds")
             result = self._verify(copy, budget, portfolio)
             verify_span.set(
                 verdict=result.verdict.value,
+                rebuilt=rebuilt,
                 outputs_sat=result.detail.get("outputs_sat"),
                 gates_encoded=result.detail.get("gates_encoded"),
                 gates_reused=result.detail.get("gates_reused"),
@@ -260,13 +250,6 @@ class IncrementalCecSession:
             raise PortMismatchError("input sets differ")
         if set(copy.outputs) != set(self.base.outputs):
             raise PortMismatchError("output sets differ")
-        if not self.solver.usable:
-            # An exception escaped a solve during an earlier copy (a job
-            # timeout, say); that solver refuses reuse, so start again
-            # from the base encoding, keeping the accumulated counters.
-            stats = self.solver.stats
-            self._load_base()
-            self.solver.stats = stats
         solver = self.solver
         clock = budget.start() if budget is not None and not budget.unlimited else None
         conflicts0 = solver.stats.conflicts
@@ -275,9 +258,10 @@ class IncrementalCecSession:
         self.stats.outputs_total += len(copy.outputs)
         base_var = self._base_var
 
-        # --- delta encoding: share everything the strash table knows ----- #
+        # --- delta encoding: share every gate the base already has ------- #
         compiled = compile_circuit(copy)
         var_of: Dict[str, int] = {name: base_var[name] for name in copy.inputs}
+        strash = dict(self._base_strash)
         encoded = reused = 0
         for gate in compiled.gates_in_order():
             ins = [var_of[n] for n in gate.inputs]
@@ -285,11 +269,11 @@ class IncrementalCecSession:
             if self._base_key.get(gate.name) == key:
                 var = base_var[gate.name]  # unchanged gate, name-stable
             else:
-                var = self._strash.get(key)
+                var = strash.get(key)
             if var is None:
                 var = solver.new_var()
-                _encode(self._sink, gate.kind, var, ins)
-                self._strash[key] = var
+                _encode(solver, gate.kind, var, ins)
+                strash[key] = var
                 encoded += 1
             else:
                 reused += 1
@@ -358,90 +342,71 @@ class IncrementalCecSession:
 
         cone_size = {net: dirty_cone_size(net) for net in affected}
         order = sorted(affected, key=cone_size.__getitem__)
-        activation = solver.new_var()
-        try:
-            for position, net in enumerate(order):
-                spent_c = solver.stats.conflicts - conflicts0
-                spent_d = solver.stats.decisions - decisions0
-                if clock is not None:
-                    reason = clock.exhausted_reason(spent_c, spent_d)
-                    if reason is not None:
-                        self.stats.undecided += 1
-                        detail["undecided_output"] = net
-                        return self._snapshot(
-                            CecVerdict.UNDECIDED, None, reason, detail
-                        )
-                left, right = base_var[net], var_of[net]
-                diff_var = solver.new_var()
-                for clause in (
-                    [-diff_var, left, right],
-                    [-diff_var, -left, -right],
-                    [diff_var, -left, right],
-                    [diff_var, left, -right],
-                ):
-                    clause.append(-activation)
-                    solver.add_clause(clause)
-                remaining = self._remaining(budget, clock, spent_c, spent_d)
-                if (
-                    portfolio >= 2
-                    and cone_size[net] >= self.PORTFOLIO_CONE_THRESHOLD
-                ):
-                    outcome = portfolio_mod.race(
-                        solver.n_vars,
-                        solver.export_clauses(),
-                        assumptions=[activation, diff_var],
-                        configs=portfolio_mod.configs_for(portfolio),
-                        budget=remaining,
-                    )
-                    # Fold all racers' counters into the session's stats
-                    # exactly once (rates recompute from raw counters).
-                    solver.stats.merge(outcome.stats)
-                    detail["portfolio_races"] = (
-                        int(detail.get("portfolio_races", 0)) + 1
-                    )
-                    unknown, satisfiable = outcome.unknown, outcome.satisfiable
-                    reason = outcome.reason
-                    model = outcome.model
-                else:
-                    result = solver.solve(
-                        assumptions=[activation, diff_var], budget=remaining
-                    )
-                    unknown, satisfiable = result.unknown, result.satisfiable
-                    reason = result.reason
-                    model = result.model
-                self.stats.sat_calls += 1
-                detail["outputs_sat"] = position + 1
-                if unknown:
+        for position, net in enumerate(order):
+            spent_c = solver.stats.conflicts - conflicts0
+            spent_d = solver.stats.decisions - decisions0
+            if clock is not None:
+                reason = clock.exhausted_reason(spent_c, spent_d)
+                if reason is not None:
                     self.stats.undecided += 1
                     detail["undecided_output"] = net
-                    return self._snapshot(
-                        CecVerdict.UNDECIDED, None, reason, detail
-                    )
-                if satisfiable:
-                    counterexample = {
-                        name: int(model.get(base_var[name], False))
-                        for name in self.base.inputs
-                    }
-                    self.stats.sat_disproofs += 1
-                    return self._snapshot(
-                        CecVerdict.NOT_EQUIVALENT,
-                        counterexample,
-                        f"SAT counterexample on output {net!r}",
-                        detail,
-                    )
-            return self._snapshot(
-                CecVerdict.EQUIVALENT,
-                None,
-                f"{len(order)} miter obligations proven UNSAT",
-                detail,
-            )
-        finally:
-            # Retire this copy's miter clauses for good; the learned
-            # clauses they produced remain valid for future copies.  An
-            # aborted solver is skipped so the original exception
-            # propagates; the next verify rebuilds it.
-            if solver.usable:
-                solver.add_clause([-activation])
+                    return self._snapshot(CecVerdict.UNDECIDED, None, reason, detail)
+            # diff_var <-> (left XOR right); assuming it asks for a vector
+            # on which this output differs.
+            left, right = base_var[net], var_of[net]
+            diff_var = solver.new_var()
+            for clause in (
+                [-diff_var, left, right],
+                [-diff_var, -left, -right],
+                [diff_var, -left, right],
+                [diff_var, left, -right],
+            ):
+                solver.add_clause(clause)
+            remaining = self._remaining(budget, clock, spent_c, spent_d)
+            if portfolio >= 2 and cone_size[net] >= self.PORTFOLIO_CONE_THRESHOLD:
+                outcome = portfolio_mod.race(
+                    solver.n_vars,
+                    solver.export_clauses(),
+                    assumptions=[diff_var],
+                    configs=portfolio_mod.configs_for(portfolio),
+                    budget=remaining,
+                )
+                # Fold all racers' counters into the session's stats
+                # exactly once (rates recompute from raw counters).
+                solver.stats.merge(outcome.stats)
+                detail["portfolio_races"] = int(detail.get("portfolio_races", 0)) + 1
+                unknown, satisfiable = outcome.unknown, outcome.satisfiable
+                reason = outcome.reason
+                model = outcome.model
+            else:
+                result = solver.solve(assumptions=[diff_var], budget=remaining)
+                unknown, satisfiable = result.unknown, result.satisfiable
+                reason = result.reason
+                model = result.model
+            self.stats.sat_calls += 1
+            detail["outputs_sat"] = position + 1
+            if unknown:
+                self.stats.undecided += 1
+                detail["undecided_output"] = net
+                return self._snapshot(CecVerdict.UNDECIDED, None, reason, detail)
+            if satisfiable:
+                counterexample = {
+                    name: int(model.get(base_var[name], False))
+                    for name in self.base.inputs
+                }
+                self.stats.sat_disproofs += 1
+                return self._snapshot(
+                    CecVerdict.NOT_EQUIVALENT,
+                    counterexample,
+                    f"SAT counterexample on output {net!r}",
+                    detail,
+                )
+        return self._snapshot(
+            CecVerdict.EQUIVALENT,
+            None,
+            f"{len(order)} miter obligations proven UNSAT",
+            detail,
+        )
 
     def verify_many(
         self,

@@ -17,8 +17,8 @@ so aggregation cannot double-count).
 
 Workers are plain ``multiprocessing`` processes (fork server where
 available) fed the exported clause list — learned clauses included, so a
-mid-session race starts from everything the persistent solver already
-proved.  A ``portfolio`` of 0 or 1, or an unavailable ``multiprocessing``
+race in the middle of a copy starts from everything that copy's solver
+already proved.  A ``portfolio`` of 0 or 1, or an unavailable ``multiprocessing``
 start method, degrades to solving inline with the first configuration.
 """
 

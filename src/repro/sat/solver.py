@@ -15,7 +15,8 @@ and can be re-solved any number of times under different assumptions
 without re-reading the CNF.  Learned clauses and variable activities
 persist across :meth:`CdclSolver.solve` calls, which is what makes the
 incremental equivalence session (:mod:`repro.sat.incremental`) pay off —
-lemmas proved for one fingerprint copy transfer to the next.
+lemmas proved for one output of a fingerprint copy serve its other
+outputs.
 
 The inner loop is tunable through :class:`SolverConfig`.  The default
 configuration enables every speed feature (flat interleaved watch lists

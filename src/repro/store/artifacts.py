@@ -60,8 +60,10 @@ def warm_session(base, n_vectors: int = 512, seed: int = 2015):
     With no active store this is exactly
     ``IncrementalCecSession(base, n_vectors, seed)``.  With one, a
     structurally identical resubmission reuses the previous session —
-    including its persistent solver with all accumulated learned clauses
-    and its strash table of previously encoded copy deltas.
+    its preprocessed base encoding, base strash table, stimulus and base
+    signatures.  Every copy still starts from a solver holding only the
+    base encoding, so a cached session gives the same verdicts as a new
+    one.
 
     Callers must treat ``session.base`` as the canonical base object
     from here on (see module docstring).

@@ -18,8 +18,13 @@ preprocessed, as :func:`repro.sat.cec.check` builds them); the same C432
 miters against a known-bad copy (one output inverted), so SAT models are
 pinned too; the first 8 copies of a C432
 :class:`~repro.sat.incremental.IncrementalCecSession` issued as the batch
-flow issues them; and many assumption solves on one random 3-SAT solver,
-long enough to reach learned-clause reduction and an activity rescale.
+flow issues them, one scenario per copy (the session starts every copy
+from a fresh solver holding only the base encoding); and many assumption
+solves on one random 3-SAT solver, long enough to reach learned-clause
+reduction and an activity rescale.  The committed pin still holds
+``C432-session-8``, one solver serving all 8 copies as sessions did
+before they rebuilt per copy; it stays as a long-lived-solver scenario
+until the pin is next regenerated.
 
 Regenerate only when a change is *meant* to alter the search (see the
 raw-speed section of ``docs/ARCHITECTURE.md``), from the repository root::
@@ -212,8 +217,8 @@ def random_log(seed: int = 7) -> Dict[str, object]:
     return log
 
 
-def session_log(base) -> Dict[str, object]:
-    """The persistent solver of a session verifying the batch flow's first copies."""
+def session_logs(base) -> Dict[str, Dict[str, object]]:
+    """The solver of each copy a session verifies, as the batch flow issues them."""
     catalog = find_locations(base)
     codec = FingerprintCodec(catalog)
     values = select_values(codec.combinations, 40, seed=0)[:SESSION_COPIES]
@@ -227,8 +232,10 @@ def session_log(base) -> Dict[str, object]:
             session.verify(copy.circuit, budget=Budget(max_conflicts=SESSION_CONFLICTS))
     finally:
         incremental.CdclSolver = original
-    (log,) = _RecordingSolver.logs
-    return log
+    logs = _RecordingSolver.logs
+    if len(logs) != len(values):
+        raise ValueError(f"{len(logs)} solvers recorded for {len(values)} copies")
+    return {f"{base.name}-session-copy{index}": log for index, log in enumerate(logs)}
 
 
 def main(argv: Sequence[str] = ()) -> int:
@@ -238,7 +245,7 @@ def main(argv: Sequence[str] = ()) -> int:
     logs.update(scratch_logs("c17", _c17()))
     logs.update(scratch_logs("C432", c432))
     logs.update(scratch_logs("C432", c432, bad=True))
-    logs[f"C432-session-{SESSION_COPIES}"] = session_log(c432)
+    logs.update(session_logs(c432))
     logs["random-3sat"] = random_log()
     configs = pinned_configs()
     scenarios = {}

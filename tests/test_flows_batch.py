@@ -99,6 +99,27 @@ class TestParallelBatch:
         ]
         assert parallel.jobs == 2
 
+    def test_jobs2_matches_serial_when_the_budget_binds(self):
+        """A conflict budget near each copy's need: a verdict must still
+        not depend on which worker verified the copy, nor on what that
+        worker's session verified before it."""
+        from repro.bench.suite import build_benchmark
+
+        options = dict(seed=0, ladder=LadderConfig(sat_budget=Budget(max_conflicts=160)))
+        base = build_benchmark("C432")
+        serial = run_batch_flow(base, 24, FlowOptions(jobs=1, **options))
+        parallel = run_batch_flow(base, 24, FlowOptions(jobs=2, **options))
+
+        def outcome(result):
+            return [
+                (r.value, r.equivalent, r.proven, r.tier, r.budget_hit)
+                for r in result.records
+            ]
+
+        assert outcome(parallel) == outcome(serial)
+        # The budget binds for some copies and not for others.
+        assert 0 < sum(r.proven for r in serial.records) < len(serial.records)
+
     def test_chunking_covers_all_values(self, wide_base):
         from repro.flows.batch import _chunked
 

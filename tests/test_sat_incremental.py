@@ -109,23 +109,32 @@ class TestSessionMechanics:
         assert result.detail["gates_encoded"] == 0
 
     def test_solver_is_shared_across_copies(self):
-        """One persistent solver: variables and learned clauses accumulate
-        instead of being rebuilt per copy."""
+        """Counters are shared across copies: each copy after the first
+        starts a fresh solver from the base encoding, and the session's
+        and its solver's counters keep accumulating across those rebuilds."""
         base = _random_base(seed=13)
         catalog = find_locations(base)
         codec = FingerprintCodec(catalog)
         session = IncrementalCecSession(base)
         solver = session.solver
+        stats = solver.stats
+        alone = 0
         for value in (1, 2, 3):
             copy = embed(base, catalog, codec.encode(value)).circuit
             assert session.verify(copy).equivalent
-            assert session.solver is solver
+            assert session.solver.stats is stats
+            fresh = IncrementalCecSession(base)
+            assert fresh.verify(copy).equivalent
+            alone += fresh.solver.stats.propagations
+        assert session.solver is not solver
+        assert stats.propagations == alone > 0
         assert session.stats.copies == 3
         assert session.stats.gates_reused > 0
 
     def test_second_copy_shares_first_copy_delta(self):
-        """The same copy verified twice: the second pass encodes nothing —
-        the structural-hash table already holds the first delta."""
+        """The same copy verified twice: the second pass starts from the
+        base encoding again, so it encodes as many gates as the first and
+        gets the same result with the same solver work."""
         base = _random_base(seed=17)
         catalog = find_locations(base)
         codec = FingerprintCodec(catalog)
@@ -134,7 +143,70 @@ class TestSessionMechanics:
         first = session.verify(copy)
         second = session.verify(copy)
         assert first.equivalent and second.equivalent
-        assert second.detail["gates_encoded"] == 0
+        assert second.detail["gates_encoded"] == first.detail["gates_encoded"] > 0
+        assert (second.verdict, second.reason, second.detail) == (
+            first.verdict, first.reason, first.detail
+        )
+        assert second.stats.conflicts - first.stats.conflicts == first.stats.conflicts
+        assert second.stats.decisions - first.stats.decisions == first.stats.decisions
+
+    def test_copy_result_is_independent_of_session_history(self):
+        """A copy's verdict and solver work depend only on the base, the
+        copy and the budget — not on which copies the session verified
+        before (what lets serial, parallel and resumed runs agree)."""
+        from repro.bench.suite import build_benchmark
+
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        codec = FingerprintCodec(catalog)
+        first, later = (embed(base, catalog, codec.encode(v)).circuit for v in (11, 12345))
+        budget = Budget(max_conflicts=5000)
+
+        def outcome(session):
+            before = session.solver.stats.conflicts
+            result = session.verify(later, budget=budget)
+            solver = session.solver
+            return (
+                result.verdict,
+                result.detail,
+                solver.stats.conflicts - before,
+                solver.n_vars,
+                len(solver.export_clauses()),
+            )
+
+        alone = outcome(IncrementalCecSession(base))
+        session = IncrementalCecSession(base)
+        session.verify(first, budget=budget)
+        assert outcome(session) == alone
+        assert alone[0] is CecVerdict.EQUIVALENT and alone[2] > 0
+
+    def test_rebuilds_are_counted_and_traced(self):
+        from repro import telemetry
+
+        base = _random_base(seed=13)
+        catalog = find_locations(base)
+        codec = FingerprintCodec(catalog)
+        copies = [embed(base, catalog, codec.encode(v)).circuit for v in (1, 2, 3)]
+        session = IncrementalCecSession(base)
+        telemetry.get_tracer().reset()
+        telemetry.get_registry().reset()
+        try:
+            with telemetry.enabled(trace=True, metrics=True):
+                for copy in copies:
+                    session.verify(copy)
+            spans = [
+                node
+                for root in telemetry.get_tracer().drain()
+                for node in root.walk()
+                if node.name == "cec.verify"
+            ]
+            counters = telemetry.get_registry().snapshot()["counters"]
+        finally:
+            telemetry.get_tracer().reset()
+            telemetry.get_registry().reset()
+        # The first copy uses the constructor's solver.
+        assert [span.attrs["rebuilt"] for span in spans] == [False, True, True]
+        assert counters["sat.incremental.rebuilds"] == 2
 
     def test_budget_exhaustion_is_undecided(self):
         base = _random_base(seed=41)
