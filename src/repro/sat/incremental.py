@@ -261,6 +261,7 @@ class IncrementalCecSession:
         # --- delta encoding: share every gate the base already has ------- #
         compiled = compile_circuit(copy)
         var_of: Dict[str, int] = {name: base_var[name] for name in copy.inputs}
+        # (kind, fanin vars) -> CNF var: the base's gates, then this copy's.
         strash = dict(self._base_strash)
         encoded = reused = 0
         for gate in compiled.gates_in_order():
