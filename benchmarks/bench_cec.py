@@ -212,6 +212,8 @@ def collect_incremental(
                 "outputs_sat": inc.detail["outputs_sat"],
                 "gates_encoded": inc.detail["gates_encoded"],
                 "gates_reused": inc.detail["gates_reused"],
+                "points_swept": inc.detail["points_swept"],
+                "points_merged": inc.detail["points_merged"],
             }
         )
 
@@ -298,7 +300,8 @@ def _print_record(record: dict) -> None:
             f"scratch {row['scratch_seconds']:7.2f}s  "
             f"incremental {row['incremental_seconds']:6.2f}s  "
             f"(structural {row['outputs_structural']}, sat {row['outputs_sat']}, "
-            f"encoded {row['gates_encoded']}, reused {row['gates_reused']})"
+            f"encoded {row['gates_encoded']}, reused {row['gates_reused']}, "
+            f"merged {row['points_merged']}/{row['points_swept']} swept)"
         )
     solver = record["session_solver"]
     print(

@@ -78,10 +78,12 @@ class LadderConfig:
             (:mod:`repro.sat.preprocess`) on scratch miters before solving.
             Verdict-neutral (the differential suite pins it); off switches
             to the raw miter.
-        sat_portfolio: When ≥ 2, incremental-session SAT obligations with
-            large dirty cones race that many solver configurations in
-            parallel processes, first verdict wins.  0 disables racing
-            (the default — racing spends cores for latency).
+        sat_portfolio: When ≥ 2, the incremental session's output
+            obligations left after its sweep, if their dirty cones are
+            large, race that many solver configurations in parallel
+            processes, first verdict wins (sweep solves are never raced).
+            0 disables racing (the default — racing spends cores for
+            latency).
     """
 
     max_exhaustive_inputs: int = 16

@@ -10,39 +10,49 @@ ODC modifications.  :class:`IncrementalCecSession` exploits that:
 1. **Encode the base once.**  The base circuit is Tseitin-encoded a single
    time (stable variable numbering from the compiled IR's interned order)
    and preprocessed once; every copy's :class:`~repro.sat.solver.CdclSolver`
-   starts from that cached base encoding.
+   starts from that cached base encoding.  The base's simulation
+   signature (packed random vectors through the compiled IR) is kept for
+   every net.
 
-2. **Encode each copy as a delta.**  Copy gates are walked in topological
-   order and structurally hashed over (kind, CNF fanin variables); a gate
-   whose key already exists — in the base, or earlier in the same copy —
-   reuses that variable and contributes *zero* clauses.  Only gates
-   inside the modified cones allocate fresh variables.
+2. **Simulate the copy first.**  The copy runs through the same vectors
+   before anything is encoded.  A signature mismatch on any output is an
+   immediate NOT_EQUIVALENT with a concrete counterexample vector, so no
+   solve is spent on a copy that simulation already refutes.
 
-3. **Discharge clean outputs structurally.**  An output whose copy
+3. **Encode each copy as a delta, sweeping as it goes.**  Copy gates are
+   walked in topological order and structurally hashed over (kind, CNF
+   fanin variables); a gate whose key already exists — in the base, or
+   earlier in the same copy — reuses that variable and contributes
+   *zero* clauses.  A gate that needs a fresh variable and has a
+   same-named base gate with an identical signature is a candidate merge
+   point: two assumption solves (``[v, -b]``, then ``[-v, b]``) prove the
+   two variables equal, and the gate then takes the base variable, so
+   everything downstream hashes onto the base again.  A satisfiable
+   solve leaves the gate unmerged.  ODC modifications are masked, so the
+   sweep usually closes every modified cone within a few gates of the
+   modification.
+
+4. **Discharge clean outputs structurally.**  An output whose copy
    variable equals its base variable is equivalent by construction; no
-   miter, no SAT.  Only outputs reached by a modification need proof.
+   miter, no output obligation.  After the sweep that is usually every
+   output.
 
-4. **Simulation-guided pre-filtering.**  Before any SAT call, packed
-   random vectors are run through the compiled IR on base and copy.  A
-   signature mismatch on any output is an immediate NOT_EQUIVALENT with a
-   concrete counterexample vector; matching signatures order the remaining
-   SAT obligations hardest-last (by dirty-cone size), so cheap proofs land
-   first and a budget interruption wastes the least work.
-
-5. **One solver per copy, assumptions per output.**  A copy's delta and
-   its per-output difference detectors go into a solver holding only the
-   base encoding, and each output is solved under the assumption that
-   its detector fires, so lemmas learned on one output serve the copy's
-   later outputs.  The next copy starts from the base encoding again, so
-   a verdict depends only on the base, the copy and the budget — never
-   on which copies the session verified before.
+5. **One solver per copy, assumptions per output.**  An output left with a
+   copy variable gets a difference detector in the copy's solver and is
+   solved under the assumption that it fires, hardest last (by dirty-cone
+   size), so cheap proofs land first and a budget interruption wastes the
+   least work.  Sweep solves and output obligations share the copy's
+   budget, and an exhausted solve of either kind makes the copy
+   UNDECIDED.  The next copy starts from the base encoding again, so a
+   verdict depends only on the base, the copy and the budget — never on
+   which copies the session verified before.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +84,9 @@ class SessionStats:
     undecided: int = 0
     gates_encoded: int = 0
     gates_reused: int = 0
+    points_swept: int = 0
+    points_merged: int = 0
+    points_refuted: int = 0
 
 
 class IncrementalCecSession:
@@ -87,8 +100,8 @@ class IncrementalCecSession:
     Args:
         base: The golden circuit every copy is checked against.
         n_vectors: Packed random vectors for the simulation pre-filter
-            (must be a multiple of 64; signatures cost one word-parallel
-            sweep per copy).
+            and the sweep's candidate merge points (must be a multiple of
+            64; signatures cost one word-parallel simulation per copy).
         seed: Stimulus seed, so sessions are reproducible.
         solver_config: Inner-loop configuration for each copy's solver
             (default: all speed features on).
@@ -142,9 +155,7 @@ class IncrementalCecSession:
             self.n_vectors = n_vectors
             self._stimulus = random_stimulus(base.inputs, n_vectors, seed=seed)
             matrix = Simulator(base).run_matrix(self._stimulus)
-            self._base_rows: Dict[str, np.ndarray] = {
-                net: matrix[compiled.id_of(net)].copy() for net in base.outputs
-            }
+            self._base_rows: Dict[str, np.ndarray] = dict(zip(compiled.names, matrix))
 
     # Canonical structural key (commutative fanins sorted), promoted to
     # repro.hashing so the artifact store and campaign ids share it.
@@ -159,8 +170,17 @@ class IncrementalCecSession:
         verdict: CecVerdict,
         counterexample: Optional[Dict[str, int]],
         reason: Optional[str],
-        detail: Dict[str, object],
+        detail: Dict[str, Any],
     ) -> CecResult:
+        """The copy's result; its ``detail`` counts add to the session's."""
+        totals = self.stats
+        totals.outputs_structural += detail["outputs_structural"]
+        totals.sat_calls += detail["outputs_sat"]
+        totals.gates_encoded += detail["gates_encoded"]
+        totals.gates_reused += detail["gates_reused"]
+        totals.points_swept += detail["points_swept"]
+        totals.points_merged += detail["points_merged"]
+        totals.points_refuted += detail["points_refuted"]
         stats = dataclasses.replace(self.solver.stats)
         return CecResult(verdict, counterexample, stats, reason, detail)
 
@@ -200,18 +220,20 @@ class IncrementalCecSession:
         Semantics match :func:`repro.sat.cec.check` (three-valued verdict,
         counterexample as an input-name-to-bit dict, UNDECIDED under an
         exhausted ``budget``), plus a ``detail`` dict recording how the
-        outputs were discharged.  The budget bounds this call as a whole:
-        conflicts/decisions spent on earlier outputs count against later
-        ones.
+        outputs were discharged and how many points the sweep tried,
+        merged and refuted.  The budget bounds this call as a whole: the
+        conflicts/decisions of the sweep's solves and of earlier outputs
+        count against every later solve.
 
         ``portfolio`` ≥ 2 races that many solver configurations (in OS
-        processes, first verdict wins) on each *hard* obligation — one
-        whose dirty cone reaches :data:`PORTFOLIO_CONE_THRESHOLD` nets —
-        seeded with the solver's clause database (the base encoding, the
-        copy's delta and what its earlier obligations learned).  Racer
-        work is merged into the session's solver stats exactly once;
-        verdicts are unaffected (every configuration is sound and
-        complete).
+        processes, first verdict wins) on each *hard* output obligation
+        left after the sweep — one whose dirty cone reaches
+        :data:`PORTFOLIO_CONE_THRESHOLD` nets — seeded with the solver's
+        clause database (the base encoding, the copy's delta and what its
+        sweep and earlier obligations learned).  Sweep solves are never
+        raced.  Racer work is merged into the session's solver stats
+        exactly once; verdicts are unaffected (every configuration is
+        sound and complete).
         """
         with telemetry.span(
             "cec.verify", design=copy.name, outputs=len(copy.outputs)
@@ -227,15 +249,20 @@ class IncrementalCecSession:
                 self.solver.stats = previous.stats
                 telemetry.count("sat.incremental.rebuilds")
             result = self._verify(copy, budget, portfolio)
+            detail = result.detail
             verify_span.set(
                 verdict=result.verdict.value,
                 rebuilt=rebuilt,
-                outputs_sat=result.detail.get("outputs_sat"),
-                gates_encoded=result.detail.get("gates_encoded"),
-                gates_reused=result.detail.get("gates_reused"),
+                outputs_sat=detail["outputs_sat"],
+                gates_encoded=detail["gates_encoded"],
+                gates_reused=detail["gates_reused"],
+                points_swept=detail["points_swept"],
+                points_merged=detail["points_merged"],
             )
             telemetry.count("cec.copies")
             telemetry.count(f"cec.verdict.{result.verdict.value}")
+            telemetry.count("sat.incremental.points_swept", detail["points_swept"])
+            telemetry.count("sat.incremental.points_merged", detail["points_merged"])
             return result
 
     def _verify(
@@ -257,53 +284,37 @@ class IncrementalCecSession:
         self.stats.copies += 1
         self.stats.outputs_total += len(copy.outputs)
         base_var = self._base_var
-
-        # --- delta encoding: share every gate the base already has ------- #
-        compiled = compile_circuit(copy)
-        var_of: Dict[str, int] = {name: base_var[name] for name in copy.inputs}
-        # (kind, fanin vars) -> CNF var: the base's gates, then this copy's.
-        strash = dict(self._base_strash)
-        encoded = reused = 0
-        for gate in compiled.gates_in_order():
-            ins = [var_of[n] for n in gate.inputs]
-            key = self._key(gate.kind, ins)
-            if self._base_key.get(gate.name) == key:
-                var = base_var[gate.name]  # unchanged gate, name-stable
-            else:
-                var = strash.get(key)
-            if var is None:
-                var = solver.new_var()
-                _encode(solver, gate.kind, var, ins)
-                strash[key] = var
-                encoded += 1
-            else:
-                reused += 1
-            var_of[gate.name] = var
-        self.stats.gates_encoded += encoded
-        self.stats.gates_reused += reused
-
-        affected = [net for net in copy.outputs if var_of[net] != base_var[net]]
-        detail: Dict[str, object] = {
+        base_rows = self._base_rows
+        detail: Dict[str, Any] = {
             "engine": "incremental",
             "outputs": len(copy.outputs),
-            "outputs_structural": len(copy.outputs) - len(affected),
+            "outputs_structural": 0,
             "outputs_sat": 0,
-            "gates_encoded": encoded,
-            "gates_reused": reused,
+            "gates_encoded": 0,
+            "gates_reused": 0,
+            "points_swept": 0,
+            "points_merged": 0,
+            "points_refuted": 0,
         }
-        self.stats.outputs_structural += len(copy.outputs) - len(affected)
-        if not affected:
-            return self._snapshot(
-                CecVerdict.EQUIVALENT,
-                None,
-                "all outputs discharged structurally",
-                detail,
-            )
 
-        # --- simulation pre-filter --------------------------------------- #
+        def rest() -> Tuple[Optional[str], Optional[Budget]]:
+            """Why the copy's budget is spent (``None`` while it is not),
+            and what is left of it for the next solve."""
+            spent_c = solver.stats.conflicts - conflicts0
+            spent_d = solver.stats.decisions - decisions0
+            reason = clock.exhausted_reason(spent_c, spent_d) if clock is not None else None
+            return reason, self._remaining(budget, clock, spent_c, spent_d)
+
+        def undecided(key: str, net: str, reason: Optional[str]) -> CecResult:
+            self.stats.undecided += 1
+            detail[key] = net
+            return self._snapshot(CecVerdict.UNDECIDED, None, reason, detail)
+
+        # --- simulation pre-filter, before any solve --------------------- #
+        compiled = compile_circuit(copy)
         copy_matrix = Simulator(copy).run_matrix(self._stimulus)
-        for net in affected:
-            diff = self._base_rows[net] ^ copy_matrix[compiled.id_of(net)]
+        for net in copy.outputs:
+            diff = base_rows[net] ^ copy_matrix[compiled.id_of(net)]
             nonzero = np.nonzero(diff)[0]
             if len(nonzero):
                 word = int(nonzero[0])
@@ -317,7 +328,55 @@ class IncrementalCecSession:
                     detail,
                 )
 
-        # --- SAT obligations, hardest last ------------------------------- #
+        # --- delta encoding and sweep: share every gate the base has ----- #
+        var_of: Dict[str, int] = {name: base_var[name] for name in copy.inputs}
+        # (kind, fanin vars) -> CNF var: the base's gates, then this copy's.
+        strash = dict(self._base_strash)
+        for row, gate in enumerate(compiled.gates_in_order(), len(copy.inputs)):
+            ins = [var_of[n] for n in gate.inputs]
+            key = self._key(gate.kind, ins)
+            if self._base_key.get(gate.name) == key:
+                var = base_var[gate.name]  # unchanged gate, name-stable
+            else:
+                var = strash.get(key)
+            if var is None:
+                var = solver.new_var()
+                _encode(solver, gate.kind, var, ins)
+                detail["gates_encoded"] += 1
+                twin = base_var.get(gate.name)
+                if twin is not None and np.array_equal(base_rows[gate.name], copy_matrix[row]):
+                    # Same signature as its base twin: sweep the point, and
+                    # merge it when both implications are UNSAT.
+                    detail["points_swept"] += 1
+                    for assumptions in ([var, -twin], [-var, twin]):
+                        reason, remaining = rest()
+                        if reason is not None:
+                            return undecided("undecided_point", gate.name, reason)
+                        result = solver.solve(assumptions, budget=remaining)
+                        if result.unknown:
+                            return undecided("undecided_point", gate.name, result.reason)
+                        if result.satisfiable:
+                            detail["points_refuted"] += 1
+                            break
+                    else:
+                        detail["points_merged"] += 1
+                        var = twin
+                strash[key] = var
+            else:
+                detail["gates_reused"] += 1
+            var_of[gate.name] = var
+
+        affected = [net for net in copy.outputs if var_of[net] != base_var[net]]
+        detail["outputs_structural"] = len(copy.outputs) - len(affected)
+        if not affected:
+            return self._snapshot(
+                CecVerdict.EQUIVALENT,
+                None,
+                "all outputs discharged structurally",
+                detail,
+            )
+
+        # --- output obligations, hardest last ---------------------------- #
         def dirty_cone_size(out_name: str) -> int:
             """Nets in the output's cone carrying a non-base variable.
 
@@ -344,14 +403,9 @@ class IncrementalCecSession:
         cone_size = {net: dirty_cone_size(net) for net in affected}
         order = sorted(affected, key=cone_size.__getitem__)
         for position, net in enumerate(order):
-            spent_c = solver.stats.conflicts - conflicts0
-            spent_d = solver.stats.decisions - decisions0
-            if clock is not None:
-                reason = clock.exhausted_reason(spent_c, spent_d)
-                if reason is not None:
-                    self.stats.undecided += 1
-                    detail["undecided_output"] = net
-                    return self._snapshot(CecVerdict.UNDECIDED, None, reason, detail)
+            reason, remaining = rest()
+            if reason is not None:
+                return undecided("undecided_output", net, reason)
             # diff_var <-> (left XOR right); assuming it asks for a vector
             # on which this output differs.
             left, right = base_var[net], var_of[net]
@@ -363,7 +417,6 @@ class IncrementalCecSession:
                 [diff_var, left, -right],
             ):
                 solver.add_clause(clause)
-            remaining = self._remaining(budget, clock, spent_c, spent_d)
             if portfolio >= 2 and cone_size[net] >= self.PORTFOLIO_CONE_THRESHOLD:
                 outcome = portfolio_mod.race(
                     solver.n_vars,
@@ -384,12 +437,9 @@ class IncrementalCecSession:
                 unknown, satisfiable = result.unknown, result.satisfiable
                 reason = result.reason
                 model = result.model
-            self.stats.sat_calls += 1
             detail["outputs_sat"] = position + 1
             if unknown:
-                self.stats.undecided += 1
-                detail["undecided_output"] = net
-                return self._snapshot(CecVerdict.UNDECIDED, None, reason, detail)
+                return undecided("undecided_output", net, reason)
             if satisfiable:
                 counterexample = {
                     name: int(model.get(base_var[name], False))

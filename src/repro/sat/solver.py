@@ -13,10 +13,12 @@ The solver is *incremental*: after construction it accepts new variables
 (:meth:`CdclSolver.new_var`) and clauses (:meth:`CdclSolver.add_clause`)
 and can be re-solved any number of times under different assumptions
 without re-reading the CNF.  Learned clauses and variable activities
-persist across :meth:`CdclSolver.solve` calls, which is what makes the
-incremental equivalence session (:mod:`repro.sat.incremental`) pay off —
-lemmas proved for one output of a fingerprint copy serve its other
-outputs.
+persist across :meth:`CdclSolver.solve` calls, which is what the
+incremental equivalence session (:mod:`repro.sat.incremental`) builds
+on: it loads the base encoding once per copy, adds the copy's delta,
+and asks many assumption queries of the same solver — first its sweep's
+internal-equivalence proofs, then any output obligations left, which
+reuse the lemmas the earlier solves learned.
 
 The inner loop is tunable through :class:`SolverConfig`.  The default
 configuration enables every speed feature (flat interleaved watch lists

@@ -102,10 +102,12 @@ class TestParallelBatch:
     def test_jobs2_matches_serial_when_the_budget_binds(self):
         """A conflict budget near each copy's need: a verdict must still
         not depend on which worker verified the copy, nor on what that
-        worker's session verified before it."""
+        worker's session verified before it.  The session's sweep proves
+        most C432 copies without a conflict, so the budget that binds is
+        one conflict (a budget of 2 proves all 24 copies, 0 proves none)."""
         from repro.bench.suite import build_benchmark
 
-        options = dict(seed=0, ladder=LadderConfig(sat_budget=Budget(max_conflicts=160)))
+        options = dict(seed=0, ladder=LadderConfig(sat_budget=Budget(max_conflicts=1)))
         base = build_benchmark("C432")
         serial = run_batch_flow(base, 24, FlowOptions(jobs=1, **options))
         parallel = run_batch_flow(base, 24, FlowOptions(jobs=2, **options))

@@ -37,6 +37,23 @@ def _random_base(seed: int = 21, n_gates: int = 140) -> Circuit:
     )
 
 
+def rare_difference(circuit: Circuit, net: str, width: int = 15) -> Circuit:
+    """A copy of ``circuit`` whose ``net`` flips only when its first
+    ``width`` primary inputs are all 1: the net's driver is renamed
+    ``<net>_pre`` and ``net`` is re-driven as ``XOR(<net>_pre, rare)``,
+    ``rare`` a chain of 2-input ANDs.  512 random vectors almost never
+    set all ``width`` inputs at once, so ``net`` keeps its signature."""
+    mutant = circuit.clone(f"{circuit.name}_rare")
+    driver = mutant.remove_gate(net)
+    mutant.add_gate(f"{net}_pre", driver.kind, driver.inputs, cell=driver.cell)
+    rare = mutant.inputs[0]
+    for index, name in enumerate(mutant.inputs[1:width]):
+        rare = mutant.add_gate(f"{net}_rare{index}", "AND", [rare, name]).name
+    mutant.add_gate(net, "XOR", [f"{net}_pre", rare])
+    mutant.validate()
+    return mutant
+
+
 def _assert_counterexample_real(base, copy, counterexample):
     left = Simulator(base).run_single(counterexample)
     right = Simulator(copy).run_single(counterexample)
@@ -163,13 +180,15 @@ class TestSessionMechanics:
         budget = Budget(max_conflicts=5000)
 
         def outcome(session):
-            before = session.solver.stats.conflicts
+            conflicts = session.solver.stats.conflicts
+            propagations = session.solver.stats.propagations
             result = session.verify(later, budget=budget)
             solver = session.solver
             return (
                 result.verdict,
                 result.detail,
-                solver.stats.conflicts - before,
+                solver.stats.conflicts - conflicts,
+                solver.stats.propagations - propagations,
                 solver.n_vars,
                 len(solver.export_clauses()),
             )
@@ -178,7 +197,48 @@ class TestSessionMechanics:
         session = IncrementalCecSession(base)
         session.verify(first, budget=budget)
         assert outcome(session) == alone
-        assert alone[0] is CecVerdict.EQUIVALENT and alone[2] > 0
+        # The sweep proves the copy without a conflict, but not without
+        # solver work.
+        assert alone[0] is CecVerdict.EQUIVALENT and alone[3] > 0
+
+    def test_sweep_discharges_every_output_of_a_fingerprint_copy(self):
+        """Internal points that keep their base signature are proven equal
+        to their base twins and merged, so every output of the copy hashes
+        onto the base: no output obligation is left for SAT."""
+        from repro.bench.suite import build_benchmark
+
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        copy = embed(base, catalog, FingerprintCodec(catalog).encode(12345)).circuit
+        result = IncrementalCecSession(base).verify(copy, budget=Budget(max_conflicts=5000))
+        detail = result.detail
+        assert result.verdict is CecVerdict.EQUIVALENT
+        assert detail["outputs_structural"] == detail["outputs"] == len(base.outputs) == 7
+        assert detail["outputs_sat"] == 0
+        assert detail["points_merged"] >= 1
+        assert detail["points_swept"] == detail["points_merged"] + detail["points_refuted"]
+
+    def test_rare_internal_difference_is_not_merged(self):
+        """A point whose signature matches its base twin but whose function
+        differs: the sweep's solves must refute the merge, and the copy
+        must come back NOT_EQUIVALENT with a real counterexample."""
+        from repro.bench.suite import build_benchmark
+        from repro.sat import check
+
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        copy = embed(base, catalog, FingerprintCodec(catalog).encode(12345)).circuit
+        net = copy.driver(copy.outputs[0]).inputs[0]
+        mutant = rare_difference(copy, net)
+        session = IncrementalCecSession(base)
+        stimulus = session._stimulus
+        base_row = Simulator(base).run(stimulus, [net])[net]
+        assert (Simulator(mutant).run(stimulus, [net])[net] == base_row).all()
+
+        result = session.verify(mutant, budget=Budget(max_conflicts=5000))
+        assert result.verdict is CecVerdict.NOT_EQUIVALENT
+        _assert_counterexample_real(base, mutant, result.counterexample)
+        assert result.verdict is check(base, mutant).verdict
 
     def test_rebuilds_are_counted_and_traced(self):
         from repro import telemetry

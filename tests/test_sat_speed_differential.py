@@ -13,8 +13,9 @@ enforces that:
 * every NOT_EQUIVALENT counterexample — which on the fast path crosses
   the preprocessor's model reconstruction — is replayed through the
   simulator and must actually distinguish the circuits;
-* the bundled small benchmark suite plus k2 under the session engine
-  (``-m differential``, run in the dedicated CI job).
+* the bundled small benchmark suite plus k2 under the session engine,
+  and the session's proof power on the larger designs at the copy-issue
+  budget (``-m differential``, run in the dedicated CI job).
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ import pytest
 from repro.bench import RandomLogicSpec, generate
 from repro.bench.data import data_path
 from repro.bench.suite import SMALL_SUITE, build_benchmark
+from repro.budget import Budget
 from repro.faultinject import GateKindSwap, StuckAtNet
-from repro.fingerprint import embed, find_locations, full_assignment
+from repro.fingerprint import FingerprintCodec, embed, find_locations, full_assignment
+from repro.flows.batch import select_values
 from repro.netlist import read_blif
 from repro.sat import LEGACY_CONFIG, IncrementalCecSession
 from repro.sat.cec import CecVerdict, check
 from repro.sim.simulator import Simulator
 from repro.techmap import map_network
+from tests.test_sat_incremental import rare_difference
 
 
 def small_circuit(seed, n_gates=80, n_inputs=12, n_outputs=4):
@@ -176,3 +180,34 @@ class TestBenchmarkSuite:
         base = build_benchmark("k2")
         copies = [fingerprint_copy(base)] + mutated_variants(base, 2, seed=2)
         assert_session_identical(base, copies, "(k2)")
+
+    @pytest.mark.parametrize(
+        "name", ["C1355", "C1908", "C3540", "C6288", "des", "i10", "k2"]
+    )
+    def test_session_proof_power(self, name):
+        """At the copy-issue budget one session proves every fingerprint
+        copy of the larger designs, and still refutes a copy whose output
+        differs only when 15 inputs are all 1 — a difference its random
+        simulation does not see.  The construction is the reference: a
+        scratch miter of one k2 copy takes about 30 s."""
+        base = build_benchmark(name)
+        catalog = find_locations(base)
+        codec = FingerprintCodec(catalog)
+        session = IncrementalCecSession(base)
+        budget = Budget(max_conflicts=5000)
+        copies = []
+        for value in select_values(codec.combinations, 3, seed=0):
+            copies.append(embed(base, catalog, codec.encode(value)).circuit)
+            result = session.verify(copies[-1], budget=budget)
+            assert result.verdict is CecVerdict.EQUIVALENT, (
+                f"{name} copy {value}: {result.verdict} ({result.reason})"
+            )
+        mutant = rare_difference(copies[0], copies[0].outputs[0])
+        result = session.verify(mutant, budget=budget)
+        assert result.verdict is CecVerdict.NOT_EQUIVALENT, (
+            f"{name} rare mutant: {result.verdict} ({result.reason})"
+        )
+        assert result.detail["points_refuted"] >= 1
+        assert_counterexample_distinguishes(
+            base, mutant, result.counterexample, f"({name} rare mutant)"
+        )
