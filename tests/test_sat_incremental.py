@@ -54,6 +54,23 @@ def rare_difference(circuit: Circuit, net: str, width: int = 15) -> Circuit:
     return mutant
 
 
+def shadowed_output(circuit: Circuit, net: str) -> Circuit:
+    """A copy of ``circuit`` whose output ``net`` the sweep cannot merge:
+    the driver is renamed ``<net>_pre``, and ``net = INV(<net>_inv)`` with
+    ``<net>_inv = INV(<net>_pre)`` gets a copy-only twin ``<net>_dup``
+    added after it.  Topological order visits the twin first, so ``net``
+    strash-hits the twin's variable, which has no base gate to sweep
+    against, and is left as an output obligation."""
+    mutant = circuit.clone(f"{circuit.name}_shadow")
+    driver = mutant.remove_gate(net)
+    mutant.add_gate(f"{net}_pre", driver.kind, driver.inputs, cell=driver.cell)
+    mutant.add_gate(f"{net}_inv", "INV", [f"{net}_pre"])
+    mutant.add_gate(net, "INV", [f"{net}_inv"])
+    mutant.add_gate(f"{net}_dup", "INV", [f"{net}_inv"])
+    mutant.validate()
+    return mutant
+
+
 def _assert_counterexample_real(base, copy, counterexample):
     left = Simulator(base).run_single(counterexample)
     right = Simulator(copy).run_single(counterexample)
@@ -217,6 +234,23 @@ class TestSessionMechanics:
         assert detail["outputs_sat"] == 0
         assert detail["points_merged"] >= 1
         assert detail["points_swept"] == detail["points_merged"] + detail["points_refuted"]
+
+    def test_output_obligation_proves_an_equivalent_copy(self):
+        """An output the sweep leaves unmerged is proven by its difference
+        detector: the copy is EQUIVALENT through one output obligation,
+        matching the scratch checker."""
+        from repro.bench.suite import build_benchmark
+
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        copy = embed(base, catalog, FingerprintCodec(catalog).encode(12345)).circuit
+        shadowed = shadowed_output(copy, copy.outputs[0])
+        result = IncrementalCecSession(base).verify(
+            shadowed, budget=Budget(max_conflicts=5000)
+        )
+        assert result.detail["outputs_sat"] == 1
+        assert result.verdict is CecVerdict.EQUIVALENT
+        assert result.verdict is sat_equivalent(base, shadowed).verdict
 
     def test_rare_internal_difference_is_not_merged(self):
         """A point whose signature matches its base twin but whose function
