@@ -94,7 +94,6 @@ def _ladder_config(args: argparse.Namespace) -> LadderConfig:
         use_sat=not args.no_sat,
         n_random_vectors=args.random_vectors,
         sat_simplify=not args.no_simplify,
-        sat_portfolio=args.portfolio,
     )
 
 
@@ -132,11 +131,6 @@ def _add_ladder_options(p: argparse.ArgumentParser) -> None:
         "--no-simplify", action="store_true",
         help="skip SatELite-style CNF preprocessing before scratch miter "
              "solves (preprocessing is verdict-neutral and on by default)",
-    )
-    group.add_argument(
-        "--portfolio", type=int, default=0, metavar="N",
-        help="race N solver configurations per hard incremental SAT "
-             "obligation, first verdict wins (default: 0 = off)",
     )
 
 

@@ -78,12 +78,6 @@ class LadderConfig:
             (:mod:`repro.sat.preprocess`) on scratch miters before solving.
             Verdict-neutral (the differential suite pins it); off switches
             to the raw miter.
-        sat_portfolio: When ≥ 2, the incremental session's output
-            obligations left after its sweep, if their dirty cones are
-            large, race that many solver configurations in parallel
-            processes, first verdict wins (sweep solves are never raced).
-            0 disables racing (the default — racing spends cores for
-            latency).
     """
 
     max_exhaustive_inputs: int = 16
@@ -93,7 +87,6 @@ class LadderConfig:
     seed: int = 0
     detectable_rate: float = 1e-3
     sat_simplify: bool = True
-    sat_portfolio: int = 0
 
     def __post_init__(self) -> None:
         def check(name: str, kind: type, label: str) -> None:
@@ -102,7 +95,7 @@ class LadderConfig:
             if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
                 raise TypeError(f"{name} must be {label}, got {value!r}")
 
-        for name in ("max_exhaustive_inputs", "n_random_vectors", "seed", "sat_portfolio"):
+        for name in ("max_exhaustive_inputs", "n_random_vectors", "seed"):
             check(name, numbers.Integral, "an int")
         for name in ("use_sat", "sat_simplify"):
             check(name, bool, "a bool")
@@ -112,8 +105,6 @@ class LadderConfig:
             raise ValueError("max_exhaustive_inputs must be >= 0")
         if self.n_random_vectors < 1:
             raise ValueError("n_random_vectors must be >= 1")
-        if self.sat_portfolio < 0:
-            raise ValueError("sat_portfolio must be >= 0")
         if not 0.0 < self.detectable_rate <= 1.0:
             raise ValueError("detectable_rate must be in (0, 1]")
 
@@ -289,11 +280,7 @@ def _run_tiers(
         try:
             with tier_span:
                 if session is not None:
-                    cec = session.verify(
-                        right,
-                        budget=tier_budget,
-                        portfolio=config.sat_portfolio,
-                    )
+                    cec = session.verify(right, budget=tier_budget)
                 else:
                     cec = sat_check(
                         left,

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from ..hashing import gate_key
 from .cec import CecResult, CecVerdict
 from .preprocess import INCREMENTAL_SAFE, preprocess
 from .solver import CdclSolver, SolverConfig
-from . import portfolio as portfolio_mod
 from .tseitin import _encode, encode_circuit
 
 
@@ -205,16 +204,7 @@ class IncrementalCecSession:
             max_decisions = max(0, budget.max_decisions - decisions_spent)
         return Budget(deadline, max_conflicts, max_decisions)
 
-    #: Dirty-cone size (nets) above which an obligation counts as "hard"
-    #: and is raced across portfolio configurations when racing is on.
-    PORTFOLIO_CONE_THRESHOLD = 32
-
-    def verify(
-        self,
-        copy: Circuit,
-        budget: Optional[Budget] = None,
-        portfolio: int = 0,
-    ) -> CecResult:
+    def verify(self, copy: Circuit, budget: Optional[Budget] = None) -> CecResult:
         """Check one copy against the base; returns a :class:`CecResult`.
 
         Semantics match :func:`repro.sat.cec.check` (three-valued verdict,
@@ -223,17 +213,8 @@ class IncrementalCecSession:
         outputs were discharged and how many points the sweep tried,
         merged and refuted.  The budget bounds this call as a whole: the
         conflicts/decisions of the sweep's solves and of earlier outputs
-        count against every later solve.
-
-        ``portfolio`` ≥ 2 races that many solver configurations (in OS
-        processes, first verdict wins) on each *hard* output obligation
-        left after the sweep — one whose dirty cone reaches
-        :data:`PORTFOLIO_CONE_THRESHOLD` nets — seeded with the solver's
-        clause database (the base encoding, the copy's delta and what its
-        sweep and earlier obligations learned).  Sweep solves are never
-        raced.  Racer work is merged into the session's solver stats
-        exactly once; verdicts are unaffected (every configuration is
-        sound and complete).
+        count against every later solve.  Each output obligation left
+        after the sweep is solved on the copy's solver, hardest last.
         """
         with telemetry.span(
             "cec.verify", design=copy.name, outputs=len(copy.outputs)
@@ -248,7 +229,7 @@ class IncrementalCecSession:
                 self._load_base()
                 self.solver.stats = previous.stats
                 telemetry.count("sat.incremental.rebuilds")
-            result = self._verify(copy, budget, portfolio)
+            result = self._verify(copy, budget)
             detail = result.detail
             verify_span.set(
                 verdict=result.verdict.value,
@@ -265,12 +246,7 @@ class IncrementalCecSession:
             telemetry.count("sat.incremental.points_merged", detail["points_merged"])
             return result
 
-    def _verify(
-        self,
-        copy: Circuit,
-        budget: Optional[Budget],
-        portfolio: int = 0,
-    ) -> CecResult:
+    def _verify(self, copy: Circuit, budget: Optional[Budget]) -> CecResult:
         if self.base.version != self._base_version:
             raise ValueError("base circuit was mutated after session construction")
         if set(copy.inputs) != set(self.base.inputs):
@@ -400,8 +376,7 @@ class IncrementalCecSession:
                     stack.extend(gate.inputs)
             return count
 
-        cone_size = {net: dirty_cone_size(net) for net in affected}
-        order = sorted(affected, key=cone_size.__getitem__)
+        order = sorted(affected, key=dirty_cone_size)
         for position, net in enumerate(order):
             reason, remaining = rest()
             if reason is not None:
@@ -417,32 +392,13 @@ class IncrementalCecSession:
                 [diff_var, left, -right],
             ):
                 solver.add_clause(clause)
-            if portfolio >= 2 and cone_size[net] >= self.PORTFOLIO_CONE_THRESHOLD:
-                outcome = portfolio_mod.race(
-                    solver.n_vars,
-                    solver.export_clauses(),
-                    assumptions=[diff_var],
-                    configs=portfolio_mod.configs_for(portfolio),
-                    budget=remaining,
-                )
-                # Fold all racers' counters into the session's stats
-                # exactly once (rates recompute from raw counters).
-                solver.stats.merge(outcome.stats)
-                detail["portfolio_races"] = int(detail.get("portfolio_races", 0)) + 1
-                unknown, satisfiable = outcome.unknown, outcome.satisfiable
-                reason = outcome.reason
-                model = outcome.model
-            else:
-                result = solver.solve(assumptions=[diff_var], budget=remaining)
-                unknown, satisfiable = result.unknown, result.satisfiable
-                reason = result.reason
-                model = result.model
+            result = solver.solve(assumptions=[diff_var], budget=remaining)
             detail["outputs_sat"] = position + 1
-            if unknown:
-                return undecided("undecided_output", net, reason)
-            if satisfiable:
+            if result.unknown:
+                return undecided("undecided_output", net, result.reason)
+            if result.satisfiable:
                 counterexample = {
-                    name: int(model.get(base_var[name], False))
+                    name: int(result.model.get(base_var[name], False))
                     for name in self.base.inputs
                 }
                 self.stats.sat_disproofs += 1
@@ -458,15 +414,3 @@ class IncrementalCecSession:
             f"{len(order)} miter obligations proven UNSAT",
             detail,
         )
-
-    def verify_many(
-        self,
-        copies: Sequence[Circuit],
-        budget: Optional[Budget] = None,
-        portfolio: int = 0,
-    ) -> List[CecResult]:
-        """Verify copies in order (each bounded by its own ``budget``)."""
-        return [
-            self.verify(copy, budget=budget, portfolio=portfolio)
-            for copy in copies
-        ]

@@ -46,10 +46,10 @@ however many solves a persistent solver serves.  The branch variable is
 the unassigned variable of highest activity, lowest index on ties.
 
 Exception contract: an exception escaping :meth:`CdclSolver.solve` (a
-``KeyboardInterrupt``, a signal-driven timeout, a raising ``interrupt``
-hook) can land anywhere, even mid watch-list compaction, so the solver
-marks itself unusable.  Every later ``solve`` / ``add_clause`` /
-``new_var`` raises :class:`SolverAbortedError`; build a fresh solver.
+``KeyboardInterrupt``, a signal-driven timeout) can land anywhere, even
+mid watch-list compaction, so the solver marks itself unusable.  Every
+later ``solve`` / ``add_clause`` / ``new_var`` raises
+:class:`SolverAbortedError`; build a fresh solver.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..budget import Budget, UNLIMITED
@@ -81,11 +81,6 @@ class SolverAbortedError(ReproError, RuntimeError):
 def _to_internal(lit: int) -> int:
     var = abs(lit)
     return 2 * var + (1 if lit < 0 else 0)
-
-
-def _to_external(lit: int) -> int:
-    var = lit >> 1
-    return -var if lit & 1 else var
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,11 @@ class SolverConfig:
     cla_decay: float = 0.999
 
     def key(self) -> str:
-        """Stable short string identifying this configuration (cache keys)."""
+        """Stable short string identifying this configuration.
+
+        The SAT trajectory pin (``tests/golden/sat_trajectory.json``)
+        keys each configuration's recorded outcomes by it.
+        """
         return (
             f"r{self.restart_base}-p{int(self.phase_saving)}"
             f"-m{int(self.minimize)}-f{int(self.flat_watches)}"
@@ -189,34 +188,9 @@ class SolverStats:
         Routed through :func:`repro.telemetry.safe_rate`, so an instant
         solve on a coarse clock (``solve_seconds == 0``) reports 0.0
         instead of raising ``ZeroDivisionError``.  Derived from the raw
-        counters on every read — never stored — so merged stats report
-        the true aggregate rate instead of a sum or average of rates.
+        counters on every read, never stored.
         """
         return safe_rate(self.propagations, self.solve_seconds)
-
-    def merge(self, other: "SolverStats") -> "SolverStats":
-        """Fold another worker's counters into this one, in place.
-
-        Raw counters and phase seconds add; ``max_decision_level`` takes
-        the maximum.  Derived rates (``propagations_per_sec``) are *not*
-        summed — they recompute from the merged raw counters, which is
-        what keeps portfolio/pool aggregation free of double counting.
-        Returns ``self`` so merges chain.
-        """
-        for name in self._SUM_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.max_decision_level = max(
-            self.max_decision_level, other.max_decision_level
-        )
-        return self
-
-    @classmethod
-    def merged(cls, many: Sequence["SolverStats"]) -> "SolverStats":
-        """A fresh stats object folding ``many`` together (each once)."""
-        total = cls()
-        for stats in many:
-            total.merge(stats)
-        return total
 
     def as_dict(self) -> Dict[str, float]:
         """JSON-ready snapshot including the derived throughput."""
@@ -470,22 +444,6 @@ class CdclSolver:
             return True
         self._add_clause(simplified)
         return True
-
-    def export_clauses(self) -> List[List[int]]:
-        """The live clause database in external (DIMACS) literals.
-
-        Includes root-level implied units and every original *and*
-        learned clause — learned clauses are logical consequences, so the
-        export is equivalent to the solver's accumulated formula.  Used
-        by the portfolio runner to seed racing solvers.
-        """
-        out: List[List[int]] = [
-            [_to_external(lit)] for lit in self._trail
-            if self._level[lit >> 1] == 0
-        ]
-        for clause in self._clauses:
-            out.append([_to_external(lit) for lit in clause])
-        return out
 
     # ------------------------------------------------------------------ #
     # clause / assignment plumbing
@@ -974,7 +932,6 @@ class CdclSolver:
         self,
         assumptions: Sequence[int] = (),
         budget: Optional[Budget] = None,
-        interrupt: Optional[Callable[[], bool]] = None,
     ) -> SatResult:
         """Solve, optionally under external (DIMACS-signed) assumptions.
 
@@ -987,14 +944,9 @@ class CdclSolver:
         limit — it never raises and never runs unbounded.  The solver
         always returns at decision level 0, ready for the next
         :meth:`add_clause` / :meth:`solve`.  If an exception escapes
-        instead (a signal-driven timeout, ``KeyboardInterrupt``, a raising
-        ``interrupt``), it propagates and the solver becomes unusable:
-        later calls raise :class:`SolverAbortedError`.
-
-        ``interrupt`` is polled at the same cadence as the budget; when it
-        returns true the solver stops with UNKNOWN (reason
-        ``"interrupted"``) — the cooperative cancellation hook used by the
-        portfolio runner to stop racing losers.
+        instead (a signal-driven timeout, ``KeyboardInterrupt``), it
+        propagates and the solver becomes unusable: later calls raise
+        :class:`SolverAbortedError`.
         """
         self._check_usable()
         stats = self.stats
@@ -1003,7 +955,7 @@ class CdclSolver:
         start = time.perf_counter()
         with telemetry.span("sat.solve", vars=self.n_vars) as solve_span:
             try:
-                result = self._solve(assumptions, budget, interrupt)
+                result = self._solve(assumptions, budget)
             except BaseException:
                 self._aborted = True
                 raise
@@ -1027,7 +979,6 @@ class CdclSolver:
         self,
         assumptions: Sequence[int],
         budget: Optional[Budget],
-        interrupt: Optional[Callable[[], bool]] = None,
     ) -> SatResult:
         clock = (budget if budget is not None else UNLIMITED).start()
         limited = not clock.budget.unlimited
@@ -1074,11 +1025,6 @@ class CdclSolver:
                 stats.conflicts += 1
                 conflicts_since_restart += 1
                 self._cla_inc /= self._cla_decay
-                if interrupt is not None and interrupt():
-                    self._backjump(0)
-                    return SatResult(
-                        SatStatus.UNKNOWN, None, stats, "interrupted"
-                    )
                 if limited:
                     reason = clock.exhausted_reason(
                         stats.conflicts - conflicts_base,
@@ -1126,9 +1072,6 @@ class CdclSolver:
                 else:
                     self._maybe_reduce_db()
                 continue
-            if interrupt is not None and interrupt():
-                self._backjump(0)
-                return SatResult(SatStatus.UNKNOWN, None, stats, "interrupted")
             if limited:
                 reason = clock.exhausted_reason(
                     stats.conflicts - conflicts_base,

@@ -50,7 +50,6 @@ from repro.netlist import read_blif
 from repro.sat import incremental
 from repro.sat.cec import build_miter
 from repro.sat.cnf import Cnf
-from repro.sat.portfolio import PORTFOLIO_CONFIGS
 from repro.sat.preprocess import preprocess
 from repro.sat.solver import LEGACY_CONFIG, CdclSolver, SolverConfig, SolverStats
 from repro.techmap import map_network
@@ -78,11 +77,21 @@ SESSION_COPIES = 8
 #: Random 3-SAT: variables, clauses, solves, assumptions per solve, budget.
 RANDOM_SHAPE = (110, 450, 30, 3, 300)
 
+#: Non-default heuristics replayed next to the default and legacy
+#: configurations: short and long restarts, no phase saving, and faster
+#: and slower activity decay, so the pin covers learned-clause reduction
+#: and activity rescaling too.
+VARIANT_CONFIGS = (
+    SolverConfig(restart_base=30, var_decay=0.90),
+    SolverConfig(restart_base=400, phase_saving=False),
+    SolverConfig(restart_base=100, var_decay=0.99, cla_decay=0.995),
+)
+
 
 def pinned_configs() -> List[SolverConfig]:
-    """Default, legacy and the portfolio lineup, each configuration once."""
+    """Default, legacy and the variants, each configuration once."""
     configs: Dict[str, SolverConfig] = {}
-    for config in (SolverConfig(), LEGACY_CONFIG) + tuple(PORTFOLIO_CONFIGS):
+    for config in (SolverConfig(), LEGACY_CONFIG) + VARIANT_CONFIGS:
         configs.setdefault(config.key(), config)
     return list(configs.values())
 
@@ -157,12 +166,12 @@ class _RecordingSolver(CdclSolver):
         self._log["calls"].append(["add_clause", list(literals)])
         return super().add_clause(literals)
 
-    def solve(self, assumptions=(), budget=None, interrupt=None):
+    def solve(self, assumptions=(), budget=None):
         max_conflicts = budget.max_conflicts if budget is not None else None
         if max_conflicts is None:
             raise ValueError("pinned solves need a conflict budget")
         self._log["calls"].append(["solve", list(assumptions), max_conflicts])
-        return super().solve(assumptions, Budget(max_conflicts=max_conflicts), interrupt)
+        return super().solve(assumptions, Budget(max_conflicts=max_conflicts))
 
 
 def _c17():

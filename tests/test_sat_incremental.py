@@ -207,7 +207,8 @@ class TestSessionMechanics:
                 solver.stats.conflicts - conflicts,
                 solver.stats.propagations - propagations,
                 solver.n_vars,
-                len(solver.export_clauses()),
+                len(solver._trail),
+                len(solver._clauses),
             )
 
         alone = outcome(IncrementalCecSession(base))
@@ -407,15 +408,11 @@ class TestAbortedSolve:
         ]
         session = IncrementalCecSession(base)
         aborted = session.solver
-        real_solve = aborted.solve
 
-        def abort(assumptions=(), budget=None, interrupt=None):
-            def boom():
-                raise self.Abort()
+        def abort():
+            raise self.Abort()
 
-            return real_solve(assumptions, budget, interrupt=boom)
-
-        aborted.solve = abort
+        aborted._pick_branch = abort
         with pytest.raises(self.Abort):
             session.verify(copies[0])
         assert not aborted.usable

@@ -232,32 +232,8 @@ class TestSolverStatsExtensions:
         assert stats.propagations_per_sec > 0.0
         assert stats.learned_deleted == 0  # tiny instance: nothing reduced
 
-    def test_merge_sums_counters_without_double_counting_rates(self):
-        """propagations_per_sec must recompute from merged raw counters,
-        not add worker rates — the portfolio/pool aggregation contract."""
-        a = SolverStats(propagations=1000, solve_seconds=1.0,
-                        decisions=10, max_decision_level=5)
-        b = SolverStats(propagations=3000, solve_seconds=1.0,
-                        decisions=30, max_decision_level=9)
-        rate_a, rate_b = a.propagations_per_sec, b.propagations_per_sec
-        merged = SolverStats.merged([a, b])
-        assert merged.propagations == 4000
-        assert merged.decisions == 40
-        assert merged.solve_seconds == pytest.approx(2.0)
-        assert merged.max_decision_level == 9
-        # 4000 props / 2 s = 2000/s — NOT rate_a + rate_b (= 4000/s).
-        assert merged.propagations_per_sec == pytest.approx(2000.0)
-        assert merged.propagations_per_sec < rate_a + rate_b
-        # inputs are untouched, and merge() chains in place
-        assert a.propagations == 1000 and b.propagations == 3000
-        chained = SolverStats().merge(a).merge(b)
-        assert chained.as_dict() == merged.as_dict()
-
-    def test_merge_zero_seconds_is_safe(self):
-        merged = SolverStats.merged(
-            [SolverStats(propagations=10), SolverStats(propagations=5)]
-        )
-        assert merged.propagations_per_sec == 0.0
+    def test_rate_is_zero_without_solve_time(self):
+        assert SolverStats(propagations=15).propagations_per_sec == 0.0
 
     def test_db_reduction_deletes_learned_clauses(self):
         """Force database reduction with a tiny limit and frequent
@@ -322,16 +298,18 @@ class TestAbortedSolve:
     def test_solver_refuses_reuse_after_abort(self):
         cnf = random_3sat(80, 320, seed=11)
         solver = CdclSolver(cnf)
-        polls = [0]
+        real_pick = solver._pick_branch
+        picks = [0]
 
-        def interrupt():
-            polls[0] += 1
-            if polls[0] > 5:  # mid-search, decision levels open
+        def pick():
+            picks[0] += 1
+            if picks[0] > 5:  # mid-search, decision levels open
                 raise self.Abort()
-            return False
+            return real_pick()
 
+        solver._pick_branch = pick
         with pytest.raises(self.Abort):
-            solver.solve(assumptions=[1, -2], interrupt=interrupt)
+            solver.solve(assumptions=[1, -2])
         assert not solver.usable
         with pytest.raises(SolverAbortedError):
             solver.solve()

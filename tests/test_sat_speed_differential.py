@@ -1,7 +1,7 @@
 """Differential harness: the fast SAT pipeline must match the baseline.
 
 The raw-speed program (preprocessing, learned-clause minimization, flat
-watch lists, restarts, portfolio racing) is only admissible because it is
+watch lists, restarts) is only admissible because it is
 *bit-identical in verdicts* to the pre-existing solver path.  This suite
 enforces that:
 

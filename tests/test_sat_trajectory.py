@@ -38,8 +38,8 @@ def test_replay_matches_pin(name):
         assert replay(scenario, CONFIGS[key]) == expected, (name, key)
 
 
-# The random run reaches reduction and rescale only under the portfolio's
-# decay-varied configs, so under the default config it adds nothing the
+# The random run reaches reduction and rescale only under the generator's
+# variant configs, so under the default config it adds nothing the
 # circuit scenarios do not already cover; skipping it keeps the file fast.
 @pytest.mark.parametrize("name", [n for n in SCENARIOS if not n.startswith("random")])
 def test_profiled_replay_matches_pin(name):

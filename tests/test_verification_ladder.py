@@ -192,7 +192,6 @@ def test_session_base_mismatch_rejected(wide_pair, fig1_circuit):
     ("n_random_vectors", -5, ValueError),
     ("n_random_vectors", 2.5, TypeError),
     ("seed", True, TypeError),
-    ("sat_portfolio", -1, ValueError),
     ("use_sat", 1, TypeError),
     ("sat_simplify", "yes", TypeError),
     ("detectable_rate", 0.0, ValueError),
