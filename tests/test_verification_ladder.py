@@ -195,6 +195,7 @@ def test_session_base_mismatch_rejected(wide_pair, fig1_circuit):
     ("use_sat", 1, TypeError),
     ("sat_simplify", "yes", TypeError),
     ("detectable_rate", 0.0, ValueError),
+    ("detectable_rate", 1.5, ValueError),
     ("detectable_rate", "1e-3", TypeError),
     ("sat_budget", {"max_conflicts": 5}, TypeError),
 ])
