@@ -1,9 +1,23 @@
 """Unit tests for static timing analysis and delay models."""
 
+import random
+
 import pytest
 
+from repro.bench import build_benchmark
+from repro.fingerprint import FingerprintedCircuit, find_locations
 from repro.netlist import Circuit
-from repro.timing import LIBRARY_DELAY, UNIT_DELAY, LibraryDelay, WireDelay, analyze, critical_delay, critical_path_nets
+from repro.timing import (
+    LIBRARY_DELAY,
+    OUTPUT_PAD_LOAD,
+    UNIT_DELAY,
+    WIRE_DELAY,
+    LibraryDelay,
+    WireDelay,
+    analyze,
+    critical_delay,
+    critical_path_nets,
+)
 
 
 class TestUnitDelay:
@@ -116,3 +130,68 @@ class TestReports:
         default = analyze(fig1_circuit).critical_delay
         explicit = analyze(fig1_circuit, WireDelay()).critical_delay
         assert default == pytest.approx(explicit)
+
+
+def reference_library_delay(circuit, gate):
+    """Per-gate library delay, walking the consumers of ``gate``."""
+    load = 0.0
+    for consumer_name in circuit.fanouts(gate.name):
+        consumer = circuit.gate(consumer_name)
+        pins = sum(1 for n in consumer.inputs if n == gate.name)
+        load += pins * consumer.cell.input_cap
+    if circuit.is_output(gate.name):
+        load += OUTPUT_PAD_LOAD
+    return gate.cell.intrinsic_delay + gate.cell.load_delay * load
+
+
+def reference_wire_delay(per_level):
+    def delay(circuit, gate):
+        base = reference_library_delay(circuit, gate)
+        if per_level == 0:
+            return base
+        levels = circuit.levels()
+        my_level = levels.get(gate.name, 0)
+        total_span = 0
+        for consumer in circuit.fanouts(gate.name):
+            span = levels.get(consumer, 0) - my_level - 1
+            if span > 0:
+                total_span += span
+        return base + per_level * total_span
+
+    return delay
+
+
+def reference_unit_delay(circuit, gate):
+    return 0.0 if gate.kind in ("CONST0", "CONST1") else 1.0
+
+
+#: (model, per-gate reference) pairs the replay compares.
+MODEL_REFERENCES = [
+    (WIRE_DELAY, reference_wire_delay(WIRE_DELAY.per_level)),
+    (LIBRARY_DELAY, reference_library_delay),
+    (UNIT_DELAY, reference_unit_delay),
+    (WireDelay(per_level=0.7), reference_wire_delay(0.7)),
+]
+
+
+class TestDelaysFollowEdits:
+    """Delay models must see every edit of the circuit they time."""
+
+    @pytest.mark.parametrize("design,seed", [("C432", 0), ("C432", 1), ("C499", 2)])
+    def test_random_apply_remove_replay(self, design, seed):
+        base = build_benchmark(design)
+        fp = FingerprintedCircuit(base, find_locations(base))
+        targets = sorted(slot.target for slot in fp.catalog.slots())
+        rng = random.Random(seed)
+        for _ in range(40):
+            target = rng.choice(targets)
+            if target in fp.applied and rng.random() < 0.5:
+                fp.remove(target)
+            else:
+                fp.apply(target, rng.randint(1, len(fp.slot(target).variants)))
+            circuit = fp.circuit
+            for model, reference in MODEL_REFERENCES:
+                for gate in circuit.gates:
+                    assert model.gate_delay(circuit, gate) == reference(circuit, gate), (
+                        gate.name
+                    )
