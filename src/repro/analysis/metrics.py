@@ -13,7 +13,7 @@ from typing import Dict, Optional
 from ..netlist.circuit import Circuit
 from ..power.estimate import estimate_power
 from ..timing.delay_models import DelayModel
-from ..timing.sta import analyze
+from ..timing.sta import critical_delay
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,11 @@ def total_area(circuit: Circuit) -> float:
 
 def measure(circuit: Circuit, delay_model: Optional[DelayModel] = None) -> Metrics:
     """Measure area, critical delay and estimated power of ``circuit``."""
-    timing = analyze(circuit, delay_model)
-    power = estimate_power(circuit)
     return Metrics(
         name=circuit.name,
         gates=circuit.n_gates,
         depth=circuit.depth(),
         area=total_area(circuit),
-        delay=timing.critical_delay,
-        power=power.total,
+        delay=critical_delay(circuit, delay_model),
+        power=estimate_power(circuit).total,
     )

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from ..netlist.circuit import Circuit
 from ..timing.delay_models import DelayModel
-from ..timing.sta import analyze, critical_delay
+from ..timing.sta import analyze, critical_delay, critical_path_nets
 from .capacity import capacity
 from .embed import FingerprintedCircuit, representative_slots
 from .locations import LocationCatalog
@@ -128,8 +128,7 @@ def reactive_delay_constrain(
 
     current = critical_delay(fp.circuit, delay_model)
     while fp.n_active > 0 and current > budget + tolerance:
-        report = analyze(fp.circuit, delay_model)
-        critical_nets = set(report.critical_path)
+        critical_nets = set(critical_path_nets(fp.circuit, delay_model))
         candidates = _candidates_on_critical_path(fp, critical_nets)
         best_target: Optional[str] = None
         best_delay = current

@@ -12,7 +12,7 @@ raises its intrinsic delay (bigger cell) and adds load to the trigger net.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Dict, Protocol
 
 from ..netlist.circuit import Circuit, Gate
 
@@ -41,14 +41,7 @@ class LibraryDelay:
     """Linear delay: ``intrinsic + load_coefficient * driven_capacitance``."""
 
     def gate_delay(self, circuit: Circuit, gate: Gate) -> float:
-        load = 0.0
-        for consumer_name in circuit.fanouts(gate.name):
-            consumer = circuit.gate(consumer_name)
-            # A net may enter the same consumer on several pins.
-            pins = sum(1 for n in consumer.inputs if n == gate.name)
-            load += pins * consumer.cell.input_cap
-        if circuit.is_output(gate.name):
-            load += OUTPUT_PAD_LOAD
+        load = driven_loads(circuit).get(gate.name, 0.0)
         return gate.cell.intrinsic_delay + gate.cell.load_delay * load
 
 
@@ -80,14 +73,52 @@ class WireDelay(LibraryDelay):
         base = LibraryDelay.gate_delay(self, circuit, gate)
         if self.per_level == 0:
             return base
-        levels = circuit.levels()
-        my_level = levels.get(gate.name, 0)
-        total_span = 0
-        for consumer in circuit.fanouts(gate.name):
-            span = levels.get(consumer, 0) - my_level - 1
+        return base + self.per_level * wire_spans(circuit).get(gate.name, 0)
+
+
+def driven_loads(circuit: Circuit) -> Dict[str, float]:
+    """Capacitance each net drives: consumer input pins, then its PO pad.
+
+    One pass over the gate table, cached on the circuit's version.  Each
+    net's loads are added in gate-table order, the order
+    :meth:`Circuit.fanouts` lists its consumers, and the pad load last,
+    so every sum repeats the same float additions as a walk over that
+    net's consumers would.
+    """
+    return circuit.cached("timing.loads", lambda: _driven_loads(circuit))
+
+
+def _driven_loads(circuit: Circuit) -> Dict[str, float]:
+    loads: Dict[str, float] = {}
+    for consumer in circuit:
+        cap = consumer.cell.input_cap
+        inputs = consumer.inputs
+        for net in inputs:
+            # A net may enter the same consumer on several pins.
+            loads[net] = loads.get(net, 0.0) + inputs.count(net) * cap
+    for net in set(circuit.outputs):
+        loads[net] = loads.get(net, 0.0) + OUTPUT_PAD_LOAD
+    return loads
+
+
+def wire_spans(circuit: Circuit) -> Dict[str, int]:
+    """Summed level span from each net to its consumers (see WireDelay).
+
+    One pass over the gate table, cached on the circuit's version.
+    """
+    return circuit.cached("timing.spans", lambda: _wire_spans(circuit))
+
+
+def _wire_spans(circuit: Circuit) -> Dict[str, int]:
+    levels = circuit.levels()
+    spans: Dict[str, int] = {}
+    for consumer in circuit:
+        reach = levels.get(consumer.name, 0) - 1
+        for net in consumer.inputs:
+            span = reach - levels.get(net, 0)
             if span > 0:
-                total_span += span
-        return base + self.per_level * total_span
+                spans[net] = spans.get(net, 0) + span
+    return spans
 
 
 #: Shared default instances.

@@ -11,10 +11,9 @@ more slack than the delay budget allows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..ir import compile_circuit
 from ..netlist.circuit import Circuit
 from .delay_models import DEFAULT_DELAY_MODEL, DelayModel
 
@@ -47,68 +46,74 @@ def analyze(circuit: Circuit, model: Optional[DelayModel] = None) -> TimingRepor
 
     An empty circuit reports zero delay.
     """
+    return _timed(circuit, lambda: _analyze(circuit, model))
+
+
+def critical_delay(circuit: Circuit, model: Optional[DelayModel] = None) -> float:
+    """The circuit's critical-path delay (arrival pass only)."""
+    return _timed(
+        circuit, lambda: _critical(circuit, _arrivals(circuit, model)[0])
+    )
+
+
+def critical_path_nets(circuit: Circuit, model: Optional[DelayModel] = None) -> List[str]:
+    """Nets on one maximal-delay path, PI side first (arrival pass only)."""
+    return _timed(
+        circuit, lambda: _trace_critical_path(circuit, _arrivals(circuit, model)[0])
+    )
+
+
+def _timed(circuit: Circuit, run):
+    """Run one timing pass under the ``timing.sta`` span and counter."""
     with telemetry.span("timing.sta", design=circuit.name, gates=circuit.n_gates):
-        report = _analyze(circuit, model)
+        result = run()
     telemetry.count("timing.analyses")
-    return report
+    return result
+
+
+def _arrivals(
+    circuit: Circuit, model: Optional[DelayModel]
+) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Arrival time of every net and delay of every gate, in one walk."""
+    gate_delay = (model if model is not None else DEFAULT_DELAY_MODEL).gate_delay
+    arrival: Dict[str, float] = {net: 0.0 for net in circuit.inputs}
+    gate_delays: Dict[str, float] = {}
+    for gate in circuit.topological_order():
+        delay = gate_delay(circuit, gate)
+        gate_delays[gate.name] = delay
+        if gate.inputs:
+            arrival[gate.name] = delay + max(map(arrival.__getitem__, gate.inputs))
+        else:
+            arrival[gate.name] = delay
+    return arrival, gate_delays
+
+
+def _critical(circuit: Circuit, arrival: Dict[str, float]) -> float:
+    if not arrival:
+        return 0.0
+    output_arrivals = [arrival[n] for n in circuit.outputs if n in arrival]
+    return max(output_arrivals) if output_arrivals else max(arrival.values())
 
 
 def _analyze(circuit: Circuit, model: Optional[DelayModel]) -> TimingReport:
-    model = model if model is not None else DEFAULT_DELAY_MODEL
-    edge_fn = getattr(model, "edge_delay", None)
-    arrival: Dict[str, float] = {net: 0.0 for net in circuit.inputs}
-    gate_delays: Dict[str, float] = {}
-    order = compile_circuit(circuit).gates_in_order()
-    for gate in order:
-        delay = model.gate_delay(circuit, gate)
-        gate_delays[gate.name] = delay
-        if gate.inputs:
-            if edge_fn is None:
-                slowest = max(arrival[n] for n in gate.inputs)
-            else:
-                slowest = max(
-                    arrival[n] + edge_fn(circuit, gate, n) for n in gate.inputs
-                )
-            arrival[gate.name] = delay + slowest
-        else:
-            arrival[gate.name] = delay
-
-    if arrival:
-        output_arrivals = [arrival[n] for n in circuit.outputs if n in arrival]
-        critical = max(output_arrivals) if output_arrivals else max(arrival.values())
-    else:
-        critical = 0.0
-
+    arrival, gate_delays = _arrivals(circuit, model)
+    critical = _critical(circuit, arrival)
     required: Dict[str, float] = {net: critical for net in arrival}
-    for net in circuit.outputs:
-        if net in required:
-            required[net] = min(required[net], critical)
-    for gate in reversed(order):
-        gate_required = required[gate.name]
-        budget = gate_required - gate_delays[gate.name]
+    for gate in reversed(circuit.topological_order()):
+        budget = required[gate.name] - gate_delays[gate.name]
         for net in gate.inputs:
-            slack_budget = budget
-            if edge_fn is not None:
-                slack_budget = budget - edge_fn(circuit, gate, net)
-            if slack_budget < required[net]:
-                required[net] = slack_budget
-
-    critical_path = _trace_critical_path(circuit, arrival, gate_delays, edge_fn)
+            if budget < required[net]:
+                required[net] = budget
     return TimingReport(
         critical_delay=critical,
         arrival=arrival,
         required=required,
         gate_delays=gate_delays,
-        critical_path=critical_path,
+        critical_path=_trace_critical_path(circuit, arrival),
     )
 
 
-def _trace_critical_path(
-    circuit: Circuit,
-    arrival: Dict[str, float],
-    gate_delays: Dict[str, float],
-    edge_fn=None,
-) -> List[str]:
+def _trace_critical_path(circuit: Circuit, arrival: Dict[str, float]) -> List[str]:
     if not arrival:
         return []
     outputs = [n for n in circuit.outputs if n in arrival] or list(arrival)
@@ -118,22 +123,7 @@ def _trace_critical_path(
         gate = circuit.driver(current)
         if gate is None or not gate.inputs:
             break
-        if edge_fn is None:
-            current = max(gate.inputs, key=lambda n: arrival[n])
-        else:
-            current = max(
-                gate.inputs, key=lambda n: arrival[n] + edge_fn(circuit, gate, n)
-            )
+        current = max(gate.inputs, key=lambda n: arrival[n])
         path.append(current)
     path.reverse()
     return path
-
-
-def critical_delay(circuit: Circuit, model: Optional[DelayModel] = None) -> float:
-    """The circuit's critical-path delay (convenience wrapper)."""
-    return analyze(circuit, model).critical_delay
-
-
-def critical_path_nets(circuit: Circuit, model: Optional[DelayModel] = None) -> List[str]:
-    """Nets on one maximal-delay path, PI side first."""
-    return analyze(circuit, model).critical_path

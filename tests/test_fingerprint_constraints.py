@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fingerprint import embed, find_locations, full_assignment, proactive_delay_constrain, reactive_delay_constrain
+from repro.ir.compiled import CompiledCircuit
 from repro.sim import check_equivalence
 from repro.timing import critical_delay
 from repro.bench import build_benchmark
@@ -68,6 +69,25 @@ class TestReactive:
         result = reactive_delay_constrain(copy, 0.01)
         assert len(result.steps) == result.removed
         assert all(kind in ("greedy", "random") for kind, _ in result.steps)
+
+
+    def test_pruning_loop_compiles_no_ir(self, monkeypatch):
+        # Each trial version is timed once and discarded; timing walks the
+        # circuit's own topological order, so no version needs an IR.
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        copy = embed(base, catalog, full_assignment(base, catalog))
+        builds = []
+        build = CompiledCircuit.__init__
+
+        def counting_build(self, circuit):
+            builds.append(circuit.version)
+            build(self, circuit)
+
+        monkeypatch.setattr(CompiledCircuit, "__init__", counting_build)
+        result = reactive_delay_constrain(copy, 0.01)
+        assert len(result.steps) > 10
+        assert builds == []
 
 
 class TestProactive:
