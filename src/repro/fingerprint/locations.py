@@ -238,14 +238,23 @@ def _find_locations(
             telemetry.count("fingerprint.candidates_rejected")
         return verdict.confirmed
 
+    # Each source's first inverter that is not a slot target.  An INV
+    # gate that becomes a target marks its source stale, and stale
+    # sources refresh at the next lookup, so the dict read after
+    # ``used_targets.add`` is still the one ``slot_variants`` saw.
+    effective = {source: names[0] for source, names in inverter_lists.items()}
+    stale_sources: set = set()
+
     def effective_inverters() -> Dict[str, str]:
-        index: Dict[str, str] = {}
-        for source, names in inverter_lists.items():
-            for name in names:
+        for source in stale_sources:
+            for name in inverter_lists[source]:
                 if name not in used_targets:
-                    index[source] = name
+                    effective[source] = name
                     break
-        return index
+            else:
+                effective.pop(source, None)
+        stale_sources.clear()
+        return effective
 
     for primary in compiled.gates_in_order():
         if not functions.has_odc(primary.kind, primary.n_inputs):
@@ -313,6 +322,7 @@ def _find_locations(
             used_targets.add(gate.name)
             if gate.kind == "INV":
                 banned_negative_sources.add(gate.inputs[0])
+                stale_sources.add(gate.inputs[0])
             for variant in variants:
                 for literal in variant.literals:
                     if literal.positive:
