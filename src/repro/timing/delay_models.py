@@ -92,10 +92,9 @@ def _driven_loads(circuit: Circuit) -> Dict[str, float]:
     loads: Dict[str, float] = {}
     for consumer in circuit:
         cap = consumer.cell.input_cap
-        inputs = consumer.inputs
-        for net in inputs:
-            # A net may enter the same consumer on several pins.
-            loads[net] = loads.get(net, 0.0) + inputs.count(net) * cap
+        # A net that enters a consumer on several pins loads each of them.
+        for net in consumer.inputs:
+            loads[net] = loads.get(net, 0.0) + cap
     for net in set(circuit.outputs):
         loads[net] = loads.get(net, 0.0) + OUTPUT_PAD_LOAD
     return loads
