@@ -27,6 +27,7 @@ import argparse
 import json
 import platform
 import random
+import sys
 import time
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -34,17 +35,15 @@ from typing import List, Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.bench import RandomLogicSpec, build_benchmark, generate
-from repro.fingerprint import (
-    FingerprintCodec,
-    embed,
-    find_locations,
-    full_assignment,
-)
-from repro.netlist.circuit import Circuit
-from repro.sat import IncrementalCecSession, sat_equivalent
-from repro.sat.cec import check
-from repro.sim import exhaustive_equivalent, random_equivalent
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.bench import RandomLogicSpec, build_benchmark, generate  # noqa: E402
+from repro.fingerprint import FingerprintCodec, embed, find_locations, full_assignment  # noqa: E402
+from repro.netlist.circuit import Circuit  # noqa: E402
+from repro.sat import IncrementalCecSession, sat_equivalent  # noqa: E402
+from repro.sat.cec import check  # noqa: E402
+from repro.sim import exhaustive_equivalent, random_equivalent  # noqa: E402
 
 #: The >= 1,000-gate design the incremental acceptance gate runs on.
 INCREMENTAL_DESIGN = "k2"
@@ -52,7 +51,7 @@ N_COPIES = 8
 N_MODS_PER_COPY = 3
 MIN_INCREMENTAL_SPEEDUP = 3.0
 
-RECORD_PATH = Path(__file__).resolve().parents[1] / "BENCH_cec_incremental.json"
+RECORD_PATH = REPO_ROOT / "BENCH_cec_incremental.json"
 
 
 @pytest.fixture(scope="module")

@@ -19,17 +19,21 @@ from __future__ import annotations
 
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
 
-from repro.bench import build_benchmark
-from repro.cells import functions
-from repro.ir import compile_circuit
-from repro.sim.simulator import Simulator
-from repro.sim.vectors import random_stimulus
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.bench import build_benchmark  # noqa: E402
+from repro.cells import functions  # noqa: E402
+from repro.ir import compile_circuit  # noqa: E402
+from repro.sim.simulator import Simulator  # noqa: E402
+from repro.sim.vectors import random_stimulus  # noqa: E402
 
 #: Random-logic suite designs measured, smallest to largest.
 DESIGNS = ("vda", "k2", "des")
@@ -41,7 +45,7 @@ MIN_SPEEDUP = 3.0
 
 N_VECTORS = 4096
 
-RECORD_PATH = Path(__file__).resolve().parents[1] / "BENCH_compiled_ir.json"
+RECORD_PATH = REPO_ROOT / "BENCH_compiled_ir.json"
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 

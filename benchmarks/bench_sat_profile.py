@@ -36,27 +36,29 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench import build_benchmark
-from repro.bench.data import data_path
-from repro.fingerprint import find_locations
-from repro.netlist import read_blif
-from repro.techmap import map_network
-from repro.hashing import COMMUTATIVE_KINDS
-from repro.ir import compile_circuit
-from repro.netlist.circuit import Circuit
-from repro.sat.cec import _encode_xor2
-from repro.sat.cnf import Cnf
-from repro.sat.preprocess import preprocess_for_solve
-from repro.sat.solver import LEGACY_CONFIG, CdclSolver, SolverConfig
-from repro.sat.tseitin import CircuitEncoding, encode_circuit
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import sys
+from repro.bench import build_benchmark  # noqa: E402
+from repro.bench.data import data_path  # noqa: E402
+from repro.fingerprint import find_locations  # noqa: E402
+from repro.netlist import read_blif  # noqa: E402
+from repro.techmap import map_network  # noqa: E402
+from repro.hashing import COMMUTATIVE_KINDS  # noqa: E402
+from repro.ir import compile_circuit  # noqa: E402
+from repro.netlist.circuit import Circuit  # noqa: E402
+from repro.sat.cec import _encode_xor2  # noqa: E402
+from repro.sat.cnf import Cnf  # noqa: E402
+from repro.sat.preprocess import preprocess_for_solve  # noqa: E402
+from repro.sat.solver import LEGACY_CONFIG, CdclSolver, SolverConfig  # noqa: E402
+from repro.sat.tseitin import CircuitEncoding, encode_circuit  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 from bench_cec import make_sparse_copies  # noqa: E402
 
 DESIGN = "k2"
@@ -68,7 +70,7 @@ SEED = 2015
 HARDEST_N = 3
 MIN_HARD_SPEEDUP = 3.0
 
-RECORD_PATH = Path(__file__).resolve().parents[1] / "BENCH_sat_profile.json"
+RECORD_PATH = REPO_ROOT / "BENCH_sat_profile.json"
 SMOKE_RECORD = "BENCH_sat_profile_smoke.json"
 
 

@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 from typing import Dict, List
 
-from repro.bench import build_benchmark
-from repro.service.jobs import run_service_job
-from repro.store import ArtifactStore, prepare_design, store_activated
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.bench import build_benchmark  # noqa: E402
+from repro.service.jobs import run_service_job  # noqa: E402
+from repro.store import ArtifactStore, prepare_design, store_activated  # noqa: E402
 
 #: Random-logic suite designs measured, smallest to largest.
 DESIGNS = ("vda", "k2", "des")
@@ -35,7 +39,7 @@ LARGEST = "des"
 
 MIN_SPEEDUP = 5.0
 
-RECORD_PATH = Path(__file__).resolve().parents[1] / "BENCH_store.json"
+RECORD_PATH = REPO_ROOT / "BENCH_store.json"
 
 
 def _best_of(fn, repeats: int) -> float:

@@ -13,8 +13,6 @@ to see the rendered table; set ``REPRO_SUITE=full`` for all 14 circuits.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import measure, overhead
 from repro.bench import PAPER_TABLE2, render_table2, run_table2
 from repro.fingerprint import capacity, embed, find_locations, full_assignment

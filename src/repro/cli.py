@@ -35,7 +35,6 @@ trace-event file loadable in ``chrome://tracing`` / Perfetto.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any, Dict, Optional, Tuple
 
@@ -396,7 +395,7 @@ def _cmd_inject(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_attack(args: argparse.Namespace) -> CommandResult:
-    from .attack import ATTACK_NAMES, AttackConfig, run_attack_suite
+    from .attack import AttackConfig, run_attack_suite
 
     design = load_design(args.design)
     names = (

@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple
 from ..netlist.circuit import Circuit
 from ..timing.delay_models import DelayModel
 from ..timing.sta import analyze, critical_delay, critical_path_nets
-from .capacity import capacity
 from .embed import FingerprintedCircuit, representative_slots
 from .locations import LocationCatalog
 

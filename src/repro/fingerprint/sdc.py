@@ -36,7 +36,7 @@ import numpy as np
 
 from ..cells import functions
 from ..cells.library import CellLibrary
-from ..netlist.circuit import Circuit, Gate, NetlistError
+from ..netlist.circuit import Circuit, NetlistError
 from ..sat.cec import sat_equivalent
 from ..sim.equivalence import exhaustive_equivalent
 from ..sim.simulator import Simulator
