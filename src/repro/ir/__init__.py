@@ -2,9 +2,9 @@
 
 ``compile_circuit(circuit)`` lowers a netlist to flat numpy arrays
 (interned net IDs, CSR adjacency, levels, per-level kind batches) cached
-on ``Circuit.version``; simulation, observability, power, timing, SCOAP
-and CNF encoding all run on it instead of re-deriving topology
-themselves.  See ``docs/ARCHITECTURE.md``.
+on ``Circuit.version``; simulation, observability, power, SCOAP and
+CNF encoding all run on it instead of re-deriving topology themselves.
+See ``docs/ARCHITECTURE.md``.
 """
 
 from .compiled import Batch, CompiledCircuit, compile_circuit

@@ -22,7 +22,7 @@ hold a :class:`CompiledCircuit` across circuit mutations; re-request it
 instead (re-requesting an unchanged circuit is a dict hit).
 
 This is the shared substrate behind simulation, ODC/observability
-search, power, timing, SCOAP and CNF encoding; see
+search, power, SCOAP and CNF encoding; see
 ``docs/ARCHITECTURE.md`` for the consumer contract.
 """
 

@@ -70,7 +70,6 @@ class TestReactive:
         assert len(result.steps) == result.removed
         assert all(kind in ("greedy", "random") for kind, _ in result.steps)
 
-
     def test_pruning_loop_compiles_no_ir(self, monkeypatch):
         # Each trial version is timed once and discarded; timing walks the
         # circuit's own topological order, so no version needs an IR.
