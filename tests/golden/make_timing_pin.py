@@ -42,7 +42,6 @@ import os
 import sys
 from typing import Callable, Dict, Sequence, Tuple
 
-from repro.bench.data import data_path
 from repro.bench.suite import SUITE_ORDER, build_benchmark
 from repro.fingerprint import embed, find_locations, full_assignment
 from repro.fingerprint.constraints import (
@@ -51,9 +50,7 @@ from repro.fingerprint.constraints import (
     reactive_delay_constrain,
 )
 from repro.hashing import circuit_digest
-from repro.netlist import read_blif
 from repro.netlist.circuit import Circuit
-from repro.techmap import map_network
 from repro.timing import (
     LIBRARY_DELAY,
     UNIT_DELAY,
@@ -63,6 +60,7 @@ from repro.timing import (
     critical_delay,
     critical_path_nets,
 )
+from tests.golden.make_catalog_pin import c17
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "timing_pin.json")
 
@@ -80,10 +78,6 @@ TIER1_DESIGNS = ("C432", "C499", "C880", "k2")
 #: Designs and delay constraints of the reactive constraint cases.
 REACTIVE_DESIGNS = ("C432", "C499", "C880")
 CONSTRAINTS = (0.10, 0.05, 0.01)
-
-
-def c17() -> Circuit:
-    return map_network(read_blif(data_path("c17.blif")))
 
 
 def full_embedding(base: Circuit) -> Circuit:
