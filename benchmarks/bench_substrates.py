@@ -1,4 +1,4 @@
-"""A4 — Substrate throughput: simulator, STA, power, mapper, BDD, I/O.
+"""A4 — Substrate throughput: simulator, STA, power, mapper, I/O.
 
 Raw performance of the EDA substrates on the largest quick-suite circuit.
 These numbers bound the cost of every experiment above (the reactive
@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import measure
-from repro.logic import build_output_bdds
 from repro.netlist import parse_blif, parse_verilog, write_blif, write_verilog
 from repro.power import estimate_power
 from repro.sim import Simulator, random_stimulus
@@ -73,20 +72,3 @@ def test_blif_map_throughput(benchmark, big):
     mapped = benchmark.pedantic(roundtrip, rounds=2, iterations=1)
     assert mapped.n_gates > 0
 
-
-def test_bdd_compilation(benchmark, adder_circuit=None):
-    from repro.netlist import CircuitBuilder
-
-    builder = CircuitBuilder("adder12")
-    a = builder.inputs("a", 12)
-    b = builder.inputs("b", 12)
-    sums, carry = builder.ripple_adder(a, b)
-    builder.outputs(sums + [carry])
-    circuit = builder.done()
-
-    def compile_bdds():
-        return build_output_bdds(circuit)
-
-    manager, outputs = benchmark(compile_bdds)
-    assert len(outputs) == 13
-    benchmark.extra_info["bdd_nodes"] = manager.n_nodes

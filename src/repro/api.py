@@ -98,10 +98,11 @@ def locate(
 ):
     """Enumerate fingerprint locations in a design.
 
-    Runs only the location-discovery stage of the pipeline (with each
-    candidate's ODC condition validated by the
-    :class:`~repro.odcwin.WindowedOdcEngine`) and returns the
-    :class:`~repro.fingerprint.locations.LocationCatalog`.
+    Runs only the location-discovery stage of the pipeline and returns
+    the :class:`~repro.fingerprint.locations.LocationCatalog`.  Every
+    location's trigger holds its primary gate at the controlling value,
+    so its cone is unobservable by construction (paper Definition 1) and
+    no ODC check is run.
     """
     from .fingerprint.locations import find_locations
 

@@ -1,7 +1,8 @@
 """Adversarial attack suite against ODC fingerprints.
 
 Engines that model what a motivated pirate can do to a fingerprinted
-netlist — simulation-guided resubstitution (:mod:`repro.attack.resub`),
+netlist — simulation-guided resubstitution (:mod:`repro.attack.resub`,
+over the local fanout windows of :mod:`repro.attack.window`),
 structural rewriting/sweeping/renaming/pin-remapping
 (:mod:`repro.attack.rewrite`) and multi-copy collusion
 (:mod:`repro.attack.collusion`) — plus the differential harness

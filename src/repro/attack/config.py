@@ -7,7 +7,7 @@ from typing import Optional
 
 from ..budget import Budget
 from ..errors import ReproError
-from ..odcwin.window import WindowConfig
+from .window import WindowConfig
 
 
 class AttackError(ReproError, ValueError):
@@ -29,13 +29,10 @@ class AttackConfig:
         n_vectors: Packed random vectors for the resubstitution engine's
             simulation prefilters (positive multiple of 64).
         window: Window extraction tuning for the resubstitution engine
-            (reuses the :mod:`repro.odcwin` cut).
+            (:mod:`repro.attack.window`).
         max_passes: Resubstitution sweeps until a fixed point or this cap.
         proof_budget: Budget per validation SAT solve; an exhausted solve
             skips the candidate rather than committing unproven rewrites.
-        exact_fallback: Escalate window-SAT-rejected resubstitution
-            candidates to a scratch full-circuit CEC (expensive; off by
-            default, the window tier already catches the ODC structure).
         rewrite_fraction: Fraction of eligible gates the DeMorgan rewrite
             attack restructures.
         colluders: Number of fingerprinted copies the collusion attack
@@ -50,7 +47,6 @@ class AttackConfig:
     window: WindowConfig = field(default_factory=WindowConfig)
     max_passes: int = 8
     proof_budget: Optional[Budget] = field(default_factory=_default_proof_budget)
-    exact_fallback: bool = False
     rewrite_fraction: float = 0.4
     colluders: int = 3
     collusion_strategy: str = "strip"

@@ -1,7 +1,7 @@
 """Simulation-guided Boolean resubstitution pointed at fingerprint removal.
 
 The engine runs its own window, simulation and SAT tiers over
-:mod:`repro.odcwin`'s window extraction, pointed at removal.  The
+:mod:`repro.attack.window`'s window extraction, pointed at removal.  The
 fingerprint embeds by *widening* a target gate with a trigger literal that
 is unobservable while the trigger holds the downstream primary gate's
 controlling value; this engine hunts for inputs that can be *dropped* from
@@ -15,7 +15,7 @@ Per candidate ``(gate, input position)`` the tiers are, cheapest first:
    the two local functions agree on *every* assignment of the gate's
    distinct fanins (<= 2^5 evaluations), the rewrite is proven without SAT.
 2. **Window simulation**: otherwise propagate the narrowed signature
-   through the gate's :class:`~repro.odcwin.window.Window`.  Any simulated
+   through the gate's :class:`~repro.attack.window.Window`.  Any simulated
    difference reaching a window output almost certainly escapes — the
    candidate is skipped without SAT work.
 3. **Window SAT**: a window-local miter — copy A encodes the original
@@ -27,11 +27,10 @@ Per candidate ``(gate, input position)`` the tiers are, cheapest first:
    widened gate through a fingerprint inverter while the blocking primary
    gate sees the source directly, and without the folding the miter would
    treat the two as independent and miss the ODC structure entirely.
-4. **Exact fallback** (optional): a scratch full-circuit CEC of the
-   tentative rewrite, for candidates the window cannot decide.
+   A candidate the window cannot prove is left in place.
 
 Soundness: the window is a fanin-closed prefix of the gate's fanout cone
-(:mod:`repro.odcwin.window`), so a difference can leave it only through
+(:mod:`repro.attack.window`), so a difference can leave it only through
 a window output, and the shared free side inputs over-approximate every
 real assignment of the rest of the circuit.  UNSAT of the window miter
 is therefore a real proof.  Every committed rewrite preserves the
@@ -65,13 +64,12 @@ from ..ir.kernels import (
 )
 from ..netlist.circuit import Circuit
 from ..netlist.transform import cleanup, merge_duplicate_gates
-from ..odcwin.window import Window, extract_window
-from ..sat import cec
 from ..sat.solver import CdclSolver
 from ..sat.tseitin import _encode, encode_circuit
 from ..sim.simulator import Simulator
 from ..sim.vectors import random_stimulus
 from .config import AttackConfig
+from .window import Window, extract_window
 
 _CONST_KINDS = ("CONST0", "CONST1")
 
@@ -87,7 +85,6 @@ class ResubStats:
     window_sat_proved: int = 0
     window_sat_rejected: int = 0
     sim_rejected: int = 0
-    exact_proved: int = 0
     constants_folded: int = 0
     nets_merged: int = 0
     proof_unknown: int = 0
@@ -111,7 +108,6 @@ class ResubStats:
             "window_sat_proved": self.window_sat_proved,
             "window_sat_rejected": self.window_sat_rejected,
             "sim_rejected": self.sim_rejected,
-            "exact_proved": self.exact_proved,
             "constants_folded": self.constants_folded,
             "nets_merged": self.nets_merged,
             "proof_unknown": self.proof_unknown,
@@ -222,13 +218,6 @@ class ResubstitutionEngine:
                 self.stats.literals_dropped += 1
                 return True
             self.stats.window_sat_rejected += 1
-            if self.config.exact_fallback and self._exact_confirm(
-                gate.name, new_kind, new_inputs
-            ):
-                circuit.replace_gate(gate.name, new_kind, new_inputs)
-                self.stats.exact_proved += 1
-                self.stats.literals_dropped += 1
-                return True
         return False
 
     @staticmethod
@@ -345,17 +334,6 @@ class ResubstitutionEngine:
             self.stats.proof_unknown += 1
             return False
         return not result.satisfiable
-
-    def _exact_confirm(self, gate_name, new_kind, new_inputs) -> bool:
-        """Scratch full-circuit CEC of the tentative rewrite."""
-        trial = self.circuit.clone(f"{self.circuit.name}_trial")
-        trial.replace_gate(gate_name, new_kind, list(new_inputs))
-        result = cec.check(self.circuit, trial, budget=self.config.proof_budget)
-        if result.verdict is cec.CecVerdict.EQUIVALENT:
-            return True
-        if result.verdict is cec.CecVerdict.UNDECIDED:
-            self.stats.proof_unknown += 1
-        return False
 
     # ------------------------------------------------------------------ #
     # constant / merge pass

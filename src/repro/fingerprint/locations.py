@@ -17,6 +17,20 @@ The four criteria of Definition 1 map to code as follows:
    the library can widen it — a slot with at least one feasible variant.
 4. P has non-zero ODC w.r.t. an input other than Y — P has a controlling
    value and arity >= 2, so any other input X qualifies.
+
+Every admitted location is unobservable by construction, so the finder
+runs no ODC check of its own:
+
+* the root Y is not a primary output and is read only by P, so every
+  path from the FFC to a primary output passes through P;
+* P has no repeated input, so Y reaches P on exactly one pin;
+* the trigger X is another non-constant input of P, taken at P's
+  controlling value, and lies outside Y's fanout cone (Y feeds only P).
+
+While X holds that value P's output is fixed whatever Y carries, so no
+change inside the FFC reaches a primary output.
+``tests/test_locations_differential.py`` checks every admitted
+``(ffc_root, trigger, trigger_value)`` against exhaustive simulation.
 """
 
 from __future__ import annotations
@@ -30,7 +44,6 @@ from ..cells import functions
 from ..ir import compile_circuit
 from ..netlist.circuit import Circuit, Gate
 from ..netlist.graph import fanout_free_cone
-from ..odcwin import WindowedOdcEngine
 from .modifications import Slot, slot_variants
 
 
@@ -153,8 +166,8 @@ def find_locations(
     With an artifact store active (:func:`repro.store.active_store`) the
     catalog is content-addressed by the circuit's canonical structural
     digest plus a digest of the finder options, so resubmitting an
-    identical netlist skips the whole discovery-and-ODC-validation pass
-    (disk-tier cacheable: catalogs are plain picklable dataclasses).
+    identical netlist skips the whole discovery pass (disk-tier cacheable:
+    catalogs are plain picklable dataclasses).
     """
     from ..store.core import active_store
 
@@ -224,20 +237,6 @@ def _find_locations(
     banned_negative_sources: set = set()
     used_targets: set = set()
     location_id = 0
-    # ODC validation engine, built on first candidate: every admitted
-    # location's (root, trigger, controlling-value) condition is proven
-    # unobservable, so embedding at it can never change the function.
-    engine: Optional[WindowedOdcEngine] = None
-
-    def validate(root: str, trigger: str, trigger_value: int) -> bool:
-        nonlocal engine
-        if engine is None:
-            engine = WindowedOdcEngine(circuit)
-        verdict = engine.classify(root, trigger, trigger_value)
-        if not verdict.confirmed:
-            telemetry.count("fingerprint.candidates_rejected")
-        return verdict.confirmed
-
     # Each source's first inverter that is not a slot target.  An INV
     # gate that becomes a target marks its source stale, and stale
     # sources refresh at the next lookup, so the dict read after
@@ -284,8 +283,6 @@ def _find_locations(
             trigger = min(triggers, key=lambda n: (activation(n), n))
         else:
             trigger = _choose(triggers, levels, options.trigger_choice, rng)
-        if not validate(root, trigger, trigger_value):
-            continue
 
         ffc = fanout_free_cone(circuit, root)
         slots: List[Slot] = []

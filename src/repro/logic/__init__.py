@@ -1,4 +1,4 @@
-"""Boolean reasoning: truth tables, ODC analysis, BDDs."""
+"""Boolean reasoning: truth tables and ODC analysis."""
 
 from .truthtable import MAX_VARS, TruthTable, TruthTableError
 from .odc import (
@@ -18,7 +18,6 @@ from .circuit_funcs import (
     net_functions,
     output_functions,
 )
-from .bdd import Bdd, BddError, bdd_equivalent, build_output_bdds
 
 __all__ = [
     "MAX_VARS",
@@ -37,8 +36,4 @@ __all__ = [
     "global_odc",
     "net_functions",
     "output_functions",
-    "Bdd",
-    "BddError",
-    "bdd_equivalent",
-    "build_output_bdds",
 ]

@@ -9,6 +9,15 @@ yields its ODC behaviour (the paper's Table I is a special case).
 For standard controlling-value gates the local ODC w.r.t. input ``x`` is
 "some *other* input sits at the controlling value"; e.g. for a 2-input AND,
 ``ODC_x = y'`` exactly as the paper derives.
+
+The flow itself does not call this module: the location finder reads
+controlling values from :mod:`repro.cells.functions`, and Definition 1
+makes every location unobservable by construction (see
+:mod:`repro.fingerprint.locations`).  It stays because it is the paper's
+Eq. 1 and Table I in executable form, derived from truth tables alone,
+and so cross-checks the controlling-value rules of
+:mod:`repro.cells.functions` that the finder relies on
+(``tests/test_logic_odc.py``).
 """
 
 from __future__ import annotations

@@ -7,20 +7,19 @@ of the circuit itself, the location and slot counts and a sha256 over
 every catalog field in order: each location's id, primary gate and
 kind, FFC root, trigger, trigger value and FFC gates, and each slot's
 location, primary, target, target kind, trigger, trigger value and
-variants (kind, literals with polarity, source).  It also keeps the
-statuses the ODC engine gives a seeded sample of ``(net, condition,
-value)`` triples on k2 and t481.  ``tests/test_catalog_pin.py`` reruns
-the cases and requires the same outcomes, so a change to the ODC engine
-must admit exactly the locations the recording engine did.
+variants (kind, literals with polarity, source).
+``tests/test_catalog_pin.py`` reruns the cases and requires the same
+outcomes, so a change to the finder must admit exactly the locations the
+recording finder did.
 
 The cases:
 
 * ``c17``, its mutants, eight small random circuits and the mutants of
   one of them, and the bundled C432, C499, C880, k2 and i10 — checked
   in tier-1;
-* the other nine bundled designs, a 210-circuit population (150 random
-  circuits of 40-100 gates, 60 mutants of 50-gate circuits) and the
-  sampled triples — checked under ``-m differential``.
+* the other nine bundled designs and a 210-circuit population (150
+  random circuits of 40-100 gates, 60 mutants of 50-gate circuits) —
+  checked under ``-m differential``.
 
 Regenerate only when a change is *meant* to alter which locations the
 finder admits, and then run the parent's finder first to see what moved.
@@ -36,7 +35,7 @@ import json
 import os
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.bench import RandomLogicSpec, generate
 from repro.bench.data import data_path
@@ -52,11 +51,6 @@ OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "catalog_pin.json
 
 #: Bundled designs whose catalogs tier-1 checks.
 TIER1_DESIGNS = ("C432", "C499", "C880", "k2", "i10")
-
-#: Designs whose sampled triple statuses are pinned, with the sample size.
-TRIPLE_DESIGNS = ("k2", "t481")
-TRIPLE_SAMPLES = 15
-TRIPLE_SEED = 1
 
 #: The random population: plain circuits and mutants of fresh bases.
 POPULATION_SEEDS = range(150)
@@ -94,33 +88,6 @@ def mutated_variants(base: Circuit, n_variants: int, seed: int) -> List[Circuit]
 
 def c17() -> Circuit:
     return map_network(read_blif(data_path("c17.blif")))
-
-
-def sample_triples(
-    circuit: Circuit, n_samples: int, seed: int
-) -> List[Tuple[str, Optional[str], int]]:
-    """Seeded ``(net, condition net or None, value)`` candidates.
-
-    A quarter ask the unconditional question.  Only ``Random.random`` is
-    drawn, whose sequence Python guarantees for a given seed.
-    """
-    rng = random.Random(seed)
-    nets = [g.name for g in circuit.gates]
-    conditions = nets + list(circuit.inputs)
-
-    def pick(items: Sequence[str]) -> str:
-        return items[int(rng.random() * len(items))]
-
-    triples: List[Tuple[str, Optional[str], int]] = []
-    for _ in range(n_samples):
-        net = pick(nets)
-        if rng.random() < 0.25:
-            triples.append((net, None, 1))
-            continue
-        cond: Optional[str] = pick(conditions)
-        value = int(rng.random() < 0.5)
-        triples.append((net, None if cond == net else cond, value))
-    return triples
 
 
 def catalog_record(catalog) -> list:
@@ -194,30 +161,13 @@ def case_outcome(name: str) -> list:
     return [circuit_outcome(circuit) for circuit in build()]
 
 
-def triple_outcome(design: str) -> Dict[str, object]:
-    """Sampled triples on ``design`` with the statuses the engine gives."""
-    from repro.odcwin import WindowedOdcEngine
-
-    circuit = build_benchmark(design)
-    engine = WindowedOdcEngine(circuit)
-    samples = []
-    for net, cond, value in sample_triples(circuit, TRIPLE_SAMPLES, TRIPLE_SEED):
-        status = engine.classify(net, cond, value).status.value
-        samples.append([net, cond, value, status])
-    return {"input": circuit_digest(circuit)[:16], "samples": samples}
-
-
 def main(argv: Sequence[str] = ()) -> int:
     out = argv[0] if argv else OUT
     catalogs = {}
     for name, (tier1, _) in cases().items():
         catalogs[name] = {"tier1": tier1, "circuits": case_outcome(name)}
         print(name, [c[2:4] for c in catalogs[name]["circuits"]], flush=True)
-    triples = {design: triple_outcome(design) for design in TRIPLE_DESIGNS}
-    for design, record in triples.items():
-        statuses = [s[3] for s in record["samples"]]
-        print(design, {s: statuses.count(s) for s in set(statuses)})
-    pin = {"schema": 1, "catalogs": catalogs, "triples": triples}
+    pin = {"schema": 1, "catalogs": catalogs}
     with open(out, "w") as handle:
         json.dump(pin, handle, indent=1)
         handle.write("\n")

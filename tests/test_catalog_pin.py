@@ -1,9 +1,8 @@
 """The location-catalog pin: ``find_locations`` must admit exactly as recorded.
 
 ``tests/golden/catalog_pin.json`` holds, per case, each circuit's name,
-digest, location and slot counts and a digest of every catalog field,
-plus the ODC engine's statuses on seeded triples of k2 and t481.  A
-rerun that differs in any of them changed which fingerprint locations
+digest, location and slot counts and a digest of every catalog field.
+A rerun that differs in any of them changed which fingerprint locations
 the finder admits.  See ``tests/golden/make_catalog_pin.py`` for the
 cases and for when regenerating the pin is legitimate.
 """
@@ -14,7 +13,7 @@ import json
 
 import pytest
 
-from tests.golden.make_catalog_pin import OUT, case_outcome, cases, triple_outcome
+from tests.golden.make_catalog_pin import OUT, case_outcome, cases
 
 with open(OUT) as _handle:
     PIN = json.load(_handle)
@@ -41,8 +40,3 @@ def test_catalog_matches_pin(name):
 def test_differential_catalog_matches_pin(name):
     assert case_outcome(name) == CATALOGS[name]["circuits"], name
 
-
-@pytest.mark.differential
-@pytest.mark.parametrize("design", sorted(PIN["triples"]))
-def test_sampled_triple_statuses_match_pin(design):
-    assert triple_outcome(design) == PIN["triples"][design], design

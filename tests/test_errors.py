@@ -18,7 +18,6 @@ from repro.errors import (
 from repro.fingerprint.embed import EmbeddingError
 from repro.fingerprint.fuses import FuseError
 from repro.fingerprint.signature import RegistryFullError
-from repro.logic.bdd import BddError
 from repro.logic.truthtable import TruthTableError
 from repro.netlist.blif import BlifError
 from repro.netlist.circuit import NetlistError
@@ -30,7 +29,6 @@ from repro.sim.vectors import StimulusError
 from repro.techmap.mapper import MappingError
 
 ALL_ERROR_TYPES = [
-    BddError,
     BudgetError,
     BlifError,
     CellNotFoundError,
@@ -69,7 +67,6 @@ def test_every_library_error_is_a_repro_error(error_type):
         (VerilogError, ValueError),
         (MappingError, ValueError),
         (CnfError, ValueError),
-        (BddError, ValueError),
         (CellNotFoundError, KeyError),
         (RegistryFullError, RuntimeError),
         (FuseError, RuntimeError),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cells import GENERIC_LIB
+from repro.cells import functions
 from repro.logic import (
     TruthTable,
     gate_creates_odc,
@@ -104,6 +105,27 @@ class TestSummaries:
         assert table["NAND2"] and table["NOR3"] and table["AND4"] and table["OR2"]
         assert not table["XOR2"] and not table["XNOR2"]
         assert not table["INV"] and not table["BUF"]
+
+
+class TestCellsFunctionsCrossCheck:
+    def test_controlling_value_rule_matches_eq1(self):
+        """The finder's rule, "another input at the controlling value",
+        is exactly Eq. 1's local ODC for every library cell."""
+        for cell in GENERIC_LIB:
+            kind, n = cell.kind, cell.n_inputs
+            assert functions.has_odc(kind, n) == has_nonzero_odc(kind, n), cell.name
+            control = functions.controlling_value(kind)
+            for position in range(n):
+                odc = local_odc(kind, n, position)
+                if not functions.has_odc(kind, n):
+                    assert odc.is_contradiction(), (cell.name, position)
+                    continue
+                expected = TruthTable.constant(0, odc.variables)
+                for other in range(n):
+                    if other != position:
+                        var = TruthTable.variable(f"in{other}", odc.variables)
+                        expected = expected | (var if control else ~var)
+                assert odc.equivalent(expected), (cell.name, position)
 
 
 class TestSummaryCompilationCost:
