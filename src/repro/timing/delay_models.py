@@ -113,7 +113,8 @@ def _wire_spans(circuit: Circuit) -> Dict[str, int]:
     spans: Dict[str, int] = {}
     for consumer in circuit:
         reach = levels.get(consumer.name, 0) - 1
-        for net in consumer.inputs:
+        # One span per consumer, however many of its pins read the net.
+        for net in dict.fromkeys(consumer.inputs):
             span = reach - levels.get(net, 0)
             if span > 0:
                 spans[net] = spans.get(net, 0) + span

@@ -92,6 +92,18 @@ class TestWireDelay:
         # n0 at level 1, tap at level 7 -> span 5.
         assert charged == pytest.approx(baseline + 5.0)
 
+    def test_repeated_pin_charged_once(self, deep_chain):
+        wire = WireDelay(per_level=1.0)
+        lib = LibraryDelay()
+        # AND(n0, n0) at the chain's end reads n0 on two pins.
+        deep_chain.add_gate("tap", "AND", ["n0", "n0", "n5"])
+        deep_chain.add_output("tap")
+        n0 = deep_chain.gate("n0")
+        # n0 at level 1, tap at level 7 -> one span of 5, not two.
+        assert wire.gate_delay(deep_chain, n0) == pytest.approx(
+            lib.gate_delay(deep_chain, n0) + 5.0
+        )
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             WireDelay(per_level=-1)
@@ -153,7 +165,8 @@ def reference_wire_delay(per_level):
         levels = circuit.levels()
         my_level = levels.get(gate.name, 0)
         total_span = 0
-        for consumer in circuit.fanouts(gate.name):
+        # A consumer reading the net on several pins adds one span.
+        for consumer in dict.fromkeys(circuit.fanouts(gate.name)):
             span = levels.get(consumer, 0) - my_level - 1
             if span > 0:
                 total_span += span
