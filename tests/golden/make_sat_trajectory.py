@@ -19,9 +19,11 @@ miters against a known-bad copy (one output inverted), so SAT models are
 pinned too; the first 8 copies of a C432
 :class:`~repro.sat.incremental.IncrementalCecSession` issued as the batch
 flow issues them, one scenario per copy (the session starts every copy
-from a fresh solver holding only the base encoding); and many assumption
-solves on one random 3-SAT solver, long enough to reach learned-clause
-reduction and an activity rescale.  The committed pin still holds
+from a fresh solver holding only the base encoding); and two runs of many
+assumption solves on one random 3-SAT solver, the longer of which
+(``random-3sat-reduce``) reaches learned-clause reduction and an
+activity rescale under the default configuration.  The committed pin
+still holds
 ``C432-session-8``, one solver serving all 8 copies as sessions did
 before they rebuilt per copy; it stays as a long-lived-solver scenario
 until the pin is next regenerated.
@@ -76,6 +78,9 @@ SESSION_CONFLICTS = 5_000
 SESSION_COPIES = 8
 #: Random 3-SAT: variables, clauses, solves, assumptions per solve, budget.
 RANDOM_SHAPE = (110, 450, 30, 3, 300)
+#: A longer random run: about 5,900 conflicts, enough for learned-clause
+#: reduction and one activity rescale under the default configuration.
+REDUCTION_SHAPE = (130, 550, 40, 3, 500)
 
 #: Non-default heuristics replayed next to the default and legacy
 #: configurations: short and long restarts, no phase saving, and faster
@@ -206,9 +211,9 @@ def scratch_logs(name: str, base, bad: bool = False) -> Dict[str, Dict[str, obje
     return logs
 
 
-def random_log(seed: int = 7) -> Dict[str, object]:
+def random_log(seed: int = 7, shape: Sequence[int] = RANDOM_SHAPE) -> Dict[str, object]:
     """One persistent solver answering many assumption queries on random 3-SAT."""
-    n_vars, n_clauses, n_solves, width, conflicts = RANDOM_SHAPE
+    n_vars, n_clauses, n_solves, width, conflicts = shape
     rng = random.Random(seed)
 
     def literals(count: int) -> List[int]:
@@ -256,6 +261,7 @@ def main(argv: Sequence[str] = ()) -> int:
     logs.update(scratch_logs("C432", c432, bad=True))
     logs.update(session_logs(c432))
     logs["random-3sat"] = random_log()
+    logs["random-3sat-reduce"] = random_log(shape=REDUCTION_SHAPE)
     configs = pinned_configs()
     scenarios = {}
     for name, log in logs.items():

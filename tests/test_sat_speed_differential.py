@@ -3,13 +3,17 @@
 The raw-speed program (preprocessing, learned-clause minimization, flat
 watch lists, restarts) is only admissible because it is
 *bit-identical in verdicts* to the pre-existing solver path.  This suite
-enforces that:
+enforces that on the pairs of ``tests/golden/make_sat_verdict_pin.py``:
 
 * scratch CEC (`repro.sat.cec.check`): default pipeline (preprocessing +
   tuned solver) vs `simplify=False` + `LEGACY_CONFIG` on bundled designs,
   embedded fingerprint copies, and faultinject mutants (tier-1);
 * incremental sessions: default construction vs legacy-configured,
   unsimplified sessions over the same copies (tier-1);
+* both legs must give the verdict ``tests/golden/sat_verdict_pin.json``
+  recorded for the pair, and a pair of at most
+  ``MAX_EXHAUSTIVE_INPUTS`` inputs must get that verdict from exhaustive
+  simulation too, which shares no code with the solver;
 * every NOT_EQUIVALENT counterexample — which on the fast path crosses
   the preprocessor's model reconstruction — is replayed through the
   simulator and must actually distinguish the circuits;
@@ -20,55 +24,30 @@ enforces that:
 
 from __future__ import annotations
 
-import random
+import json
 
 import pytest
 
-from repro.bench import RandomLogicSpec, generate
-from repro.bench.data import data_path
 from repro.bench.suite import SMALL_SUITE, build_benchmark
 from repro.budget import Budget
-from repro.faultinject import GateKindSwap, StuckAtNet
-from repro.fingerprint import FingerprintCodec, embed, find_locations, full_assignment
+from repro.fingerprint import FingerprintCodec, embed, find_locations
 from repro.flows.batch import select_values
-from repro.netlist import read_blif
-from repro.sat import LEGACY_CONFIG, IncrementalCecSession
+from repro.sat import IncrementalCecSession
 from repro.sat.cec import CecVerdict, check
+from repro.sim.equivalence import exhaustive_equivalent
 from repro.sim.simulator import Simulator
-from repro.techmap import map_network
+from repro.sim.vectors import MAX_EXHAUSTIVE_INPUTS
+from tests.golden.make_sat_verdict_pin import (
+    OUT,
+    baseline_results,
+    build_case,
+    cases,
+    digest,
+)
 from tests.test_sat_incremental import rare_difference
 
-
-def small_circuit(seed, n_gates=80, n_inputs=12, n_outputs=4):
-    return generate(
-        RandomLogicSpec(
-            name=f"satdiff{seed}",
-            n_inputs=n_inputs,
-            n_outputs=n_outputs,
-            n_gates=n_gates,
-            seed=seed,
-        )
-    )
-
-
-def fingerprint_copy(base):
-    catalog = find_locations(base)
-    return embed(base, catalog, full_assignment(base, catalog)).circuit
-
-
-def mutated_variants(base, n_variants, seed):
-    rng = random.Random(seed)
-    mutators = [GateKindSwap(), StuckAtNet()]
-    variants = []
-    for index in range(n_variants):
-        mutant = base.clone(f"{base.name}_m{index}")
-        try:
-            rng.choice(mutators).apply(mutant, rng)
-            mutant.validate()
-        except Exception:
-            continue
-        variants.append(mutant)
-    return variants
+with open(OUT) as _handle:
+    PIN = json.load(_handle)["cases"]
 
 
 def assert_counterexample_distinguishes(left, right, counterexample, note):
@@ -82,79 +61,76 @@ def assert_counterexample_distinguishes(left, right, counterexample, note):
     )
 
 
-def assert_scratch_identical(left, right, note=""):
-    """The differential oracle for `cec.check`."""
-    fast = check(left, right)
-    baseline = check(left, right, simplify=False, solver_config=LEGACY_CONFIG)
-    assert fast.verdict is baseline.verdict, (
-        f"scratch verdict divergence {note}: "
-        f"fast={fast.verdict} ({fast.reason}) "
-        f"baseline={baseline.verdict} ({baseline.reason})"
-    )
-    if fast.verdict is CecVerdict.NOT_EQUIVALENT:
-        assert_counterexample_distinguishes(
-            left, right, fast.counterexample, f"(fast path {note})"
-        )
-        assert_counterexample_distinguishes(
-            left, right, baseline.counterexample, f"(baseline {note})"
-        )
+def default_results(engine, base, others):
+    """The default pipeline's result for each (base, other) pair."""
+    if engine == "scratch":
+        return [check(base, other) for other in others]
+    session = IncrementalCecSession(base)
+    return [session.verify(other) for other in others]
 
 
-def assert_session_identical(base, copies, note=""):
-    """The differential oracle for `IncrementalCecSession`."""
-    fast = IncrementalCecSession(base)
-    baseline = IncrementalCecSession(
-        base, solver_config=LEGACY_CONFIG, simplify_base=False
-    )
-    for index, copy in enumerate(copies):
-        rf = fast.verify(copy)
-        rb = baseline.verify(copy)
-        assert rf.verdict is rb.verdict, (
-            f"session verdict divergence {note} copy {index}: "
+def assert_case_identical(name):
+    """The differential oracle for one case of the verdict pin."""
+    engine, base, others = build_case(name)
+    record = PIN[name]
+    assert record["engine"] == engine, name
+    assert [record["base"]] + [d for d, _ in record["pairs"]] == [
+        digest(c) for c in [base] + others
+    ], f"{name}: the pairs differ from the pinned ones"
+    exhaustive = len(base.inputs) <= MAX_EXHAUSTIVE_INPUTS
+    fast = default_results(engine, base, others)
+    baseline = baseline_results(engine, base, others)
+    for index, other in enumerate(others):
+        note = f"({name} pair {index})"
+        rf, rb = fast[index], baseline[index]
+        pinned = record["pairs"][index][1]
+        assert rf.verdict.value == rb.verdict.value == pinned, (
+            f"verdict divergence {note}: pin={pinned} "
             f"fast={rf.verdict} ({rf.reason}) "
             f"baseline={rb.verdict} ({rb.reason})"
         )
+        if exhaustive:
+            assert exhaustive_equivalent(base, other).equivalent == (
+                rf.verdict is CecVerdict.EQUIVALENT
+            ), f"exhaustive simulation disagrees {note}"
         if rf.verdict is CecVerdict.NOT_EQUIVALENT:
             assert_counterexample_distinguishes(
-                base, copy, rf.counterexample, f"(fast session {note})"
+                base, other, rf.counterexample, f"(fast path {note})"
+            )
+            assert_counterexample_distinguishes(
+                base, other, rb.counterexample, f"(baseline {note})"
             )
 
 
+def test_pin_matches_the_case_table():
+    table = cases()
+    assert sorted(PIN) == sorted(table)
+    for name, (tier1, _, _) in table.items():
+        assert PIN[name]["tier1"] == tier1, name
+
+
 class TestBundledC17:
-    @pytest.fixture(scope="class")
-    def c17(self):
-        return map_network(read_blif(data_path("c17.blif")))
+    def test_equivalent_copy(self):
+        assert_case_identical("c17-copy")
 
-    def test_equivalent_copy(self, c17):
-        assert_scratch_identical(c17, fingerprint_copy(c17), "(c17 copy)")
+    def test_mutants(self):
+        assert_case_identical("c17-mutants")
 
-    def test_mutants(self, c17):
-        for mutant in mutated_variants(c17, 6, seed=3):
-            assert_scratch_identical(c17, mutant, "(c17 mutant)")
-
-    def test_session_engine(self, c17):
-        copies = [fingerprint_copy(c17)] + mutated_variants(c17, 3, seed=4)
-        assert_session_identical(c17, copies, "(c17)")
+    def test_session_engine(self):
+        assert_case_identical("c17-session")
 
 
 class TestRandomCircuits:
     @pytest.mark.parametrize("seed", range(4))
     def test_equivalent_copies(self, seed):
-        base = small_circuit(seed)
-        assert_scratch_identical(
-            base, fingerprint_copy(base), f"(seed {seed})"
-        )
+        assert_case_identical(f"random-copy-{seed}")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mutants(self, seed):
-        base = small_circuit(seed + 50)
-        for mutant in mutated_variants(base, 2, seed=seed):
-            assert_scratch_identical(base, mutant, f"(mutant seed {seed})")
+        assert_case_identical(f"random-mutants-{seed}")
 
     def test_session_engine(self):
-        base = small_circuit(9, n_gates=120, n_inputs=14)
-        copies = [fingerprint_copy(base)] + mutated_variants(base, 2, seed=9)
-        assert_session_identical(base, copies, "(random)")
+        assert_case_identical("random-session")
 
 
 @pytest.mark.differential
@@ -169,17 +145,10 @@ class TestBenchmarkSuite:
 
     @pytest.mark.parametrize("name", SMALL_SUITE)
     def test_scratch_copy_and_mutant(self, name):
-        base = build_benchmark(name)
-        assert_scratch_identical(
-            base, fingerprint_copy(base), f"(benchmark {name})"
-        )
-        for mutant in mutated_variants(base, 1, seed=1):
-            assert_scratch_identical(base, mutant, f"({name} mutant)")
+        assert_case_identical(f"{name}-scratch")
 
     def test_k2_session(self):
-        base = build_benchmark("k2")
-        copies = [fingerprint_copy(base)] + mutated_variants(base, 2, seed=2)
-        assert_session_identical(base, copies, "(k2)")
+        assert_case_identical("k2-session")
 
     @pytest.mark.parametrize(
         "name", ["C1355", "C1908", "C3540", "C6288", "des", "i10", "k2"]

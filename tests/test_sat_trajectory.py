@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.sat.solver import SolverConfig
+from repro.sat.solver import CdclSolver, SolverConfig
 from tests.golden.make_sat_trajectory import OUT, pinned_configs, replay
 
 with open(OUT) as _handle:
@@ -38,12 +38,28 @@ def test_replay_matches_pin(name):
         assert replay(scenario, CONFIGS[key]) == expected, (name, key)
 
 
-# The random run reaches reduction and rescale only under the generator's
-# variant configs, so under the default config it adds nothing the
-# circuit scenarios do not already cover; skipping it keeps the file fast.
-@pytest.mark.parametrize("name", [n for n in SCENARIOS if not n.startswith("random")])
+@pytest.mark.parametrize("name", SCENARIOS)
 def test_profiled_replay_matches_pin(name):
     """``profile=True`` only adds timers; the search is the default one."""
     scenario = PIN["scenarios"][name]
     expected = scenario["outcomes"][SolverConfig().key()]
     assert replay(scenario, replace(SolverConfig(), profile=True)) == expected
+
+
+def test_default_search_reaches_reduction_and_rescale(monkeypatch):
+    """``random-3sat-reduce`` drives the default configuration through
+    learned-clause reduction and an activity rescale, so the pin covers
+    both under the search the flows run."""
+    scenario = PIN["scenarios"]["random-3sat-reduce"]
+    outcomes = scenario["outcomes"][SolverConfig().key()]
+    assert outcomes[-1][1]["learned_deleted"] > 0
+    rescales = []
+    rescale = CdclSolver._rescale_activity
+
+    def counted(self):
+        rescales.append(self.stats.conflicts)
+        rescale(self)
+
+    monkeypatch.setattr(CdclSolver, "_rescale_activity", counted)
+    assert replay(scenario, SolverConfig()) == outcomes
+    assert rescales
