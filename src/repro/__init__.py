@@ -35,7 +35,7 @@ from .api import (
     verify,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "BatchResult",

@@ -2,12 +2,10 @@
 
 from .cnf import Cnf, CnfError
 from .solver import (
-    LEGACY_CONFIG,
     CdclSolver,
     SatResult,
     SatStatus,
     SolverAbortedError,
-    SolverConfig,
     SolverStats,
     solve_cnf,
 )
@@ -38,9 +36,7 @@ __all__ = [
     "SatResult",
     "SatStatus",
     "SolverAbortedError",
-    "SolverConfig",
     "SolverStats",
-    "LEGACY_CONFIG",
     "solve_cnf",
     "PreprocessConfig",
     "PreprocessResult",

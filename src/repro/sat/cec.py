@@ -22,8 +22,8 @@ from ..hashing import COMMUTATIVE_KINDS  # noqa: F401 - re-export
 from ..ir import compile_circuit
 from ..netlist.circuit import Circuit
 from ..sim.equivalence import PortMismatchError
-from .preprocess import PreprocessConfig, preprocess
-from .solver import CdclSolver, SolverConfig, SolverStats
+from .preprocess import preprocess
+from .solver import CdclSolver, SolverStats
 from .tseitin import CircuitEncoding, _encode_xor2, encode_circuit
 
 
@@ -138,8 +138,6 @@ def check(
     budget: Optional[Budget] = None,
     *,
     simplify: bool = True,
-    solver_config: Optional[SolverConfig] = None,
-    preprocess_config: Optional[PreprocessConfig] = None,
 ) -> CecResult:
     """Budgeted equivalence check via the miter; SAT model = mismatch.
 
@@ -156,8 +154,6 @@ def check(
     (:mod:`repro.sat.preprocess`) on the miter before solving — primary
     inputs are frozen so counterexamples read straight off the extended
     model; the differential suite pins verdicts identical either way.
-    ``solver_config`` picks the CDCL inner-loop configuration (default:
-    all speed features on).
 
     A ``budget`` deadline covers the whole call: its clock starts here,
     preprocessing stops once it has passed, and the solver gets only the
@@ -176,7 +172,7 @@ def check(
     cnf = encoding.cnf
     if simplify:
         frozen = [encoding.var_of[net] for net in left.inputs]
-        pre = preprocess(cnf, frozen=frozen, config=preprocess_config, clock=clock)
+        pre = preprocess(cnf, frozen=frozen, clock=clock)
         if pre.status is False:
             return CecResult(
                 CecVerdict.EQUIVALENT,
@@ -188,8 +184,7 @@ def check(
     solve_budget = budget
     if clock is not None:
         solve_budget = replace(budget, deadline_s=max(0.0, clock.remaining_seconds()))
-    solver = CdclSolver(cnf, config=solver_config)
-    result = solver.solve(budget=solve_budget)
+    result = CdclSolver(cnf).solve(budget=solve_budget)
     if result.unknown:
         reason = result.reason
         if clock is not None:

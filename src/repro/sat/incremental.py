@@ -66,7 +66,7 @@ from ..sim.vectors import WORD_BITS, random_stimulus, vector_of
 from ..hashing import gate_key
 from .cec import CecResult, CecVerdict
 from .preprocess import INCREMENTAL_SAFE, preprocess
-from .solver import CdclSolver, SolverConfig
+from .solver import CdclSolver
 from .tseitin import _encode, encode_circuit
 
 
@@ -102,8 +102,6 @@ class IncrementalCecSession:
             and the sweep's candidate merge points (must be a multiple of
             64; signatures cost one word-parallel simulation per copy).
         seed: Stimulus seed, so sessions are reproducible.
-        solver_config: Inner-loop configuration for each copy's solver
-            (default: all speed features on).
         simplify_base: Run the incremental-safe preprocessor (probing +
             subsumption + self-subsuming resolution, **no** variable
             elimination — later copy deltas may reference any base
@@ -115,7 +113,6 @@ class IncrementalCecSession:
         base: Circuit,
         n_vectors: int = 512,
         seed: int = 2015,
-        solver_config: Optional[SolverConfig] = None,
         simplify_base: bool = True,
     ) -> None:
         if n_vectors <= 0 or n_vectors % WORD_BITS:
@@ -135,7 +132,6 @@ class IncrementalCecSession:
                 # survive because every future delta strashes against it.
                 cnf = preprocess(cnf, config=INCREMENTAL_SAFE).cnf
             self._base_cnf = cnf
-            self._solver_config = solver_config
 
             #: Per-base-gate canonical key, for name-stable matching: a
             #: copy gate that keeps its base name and definition maps to
@@ -162,7 +158,7 @@ class IncrementalCecSession:
 
     def _load_base(self) -> None:
         """A fresh solver holding only the base encoding."""
-        self.solver = CdclSolver(self._base_cnf, config=self._solver_config)
+        self.solver = CdclSolver(self._base_cnf)
 
     def _snapshot(
         self,

@@ -20,13 +20,13 @@ and asks many assumption queries of the same solver — first its sweep's
 internal-equivalence proofs, then any output obligations left, which
 reuse the lemmas the earlier solves learned.
 
-The inner loop is tunable through :class:`SolverConfig`.  The default
-configuration enables every speed feature (flat interleaved watch lists
-with blocker literals and a dedicated binary-clause tier, recursive
-learned-clause minimization); :data:`LEGACY_CONFIG` reproduces the
-pre-tuning solver exactly, which is what the raw-speed benchmark
-(``benchmarks/bench_sat_profile.py``) measures against and what the
-differential suite compares verdicts with.
+There is one search path.  Watch lists are flat interleaved arrays
+with blocker literals and a dedicated binary-clause tier; learned-clause
+minimization and phase saving are always on; the restart base and the
+two activity decays are the module constants :data:`RESTART_BASE`,
+:data:`VAR_DECAY` and :data:`CLA_DECAY`.  The SAT trajectory pin
+(``tests/golden/sat_trajectory.json``) fixes the search itself: every
+counter and model digest of a set of recorded call logs.
 
 Internal literal encoding: variable ``v`` (1-based) maps to literals
 ``2*v`` (positive) and ``2*v + 1`` (negative); ``lit ^ 1`` negates.
@@ -83,56 +83,13 @@ def _to_internal(lit: int) -> int:
     return 2 * var + (1 if lit < 0 else 0)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Inner-loop tuning knobs for :class:`CdclSolver`.
-
-    Attributes:
-        restart_base: Conflicts before the first restart; the Luby
-            sequence scales subsequent restart intervals from this base.
-        phase_saving: Remember each variable's last assigned polarity
-            across backjumps and branch on it first.
-        minimize: Recursive learned-clause minimization (self-subsuming
-            resolution over the implication graph) after first-UIP
-            analysis.
-        flat_watches: Cache-friendly watch lists — flat interleaved int
-            arrays ``[blocker, clause, blocker, clause, ...]`` with a
-            dedicated binary-clause tier that propagates without touching
-            clause objects at all.  ``False`` selects the historical
-            per-literal clause-index lists.
-        profile: Accumulate per-phase wall-clock time
-            (propagate/analyze/decide/reduce) into :class:`SolverStats`.
-            Off by default — the timers cost two clock reads per loop
-            iteration.
-        var_decay: VSIDS activity decay factor.
-        cla_decay: Learned-clause activity decay factor.
-    """
-
-    restart_base: int = 100
-    phase_saving: bool = True
-    minimize: bool = True
-    flat_watches: bool = True
-    profile: bool = False
-    var_decay: float = 0.95
-    cla_decay: float = 0.999
-
-    def key(self) -> str:
-        """Stable short string identifying this configuration.
-
-        The SAT trajectory pin (``tests/golden/sat_trajectory.json``)
-        keys each configuration's recorded outcomes by it.
-        """
-        return (
-            f"r{self.restart_base}-p{int(self.phase_saving)}"
-            f"-m{int(self.minimize)}-f{int(self.flat_watches)}"
-            f"-vd{self.var_decay:g}-cd{self.cla_decay:g}"
-        )
-
-
-#: The solver exactly as it behaved before the raw-speed program: no
-#: learned-clause minimization, per-literal clause-index watch lists.
-#: The profiling benchmark uses this as its "current solver" baseline.
-LEGACY_CONFIG = SolverConfig(minimize=False, flat_watches=False)
+#: Conflicts before the first restart; the Luby sequence scales later
+#: restart intervals from this base.
+RESTART_BASE = 100
+#: VSIDS variable-activity decay factor.
+VAR_DECAY = 0.95
+#: Learned-clause activity decay factor.
+CLA_DECAY = 0.999
 
 
 @dataclass
@@ -146,8 +103,8 @@ class SolverStats:
     ``learned_deleted`` counts clauses discarded by database reduction;
     ``minimized_literals`` counts literals removed from learned clauses by
     recursive minimization; ``solve_seconds`` is total wall-clock time
-    spent inside ``solve``.  The ``*_seconds`` phase timers fill only
-    under :attr:`SolverConfig.profile`.
+    spent inside ``solve``.  The ``*_seconds`` phase timers fill only on
+    a solver built with ``profile=True``.
     """
 
     decisions: int = 0
@@ -281,34 +238,28 @@ class CdclSolver:
     clause database (original + learned), variable activities and saved
     phases, and all root-level (decision level 0) implied assignments.
 
-    ``config`` selects the inner-loop machinery (see
-    :class:`SolverConfig`).
+    ``profile=True`` accumulates per-phase wall-clock time
+    (propagate/analyze/decide/reduce) into :class:`SolverStats`.  It is
+    off by default: the timers cost two clock reads per loop iteration,
+    and they change no search decision.
     """
 
-    def __init__(
-        self,
-        cnf: Optional[Cnf] = None,
-        config: Optional[SolverConfig] = None,
-    ) -> None:
-        config = config if config is not None else SolverConfig()
-        self.config = config
+    def __init__(self, cnf: Optional[Cnf] = None, profile: bool = False) -> None:
+        self._profile = profile
         self.n_vars = cnf.n_vars if cnf is not None else 0
         self.stats = SolverStats()
 
         size = 2 * (self.n_vars + 1)
-        self._flat = config.flat_watches
         self._clauses: List[List[int]] = []
         #: Parallel to ``_clauses``: True for learned (redundant) clauses.
         self._learned_mask: List[bool] = []
         #: Parallel to ``_clauses``: activity for DB-reduction ranking.
         self._clause_act: List[float] = []
-        #: Flat mode: interleaved ``[blocker, clause, ...]`` per literal
-        #: for clauses of 3+ literals.  Legacy mode: plain clause-index
-        #: lists holding every clause.
+        #: Interleaved ``[blocker, clause, ...]`` per literal for clauses
+        #: of 3+ literals.
         self._watches: List[List[int]] = [[] for _ in range(size)]
-        #: Flat mode only: interleaved ``[other_lit, clause, ...]`` per
-        #: literal for binary clauses — propagated without dereferencing
-        #: the clause object.
+        #: Interleaved ``[other_lit, clause, ...]`` per literal for binary
+        #: clauses — propagated without dereferencing the clause object.
         self._bin_watches: List[List[int]] = [[] for _ in range(size)]
         self._assign: List[int] = [_UNASSIGNED] * (self.n_vars + 1)
         #: Per-literal truth value: 1 true, 0 false, -1 unassigned.
@@ -320,9 +271,7 @@ class CdclSolver:
         self._activity: List[float] = [0.0] * (self.n_vars + 1)
         self._phase: List[bool] = [False] * (self.n_vars + 1)
         self._var_inc = 1.0
-        self._var_decay = config.var_decay
         self._cla_inc = 1.0
-        self._cla_decay = config.cla_decay
         self._trivially_unsat = False
         #: Set when an exception escaped a solve; see SolverAbortedError.
         self._aborted = False
@@ -428,7 +377,7 @@ class CdclSolver:
             return True
         simplified: List[int] = []
         for lit in internal:
-            value = self._lit_value(lit)
+            value = self._val[lit]
             if value == 1:
                 return True  # satisfied at the root level forever
             if value == 0:
@@ -460,26 +409,12 @@ class CdclSolver:
         return index
 
     def _watch_clause(self, index: int, literals: List[int]) -> None:
-        if self._flat:
-            if len(literals) == 2:
-                a, b = literals
-                self._bin_watches[a].append(b)
-                self._bin_watches[a].append(index)
-                self._bin_watches[b].append(a)
-                self._bin_watches[b].append(index)
-            else:
-                a, b = literals[0], literals[1]
-                self._watches[a].append(b)
-                self._watches[a].append(index)
-                self._watches[b].append(a)
-                self._watches[b].append(index)
-        else:
-            self._watches[literals[0]].append(index)
-            self._watches[literals[1]].append(index)
-
-    def _lit_value(self, lit: int) -> int:
-        """1 true, 0 false, -1 unassigned."""
-        return self._val[lit]
+        watches = self._bin_watches if len(literals) == 2 else self._watches
+        a, b = literals[0], literals[1]
+        watches[a].append(b)
+        watches[a].append(index)
+        watches[b].append(a)
+        watches[b].append(index)
 
     def _enqueue(self, lit: int, reason: Optional[int]) -> bool:
         val = self._val
@@ -503,11 +438,6 @@ class CdclSolver:
     # ------------------------------------------------------------------ #
 
     def _propagate(self, head: int) -> Tuple[Optional[int], int]:
-        if self._flat:
-            return self._propagate_flat(head)
-        return self._propagate_legacy(head)
-
-    def _propagate_flat(self, head: int) -> Tuple[Optional[int], int]:
         """Unit propagation over the flat interleaved watch arrays.
 
         Binary clauses propagate straight from their ``(other, clause)``
@@ -622,45 +552,6 @@ class CdclSolver:
         stats.watch_visits += visits
         return conflict, head
 
-    def _propagate_legacy(self, head: int) -> Tuple[Optional[int], int]:
-        """Unit propagation; returns (conflicting clause index or None, head)."""
-        while head < len(self._trail):
-            lit = self._trail[head]
-            head += 1
-            self.stats.propagations += 1
-            false_lit = lit ^ 1
-            watch_list = self._watches[false_lit]
-            self.stats.watch_visits += len(watch_list)
-            i = 0
-            while i < len(watch_list):
-                clause_index = watch_list[i]
-                clause = self._clauses[clause_index]
-                # Normalize: watched literals at positions 0 and 1.
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                if self._lit_value(first) == 1:
-                    i += 1
-                    continue
-                # Find a replacement watch.
-                moved = False
-                for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(clause_index)
-                        watch_list[i] = watch_list[-1]
-                        watch_list.pop()
-                        moved = True
-                        break
-                if moved:
-                    continue
-                # Clause is unit or conflicting on `first`.
-                if self._lit_value(first) == 0:
-                    return clause_index, head
-                self._enqueue(first, clause_index)
-                i += 1
-        return None, head
-
     # ------------------------------------------------------------------ #
     # conflict analysis
     # ------------------------------------------------------------------ #
@@ -700,8 +591,8 @@ class CdclSolver:
             self._cla_inc *= 1e-20
 
     def _analyze(self, conflict: int) -> Tuple[List[int], int]:
-        """First-UIP learning (+ optional minimization); returns
-        (learned clause, backjump level).
+        """First-UIP learning plus minimization; returns (learned clause,
+        backjump level).
 
         Every variable reached here is assigned (its literal is false in
         the conflict or a reason clause), so bumping its activity never
@@ -753,7 +644,7 @@ class CdclSolver:
         learned[0] = pivot ^ 1
 
         marked = learned
-        if self.config.minimize and len(learned) > 2:
+        if len(learned) > 2:
             learned = self._minimize_learned(learned, seen)
         for l in marked:
             seen[l >> 1] = False
@@ -835,11 +726,9 @@ class CdclSolver:
         heap = self._heap
         heap_act = self._heap_act
         push = heapq.heappush
-        save_phase = self.config.phase_saving
         for lit in undone:
             var = lit >> 1
-            if save_phase:
-                phase[var] = not lit & 1
+            phase[var] = not lit & 1
             assign[var] = _UNASSIGNED
             val[lit] = _UNASSIGNED
             val[lit ^ 1] = _UNASSIGNED
@@ -982,7 +871,7 @@ class CdclSolver:
     ) -> SatResult:
         clock = (budget if budget is not None else UNLIMITED).start()
         limited = not clock.budget.unlimited
-        profile = self.config.profile
+        profile = self._profile
         perf = time.perf_counter
         stats = self.stats
         conflicts_base = stats.conflicts
@@ -997,9 +886,9 @@ class CdclSolver:
 
         for external in assumptions:
             lit = _to_internal(external)
-            if self._lit_value(lit) == 1:
+            if self._val[lit] == 1:
                 continue
-            if self._lit_value(lit) == 0:
+            if self._val[lit] == 0:
                 self._backjump(0)
                 return SatResult(False, None, stats)
             self._trail_lim.append(len(self._trail))
@@ -1011,7 +900,7 @@ class CdclSolver:
         assumption_level = self._decision_level()
 
         conflicts_since_restart = 0
-        restart_base = self.config.restart_base
+        restart_base = RESTART_BASE
         restart_limit = restart_base * _luby(stats.restarts)
 
         while True:
@@ -1024,7 +913,7 @@ class CdclSolver:
             if conflict is not None:
                 stats.conflicts += 1
                 conflicts_since_restart += 1
-                self._cla_inc /= self._cla_decay
+                self._cla_inc /= CLA_DECAY
                 if limited:
                     reason = clock.exhausted_reason(
                         stats.conflicts - conflicts_base,
@@ -1057,7 +946,7 @@ class CdclSolver:
                     index = self._add_clause(learned, learned=True)
                     stats.learned += 1
                     self._enqueue(learned[0], index)
-                self._var_inc /= self._var_decay
+                self._var_inc /= VAR_DECAY
                 continue
             if conflicts_since_restart >= restart_limit:
                 stats.restarts += 1
@@ -1105,7 +994,6 @@ def solve_cnf(
     cnf: Cnf,
     assumptions: Sequence[int] = (),
     budget: Optional[Budget] = None,
-    config: Optional[SolverConfig] = None,
 ) -> SatResult:
     """Convenience wrapper: build a solver and run it once."""
-    return CdclSolver(cnf, config=config).solve(assumptions, budget=budget)
+    return CdclSolver(cnf).solve(assumptions, budget=budget)

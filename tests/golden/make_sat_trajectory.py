@@ -3,12 +3,12 @@
 Every scenario is a log of the calls one :class:`CdclSolver` received:
 its initial CNF, then ``new_var`` / ``add_clause`` /
 ``solve(assumptions, Budget(max_conflicts=N))`` in order.  Each log is
-replayed under every pinned :class:`SolverConfig`, and the status, every
-integer :class:`SolverStats` counter and a digest of the model after each
-solve are written next to it.  ``tests/test_sat_trajectory.py`` replays
-the logs and requires the same outcomes, so a change to the solver's
-inner loop must search exactly as the solver that wrote the pin did —
-same propagations, conflicts, decisions, learned clauses and models.
+replayed, and the status, every integer :class:`SolverStats` counter and
+a digest of the model after each solve are written next to it, under
+:data:`CONFIG_KEY`.  ``tests/test_sat_trajectory.py`` replays the logs
+and requires the same outcomes, so a change to the solver's inner loop
+must search exactly as the solver that wrote the pin did — same
+propagations, conflicts, decisions, learned clauses and models.
 
 The logs are CNF-level on purpose: once recorded they no longer depend on
 techmap, the Tseitin encoder, the preprocessor or the Python version.
@@ -22,11 +22,16 @@ flow issues them, one scenario per copy (the session starts every copy
 from a fresh solver holding only the base encoding); and two runs of many
 assumption solves on one random 3-SAT solver, the longer of which
 (``random-3sat-reduce``) reaches learned-clause reduction and an
-activity rescale under the default configuration.  The committed pin
-still holds
+activity rescale.  The committed pin still holds
 ``C432-session-8``, one solver serving all 8 copies as sessions did
 before they rebuilt per copy; it stays as a long-lived-solver scenario
 until the pin is next regenerated.
+
+Until version 6.0.0 the solver had a configuration object, and the pin
+held each scenario's outcomes under five configurations: the default,
+the legacy solver (no minimization, clause-index watch lists) and three
+heuristic variants.  Only the default remains; its outcomes were kept
+value for value when the others were dropped.
 
 Regenerate only when a change is *meant* to alter the search (see the
 raw-speed section of ``docs/ARCHITECTURE.md``), from the repository root::
@@ -53,7 +58,7 @@ from repro.sat import incremental
 from repro.sat.cec import build_miter
 from repro.sat.cnf import Cnf
 from repro.sat.preprocess import preprocess
-from repro.sat.solver import LEGACY_CONFIG, CdclSolver, SolverConfig, SolverStats
+from repro.sat.solver import CLA_DECAY, RESTART_BASE, VAR_DECAY, CdclSolver, SolverStats
 from repro.techmap import map_network
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sat_trajectory.json")
@@ -82,23 +87,10 @@ RANDOM_SHAPE = (110, 450, 30, 3, 300)
 #: reduction and one activity rescale under the default configuration.
 REDUCTION_SHAPE = (130, 550, 40, 3, 500)
 
-#: Non-default heuristics replayed next to the default and legacy
-#: configurations: short and long restarts, no phase saving, and faster
-#: and slower activity decay, so the pin covers learned-clause reduction
-#: and activity rescaling too.
-VARIANT_CONFIGS = (
-    SolverConfig(restart_base=30, var_decay=0.90),
-    SolverConfig(restart_base=400, phase_saving=False),
-    SolverConfig(restart_base=100, var_decay=0.99, cla_decay=0.995),
-)
-
-
-def pinned_configs() -> List[SolverConfig]:
-    """Default, legacy and the variants, each configuration once."""
-    configs: Dict[str, SolverConfig] = {}
-    for config in (SolverConfig(), LEGACY_CONFIG) + VARIANT_CONFIGS:
-        configs.setdefault(config.key(), config)
-    return list(configs.values())
+#: The key each scenario's outcomes are filed under.  It names the
+#: search that recorded them: restart base, phase saving on,
+#: minimization on, flat watch lists, and the two activity decays.
+CONFIG_KEY = f"r{RESTART_BASE}-p1-m1-f1-vd{VAR_DECAY:g}-cd{CLA_DECAY:g}"
 
 
 def model_digest(model: Optional[Dict[int, bool]]) -> Optional[str]:
@@ -112,14 +104,14 @@ def counters(stats: SolverStats) -> Dict[str, int]:
     return {name: int(getattr(stats, name)) for name in COUNTERS}
 
 
-def replay(log: Dict[str, object], config: SolverConfig) -> List[list]:
+def replay(log: Dict[str, object], profile: bool = False) -> List[list]:
     """Run one call log on a fresh solver; ``[status, counters, model]`` per solve."""
     cnf = Cnf()
     for _ in range(log["n_vars"]):
         cnf.new_var()
     for clause in log["clauses"]:
         cnf.add_clause(clause)
-    solver = CdclSolver(cnf, config=config)
+    solver = CdclSolver(cnf, profile=profile)
     outcomes = []
     for call in log["calls"]:
         op = call[0]
@@ -154,10 +146,10 @@ class _RecordingSolver(CdclSolver):
 
     logs: List[Dict[str, object]] = []
 
-    def __init__(self, cnf: Optional[Cnf] = None, config=None):
+    def __init__(self, cnf: Optional[Cnf] = None, profile: bool = False):
         self._log = _log_of_cnf(cnf if cnf is not None else Cnf())
         self.logs.append(self._log)
-        super().__init__(cnf, config)
+        super().__init__(cnf, profile)
 
     def new_var(self) -> int:
         calls = self._log["calls"]
@@ -262,14 +254,10 @@ def main(argv: Sequence[str] = ()) -> int:
     logs.update(session_logs(c432))
     logs["random-3sat"] = random_log()
     logs["random-3sat-reduce"] = random_log(shape=REDUCTION_SHAPE)
-    configs = pinned_configs()
     scenarios = {}
     for name, log in logs.items():
-        scenarios[name] = dict(
-            log,
-            outcomes={config.key(): replay(log, config) for config in configs},
-        )
-        print(name, {key: len(o) for key, o in scenarios[name]["outcomes"].items()})
+        scenarios[name] = dict(log, outcomes={CONFIG_KEY: replay(log)})
+        print(name, len(scenarios[name]["outcomes"][CONFIG_KEY]))
     with open(out, "w") as handle:
         json.dump({"schema": 1, "counters": list(COUNTERS), "scenarios": scenarios},
                   handle, separators=(",", ":"))

@@ -5,7 +5,9 @@
 set of circuit pairs.  This script builds those pairs and writes the
 baseline leg's verdict for each to ``tests/golden/sat_verdict_pin.json``,
 next to a digest of both circuits, so the test knows the pair it checks
-is the pair that was recorded.
+is the pair that was recorded.  The pin is an independent reference:
+the test checks each verdict against it and, for pairs of at most
+``MAX_EXHAUSTIVE_INPUTS`` inputs, against exhaustive simulation.
 
 A case is one base circuit and the circuits compared with it, checked
 by one engine:
@@ -20,9 +22,12 @@ mutants, a session over a copy and two mutants) in tier-1; the bundled
 small suite (a copy and a mutant each) and a k2 session (a copy and two
 mutants) under ``-m differential``.
 
-The baseline leg is the pre-tuning pipeline: ``check(simplify=False,
-solver_config=LEGACY_CONFIG)`` and ``IncrementalCecSession(
-solver_config=LEGACY_CONFIG, simplify_base=False)``.  From the repository
+The baseline leg is the unsimplified pipeline: ``check(simplify=False)``
+on the raw miter, and an ``IncrementalCecSession(simplify_base=False)``.
+The committed pin was recorded before version 6.0.0, when the baseline
+leg also ran the legacy solver configuration (no learned-clause
+minimization, clause-index watch lists), which has since been deleted.
+Regenerate it only when the case table changes.  From the repository
 root::
 
     PYTHONPATH=src python -m tests.golden.make_sat_verdict_pin
@@ -42,7 +47,7 @@ from repro.faultinject import GateKindSwap, StuckAtNet
 from repro.fingerprint import embed, find_locations, full_assignment
 from repro.hashing import circuit_digest
 from repro.netlist.circuit import Circuit
-from repro.sat import LEGACY_CONFIG, IncrementalCecSession
+from repro.sat import IncrementalCecSession
 from repro.sat.cec import CecResult, check
 from tests.golden.make_catalog_pin import c17
 
@@ -139,13 +144,8 @@ def digest(circuit: Circuit) -> str:
 def baseline_results(engine: str, base: Circuit, others: Sequence[Circuit]) -> List[CecResult]:
     """The baseline leg's result for each (base, other) pair."""
     if engine == "scratch":
-        return [
-            check(base, other, simplify=False, solver_config=LEGACY_CONFIG)
-            for other in others
-        ]
-    session = IncrementalCecSession(
-        base, solver_config=LEGACY_CONFIG, simplify_base=False
-    )
+        return [check(base, other, simplify=False) for other in others]
+    session = IncrementalCecSession(base, simplify_base=False)
     return [session.verify(other) for other in others]
 
 

@@ -1,19 +1,19 @@
 """Differential harness: the fast SAT pipeline must match the baseline.
 
-The raw-speed program (preprocessing, learned-clause minimization, flat
-watch lists, restarts) is only admissible because it is
-*bit-identical in verdicts* to the pre-existing solver path.  This suite
-enforces that on the pairs of ``tests/golden/make_sat_verdict_pin.py``:
+Preprocessing is only admissible because it is *identical in verdicts*
+to solving the raw formula.  This suite enforces that on the pairs of
+``tests/golden/make_sat_verdict_pin.py``:
 
 * scratch CEC (`repro.sat.cec.check`): default pipeline (preprocessing +
-  tuned solver) vs `simplify=False` + `LEGACY_CONFIG` on bundled designs,
-  embedded fingerprint copies, and faultinject mutants (tier-1);
-* incremental sessions: default construction vs legacy-configured,
-  unsimplified sessions over the same copies (tier-1);
+  solver) vs `simplify=False` on bundled designs, embedded fingerprint
+  copies, and faultinject mutants (tier-1);
+* incremental sessions: default construction vs unsimplified sessions
+  over the same copies (tier-1);
 * both legs must give the verdict ``tests/golden/sat_verdict_pin.json``
-  recorded for the pair, and a pair of at most
-  ``MAX_EXHAUSTIVE_INPUTS`` inputs must get that verdict from exhaustive
-  simulation too, which shares no code with the solver;
+  recorded for the pair (by the legacy solver, before version 6.0.0
+  deleted it), and a pair of at most ``MAX_EXHAUSTIVE_INPUTS`` inputs
+  must get that verdict from exhaustive simulation too, which shares no
+  code with the solver;
 * every NOT_EQUIVALENT counterexample — which on the fast path crosses
   the preprocessor's model reconstruction — is replayed through the
   simulator and must actually distinguish the circuits;
@@ -137,11 +137,10 @@ class TestRandomCircuits:
 @pytest.mark.timeout(900)
 class TestBenchmarkSuite:
     """Scratch differential over the bundled small suite; session
-    differential over k2 — the workload the 3x speedup gate measures.
+    differential over k2, the design ``bench_sat_profile.py`` profiles.
 
     The per-test cap is raised because the *baseline* leg deliberately
-    runs the slow pre-program pipeline (no preprocessing, legacy
-    solver) on full scratch miters."""
+    solves full scratch miters without preprocessing."""
 
     @pytest.mark.parametrize("name", SMALL_SUITE)
     def test_scratch_copy_and_mutant(self, name):

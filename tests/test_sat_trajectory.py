@@ -3,55 +3,51 @@
 ``tests/golden/sat_trajectory.json`` holds CNF-level call logs (initial
 clauses, then ``new_var`` / ``add_clause`` / budgeted ``solve`` calls)
 with the status, every integer :class:`SolverStats` counter and a model
-digest after each solve, under every pinned :class:`SolverConfig`.  A
-replay that differs in any of them means the search itself changed, not
-just its speed.  See ``tests/golden/make_sat_trajectory.py`` for the
-scenarios and for when regenerating the pin is legitimate.
+digest after each solve.  A replay that differs in any of them means the
+search itself changed, not just its speed.  See
+``tests/golden/make_sat_trajectory.py`` for the scenarios and for when
+regenerating the pin is legitimate.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from repro.sat.solver import CdclSolver, SolverConfig
-from tests.golden.make_sat_trajectory import OUT, pinned_configs, replay
+from repro.sat.solver import CdclSolver
+from tests.golden.make_sat_trajectory import CONFIG_KEY, OUT, replay
 
 with open(OUT) as _handle:
     PIN = json.load(_handle)
 
 SCENARIOS = sorted(PIN["scenarios"])
-CONFIGS = {config.key(): config for config in pinned_configs()}
 
 
 def test_pin_covers_every_pinned_config():
+    """Every scenario holds outcomes for the solver's one configuration."""
     for name in SCENARIOS:
-        assert sorted(PIN["scenarios"][name]["outcomes"]) == sorted(CONFIGS), name
+        assert list(PIN["scenarios"][name]["outcomes"]) == [CONFIG_KEY], name
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_replay_matches_pin(name):
     scenario = PIN["scenarios"][name]
-    for key, expected in sorted(scenario["outcomes"].items()):
-        assert replay(scenario, CONFIGS[key]) == expected, (name, key)
+    assert replay(scenario) == scenario["outcomes"][CONFIG_KEY], name
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_profiled_replay_matches_pin(name):
-    """``profile=True`` only adds timers; the search is the default one."""
+    """``profile=True`` only adds timers; the search is the same."""
     scenario = PIN["scenarios"][name]
-    expected = scenario["outcomes"][SolverConfig().key()]
-    assert replay(scenario, replace(SolverConfig(), profile=True)) == expected
+    assert replay(scenario, profile=True) == scenario["outcomes"][CONFIG_KEY]
 
 
-def test_default_search_reaches_reduction_and_rescale(monkeypatch):
-    """``random-3sat-reduce`` drives the default configuration through
-    learned-clause reduction and an activity rescale, so the pin covers
-    both under the search the flows run."""
+def test_search_reaches_reduction_and_rescale(monkeypatch):
+    """``random-3sat-reduce`` drives the solver through learned-clause
+    reduction and an activity rescale, so the pin covers both."""
     scenario = PIN["scenarios"]["random-3sat-reduce"]
-    outcomes = scenario["outcomes"][SolverConfig().key()]
+    outcomes = scenario["outcomes"][CONFIG_KEY]
     assert outcomes[-1][1]["learned_deleted"] > 0
     rescales = []
     rescale = CdclSolver._rescale_activity
@@ -61,5 +57,5 @@ def test_default_search_reaches_reduction_and_rescale(monkeypatch):
         rescale(self)
 
     monkeypatch.setattr(CdclSolver, "_rescale_activity", counted)
-    assert replay(scenario, SolverConfig()) == outcomes
+    assert replay(scenario) == outcomes
     assert rescales
