@@ -5,7 +5,9 @@ over ``src``; this test pins that discovery to the actual directory
 tree, so adding a subpackage (as the store/service PR does with
 ``repro.store`` and ``repro.service``) without an ``__init__.py`` — or
 with one that fails to import — breaks loudly here instead of silently
-shipping an incomplete distribution.
+shipping an incomplete distribution.  It also requires the version in
+``pyproject.toml`` to equal ``repro.__version__``, so a version bump
+moves both.
 """
 
 from __future__ import annotations
@@ -52,3 +54,25 @@ def test_every_package_has_init():
     for name in on_disk_packages():
         path = os.path.join(SRC, name.replace(".", os.sep), "__init__.py")
         assert os.path.exists(path), f"{name} lacks __init__.py"
+
+
+def pyproject_version() -> str:
+    """``[project] version`` from ``pyproject.toml``, read without tomllib
+    (Python 3.9 has none)."""
+    section = None
+    with open(os.path.join(REPO_ROOT, "pyproject.toml")) as handle:
+        for line in handle:
+            line = line.strip()
+            if line.startswith("["):
+                section = line
+            elif section == "[project]" and line.startswith("version"):
+                key, _, value = line.partition("=")
+                if key.strip() == "version":
+                    return value.strip().strip("\"'")
+    raise AssertionError("pyproject.toml has no [project] version")
+
+
+def test_pyproject_version_is_the_package_version():
+    import repro
+
+    assert pyproject_version() == repro.__version__
