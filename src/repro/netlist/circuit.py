@@ -247,16 +247,13 @@ class Circuit:
         self._cache[key] = (self._version, value)
         return value
 
-    # Backwards-compatible private alias (pre-IR internal spelling).
-    _cached = cached
-
     def topological_order(self) -> List[Gate]:
         """Gates ordered so every gate follows all of its drivers.
 
         Raises :class:`NetlistError` on combinational cycles or references
         to undriven, non-PI nets.
         """
-        return self._cached("topo", self._compute_topo)
+        return self.cached("topo", self._compute_topo)
 
     def _compute_topo(self) -> List[Gate]:
         in_degree: Dict[str, int] = {}
@@ -292,7 +289,7 @@ class Circuit:
         Primary outputs are *not* counted as fanouts; use
         :meth:`fanout_count` for a load measure that includes PO loads.
         """
-        table: Dict[str, List[str]] = self._cached("fanouts", self._compute_fanouts)
+        table: Dict[str, List[str]] = self.cached("fanouts", self._compute_fanouts)
         if net is None:
             return table
         return list(table.get(net, ()))
@@ -313,7 +310,7 @@ class Circuit:
 
     def levels(self) -> Dict[str, int]:
         """Logic level (depth) of every net; PIs at level 0."""
-        return self._cached("levels", self._compute_levels)
+        return self.cached("levels", self._compute_levels)
 
     def _compute_levels(self) -> Dict[str, int]:
         level: Dict[str, int] = {net: 0 for net in self._inputs}

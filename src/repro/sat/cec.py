@@ -15,10 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from ..budget import Budget
-
-# Canonical commutativity set now lives with the other content-hashing
-# conventions; re-exported here for the pre-refactor import path.
-from ..hashing import COMMUTATIVE_KINDS  # noqa: F401 - re-export
+from ..hashing import COMMUTATIVE_KINDS
 from ..ir import compile_circuit
 from ..netlist.circuit import Circuit
 from ..sim.equivalence import PortMismatchError
