@@ -27,11 +27,9 @@ activity rescale.  The committed pin still holds
 before they rebuilt per copy; it stays as a long-lived-solver scenario
 until the pin is next regenerated.
 
-Until version 6.0.0 the solver had a configuration object, and the pin
-held each scenario's outcomes under five configurations: the default,
-the legacy solver (no minimization, clause-index watch lists) and three
-heuristic variants.  Only the default remains; its outcomes were kept
-value for value when the others were dropped.
+The outcomes sit under :data:`CONFIG_KEY`, the key the solver's one
+configuration had when the pin also held the outcomes of the deleted
+legacy and variant configurations (before version 6.0.0).
 
 Regenerate only when a change is *meant* to alter the search (see the
 raw-speed section of ``docs/ARCHITECTURE.md``), from the repository root::

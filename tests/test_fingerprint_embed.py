@@ -85,8 +85,8 @@ class TestApplyRemove:
 
 class TestInverterSharing:
     def test_shared_inverter_refcounted(self):
-        # C432's catalog has negative literals shared between slots;
-        # C880's has none, which left this test skipping on every run.
+        # C432's catalog shares negative literals between slots (C880's
+        # shares none).
         base = build_benchmark("C432")
         catalog = find_locations(base)
         fp = FingerprintedCircuit(base, catalog)
