@@ -141,23 +141,26 @@ def digest(circuit: Circuit) -> str:
     return circuit_digest(circuit)[:16]
 
 
-def baseline_results(engine: str, base: Circuit, others: Sequence[Circuit]) -> List[CecResult]:
-    """The baseline leg's result for each (base, other) pair."""
+def results(
+    engine: str, base: Circuit, others: Sequence[Circuit], simplify: bool
+) -> List[CecResult]:
+    """One leg's result for each (base, other) pair: the default pipeline
+    with ``simplify``, the baseline leg without."""
     if engine == "scratch":
-        return [check(base, other, simplify=False) for other in others]
-    session = IncrementalCecSession(base, simplify_base=False)
+        return [check(base, other, simplify=simplify) for other in others]
+    session = IncrementalCecSession(base, simplify_base=simplify)
     return [session.verify(other) for other in others]
 
 
 def case_record(name: str) -> Dict[str, object]:
     engine, base, others = build_case(name)
-    results = baseline_results(engine, base, others)
+    baseline = results(engine, base, others, simplify=False)
     return {
         "engine": engine,
         "base": digest(base),
         "pairs": [
             [digest(other), result.verdict.value]
-            for other, result in zip(others, results)
+            for other, result in zip(others, baseline)
         ],
     }
 

@@ -33,17 +33,11 @@ from repro.budget import Budget
 from repro.fingerprint import FingerprintCodec, embed, find_locations
 from repro.flows.batch import select_values
 from repro.sat import IncrementalCecSession
-from repro.sat.cec import CecVerdict, check
+from repro.sat.cec import CecVerdict
 from repro.sim.equivalence import exhaustive_equivalent
 from repro.sim.simulator import Simulator
 from repro.sim.vectors import MAX_EXHAUSTIVE_INPUTS
-from tests.golden.make_sat_verdict_pin import (
-    OUT,
-    baseline_results,
-    build_case,
-    cases,
-    digest,
-)
+from tests.golden.make_sat_verdict_pin import OUT, build_case, cases, digest, results
 from tests.test_sat_incremental import rare_difference
 
 with open(OUT) as _handle:
@@ -61,14 +55,6 @@ def assert_counterexample_distinguishes(left, right, counterexample, note):
     )
 
 
-def default_results(engine, base, others):
-    """The default pipeline's result for each (base, other) pair."""
-    if engine == "scratch":
-        return [check(base, other) for other in others]
-    session = IncrementalCecSession(base)
-    return [session.verify(other) for other in others]
-
-
 def assert_case_identical(name):
     """The differential oracle for one case of the verdict pin."""
     engine, base, others = build_case(name)
@@ -78,8 +64,8 @@ def assert_case_identical(name):
         digest(c) for c in [base] + others
     ], f"{name}: the pairs differ from the pinned ones"
     exhaustive = len(base.inputs) <= MAX_EXHAUSTIVE_INPUTS
-    fast = default_results(engine, base, others)
-    baseline = baseline_results(engine, base, others)
+    fast = results(engine, base, others, simplify=True)
+    baseline = results(engine, base, others, simplify=False)
     for index, other in enumerate(others):
         note = f"({name} pair {index})"
         rf, rb = fast[index], baseline[index]
