@@ -1,7 +1,8 @@
 """Record the preprocessor output pin: CNF-level inputs and exact outputs.
 
 Every case is one :func:`repro.sat.preprocess.preprocess` call on a CNF
-with its frozen-variable list under a named :class:`PreprocessConfig`.
+with its frozen-variable list under a named setting of :data:`CONFIGS`:
+the ``eliminate`` switch and the preprocessor's effort bounds.
 The pin keeps, per case, the status, a sha256 of the output clause list
 in order, a sha256 of the reconstruction stack in order and every integer
 :class:`PreprocessStats` counter.  ``tests/test_preprocess_pin.py``
@@ -19,14 +20,15 @@ Tseitin encoder or the embedding change:
   ``FlowOptions(seed=0)`` and ``Budget(max_conflicts=20000)``; the c17
   full-embedding miter; the C432 full-embedding miter against a known-bad
   copy (one output inverted); and the C432 incremental-session base
-  encoding under :data:`INCREMENTAL_SAFE`.
+  encoding without variable elimination.
 * ``random``: small seeded CNFs (units, duplicate literals, tautologies,
   refutable and satisfiable inputs, random frozen sets), each run under
-  every config of :data:`CONFIGS`, where each effort bound is set low
-  enough to bind and each phase is switched off alone.  Only a digest of
-  every generated input is stored.
-* ``slow``: about 2,000 larger seeded CNFs (50-300 variables), one config
-  each, with one input and one output digest per case (``-m slow``).
+  every setting of :data:`CONFIGS`: the default, no variable elimination
+  (what the incremental session runs), and each effort bound set low
+  enough to bind.  Only a digest of every generated input is stored.
+* ``slow``: about 2,000 larger seeded CNFs (50-300 variables), one
+  setting each, with one input and one output digest per case
+  (``-m slow``).
 
 Regenerate only when a change is *meant* to alter the simplification (see
 the raw-speed section of ``docs/ARCHITECTURE.md``), and then run the
@@ -37,7 +39,6 @@ parent's preprocessor first to see what moved.  From the repository root::
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -46,7 +47,7 @@ import sys
 from typing import Dict, List, Sequence, Tuple
 
 from repro.sat.cnf import Cnf
-from repro.sat.preprocess import INCREMENTAL_SAFE, PreprocessConfig, preprocess
+from repro.sat.preprocess import PreprocessConfig, preprocess
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "preprocess_pin.json")
 
@@ -64,36 +65,41 @@ STATS = (
     "vars_in",
 )
 
-_DEFAULT = PreprocessConfig()
+#: The preprocessor's effort bounds, by the names of their module constants.
+BOUNDS = ("MAX_ROUNDS", "RESOLVENT_MAX", "PROBE_LIMIT", "OCC_LIMIT")
+_FIELDS = dict(zip(BOUNDS, ("max_rounds", "bve_resolvent_max", "probe_limit", "subsume_occ_limit")))
 
-#: Named configs of the random populations: the default, each phase off
-#: alone, the incremental-safe set, and each effort bound set low.
-CONFIGS: Dict[str, PreprocessConfig] = {
-    "default": _DEFAULT,
-    "incremental-safe": INCREMENTAL_SAFE,
-    "no-bve": dataclasses.replace(_DEFAULT, bve=False),
-    "no-subsume": dataclasses.replace(_DEFAULT, subsume=False),
-    "no-ssr": dataclasses.replace(_DEFAULT, ssr=False),
-    "no-probe": dataclasses.replace(_DEFAULT, probe=False),
-    "probe-limit-1": dataclasses.replace(_DEFAULT, probe_limit=1),
-    "probe-limit-7": dataclasses.replace(_DEFAULT, probe_limit=7),
-    "probe-limit-60": dataclasses.replace(_DEFAULT, probe_limit=60),
-    "occ-limit-1": dataclasses.replace(_DEFAULT, subsume_occ_limit=1),
-    "occ-limit-3": dataclasses.replace(_DEFAULT, subsume_occ_limit=3),
-    "bve-grow-1": dataclasses.replace(_DEFAULT, bve_grow=1),
-    "bve-grow-3": dataclasses.replace(_DEFAULT, bve_grow=3),
-    "resolvent-max-2": dataclasses.replace(_DEFAULT, bve_resolvent_max=2),
-    "resolvent-max-3": dataclasses.replace(_DEFAULT, bve_resolvent_max=3),
-    "rounds-1": dataclasses.replace(_DEFAULT, max_rounds=1),
-    "rounds-2": dataclasses.replace(_DEFAULT, max_rounds=2),
+_DEFAULT_CONFIG = PreprocessConfig()
+#: The preprocessor as ``cec.check`` runs it: variable elimination on, every
+#: effort bound at its fixed value.
+DEFAULT: Dict[str, object] = {
+    "eliminate": _DEFAULT_CONFIG.bve,
+    **{name: getattr(_DEFAULT_CONFIG, field) for name, field in _FIELDS.items()},
 }
 
-#: Configs that lower an effort bound; each must change some random output.
-BOUND_CONFIGS = tuple(
-    name for name in CONFIGS
-    if name.split("-")[0] in ("probe", "occ", "bve", "resolvent", "rounds")
-    and name != "no-probe"
-)
+
+def _setting(**changes: object) -> Dict[str, object]:
+    return {**DEFAULT, **changes}
+
+
+#: Named settings of the random populations: the default, no variable
+#: elimination, and each effort bound set low.
+CONFIGS: Dict[str, Dict[str, object]] = {
+    "default": DEFAULT,
+    "incremental-safe": _setting(eliminate=False),
+    "probe-limit-1": _setting(PROBE_LIMIT=1),
+    "probe-limit-7": _setting(PROBE_LIMIT=7),
+    "probe-limit-60": _setting(PROBE_LIMIT=60),
+    "occ-limit-1": _setting(OCC_LIMIT=1),
+    "occ-limit-3": _setting(OCC_LIMIT=3),
+    "resolvent-max-2": _setting(RESOLVENT_MAX=2),
+    "resolvent-max-3": _setting(RESOLVENT_MAX=3),
+    "rounds-1": _setting(MAX_ROUNDS=1),
+    "rounds-2": _setting(MAX_ROUNDS=2),
+}
+
+#: Settings that lower an effort bound; each must change some random output.
+BOUND_CONFIGS = tuple(name for name in CONFIGS if name not in ("default", "incremental-safe"))
 
 #: Seeds and size ranges (variables) of the two random populations.
 RANDOM_SEEDS = range(60)
@@ -106,8 +112,12 @@ def _sha(payload: object) -> str:
     return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
 
 
-def outcome(cnf: Cnf, frozen: Sequence[int], config: PreprocessConfig) -> Dict[str, object]:
-    """What the pin records about one :func:`preprocess` call."""
+def outcome(cnf: Cnf, frozen: Sequence[int], setting: Dict[str, object]) -> Dict[str, object]:
+    """What the pin records about one :func:`preprocess` call under ``setting``."""
+    config = PreprocessConfig(
+        bve=setting["eliminate"],
+        **{field: setting[name] for name, field in _FIELDS.items()},
+    )
     result = preprocess(cnf, frozen=frozen, config=config)
     stack = [[var, [list(c) for c in clauses]]
              for var, clauses in result.reconstruction._stack]
@@ -217,9 +227,9 @@ def benchmark_miters() -> Dict[str, Dict[str, object]]:
     label = [""]
     original = cec.preprocess
 
-    def recording(cnf, frozen=(), config=None, **kwargs):
+    def recording(cnf, frozen=(), **kwargs):
         captured.append((label[0], cnf, list(frozen)))
-        return original(cnf, frozen=frozen, config=config, **kwargs)
+        return original(cnf, frozen=frozen, **kwargs)
 
     options = FlowOptions(seed=0, ladder=LadderConfig(sat_budget=Budget(max_conflicts=20_000)))
     flows = [("C432", None), ("C499", None), ("C880", None),
@@ -301,7 +311,7 @@ def main(argv: Sequence[str] = ()) -> int:
         random_cases.append({
             "seed": seed,
             "input": input_digest(cnf, frozen),
-            "expect": {name: outcome(cnf, frozen, config) for name, config in CONFIGS.items()},
+            "expect": {name: outcome(cnf, frozen, setting) for name, setting in CONFIGS.items()},
         })
     statuses = {o["status"] for case in random_cases for o in case["expect"].values()}
     assert statuses == {False, True, None}, statuses
@@ -313,7 +323,7 @@ def main(argv: Sequence[str] = ()) -> int:
     pin = {
         "schema": 1,
         "stats": list(STATS),
-        "configs": {name: dataclasses.asdict(c) for name, c in CONFIGS.items()},
+        "configs": CONFIGS,
         "real": real,
         "random": random_cases,
         "slow": slow,

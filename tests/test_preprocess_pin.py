@@ -11,7 +11,6 @@ for the cases and for when regenerating the pin is legitimate.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -39,7 +38,7 @@ SLOW_CHUNK = 100
 
 def test_pin_matches_the_recorded_configs():
     assert PIN["stats"] == list(STATS)
-    assert PIN["configs"] == {name: dataclasses.asdict(c) for name, c in CONFIGS.items()}
+    assert PIN["configs"] == CONFIGS
     for case in PIN["random"]:
         assert sorted(case["expect"]) == sorted(CONFIGS), case["seed"]
 
@@ -64,8 +63,8 @@ def test_random_cnf_matches_pin(seed):
     case = RANDOM[seed]
     cnf, frozen = random_input(seed, RANDOM_VARS)
     assert input_digest(cnf, frozen) == case["input"], "generator drifted"
-    for name, config in sorted(CONFIGS.items()):
-        assert outcome(cnf, frozen, config) == case["expect"][name], (seed, name)
+    for name, setting in sorted(CONFIGS.items()):
+        assert outcome(cnf, frozen, setting) == case["expect"][name], (seed, name)
 
 
 @pytest.mark.slow
