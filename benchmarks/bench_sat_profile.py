@@ -43,10 +43,8 @@ from repro.bench.data import data_path  # noqa: E402
 from repro.fingerprint import find_locations  # noqa: E402
 from repro.netlist import read_blif  # noqa: E402
 from repro.techmap import map_network  # noqa: E402
-from repro.hashing import COMMUTATIVE_KINDS  # noqa: E402
-from repro.ir import compile_circuit  # noqa: E402
 from repro.netlist.circuit import Circuit  # noqa: E402
-from repro.sat.cec import _encode_xor2  # noqa: E402
+from repro.sat.cec import _encode_xor2, differing_outputs  # noqa: E402
 from repro.sat.cnf import Cnf  # noqa: E402
 from repro.sat.preprocess import preprocess_for_solve  # noqa: E402
 from repro.sat.solver import CdclSolver  # noqa: E402
@@ -64,33 +62,6 @@ HARDEST_N = 3
 
 RECORD_PATH = REPO_ROOT / "BENCH_sat_profile.json"
 SMOKE_RECORD = "BENCH_sat_profile_smoke.json"
-
-
-def affected_outputs(base: Circuit, copy: Circuit) -> List[str]:
-    """Outputs whose cone is structurally touched by the copy's edits.
-
-    Shared canonical hashing over both circuits (the incremental
-    session's discharge rule): an output with equal classes is equivalent
-    by construction and the session never SAT-solves it, so the profile
-    workload is exactly the outputs with differing classes.
-    """
-    table: Dict[tuple, int] = {}
-
-    def classes(circuit: Circuit) -> Dict[str, int]:
-        compiled = compile_circuit(circuit)
-        cls: Dict[str, int] = {}
-        for name in circuit.inputs:
-            cls[name] = table.setdefault(("pi", name), len(table))
-        for gate in compiled.gates_in_order():
-            ins = tuple(cls[n] for n in gate.inputs)
-            if gate.kind in COMMUTATIVE_KINDS:
-                ins = tuple(sorted(ins))
-            cls[gate.name] = table.setdefault((gate.kind, ins), len(table))
-        return {net: cls[net] for net in circuit.outputs}
-
-    base_cls = classes(base)
-    copy_cls = classes(copy)
-    return [net for net in base.outputs if base_cls[net] != copy_cls[net]]
 
 
 def encode_obligations(
@@ -198,7 +169,9 @@ def collect_obligations(
     """Preprocessed solve of every affected per-output obligation."""
     rows: List[dict] = []
     for label, copy in pairs:
-        outputs = affected_outputs(base, copy)
+        # Outputs with equal canonical classes are equivalent by
+        # construction, and the incremental session never SAT-solves them.
+        outputs = differing_outputs(base, copy)
         if max_per_pair is not None:
             outputs = outputs[:max_per_pair]
         if not outputs:

@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from ..budget import Budget
 from ..errors import ReproError
-from .window import WindowConfig
 
 
 class AttackError(ReproError, ValueError):
     """Invalid attack configuration or an attack precondition failure."""
-
-
-def _default_proof_budget() -> Budget:
-    return Budget(deadline_s=10.0, max_conflicts=500_000)
 
 
 @dataclass(frozen=True)
@@ -28,11 +21,7 @@ class AttackConfig:
             are independent of suite composition and order.
         n_vectors: Packed random vectors for the resubstitution engine's
             simulation prefilters (positive multiple of 64).
-        window: Window extraction tuning for the resubstitution engine
-            (:mod:`repro.attack.window`).
         max_passes: Resubstitution sweeps until a fixed point or this cap.
-        proof_budget: Budget per validation SAT solve; an exhausted solve
-            skips the candidate rather than committing unproven rewrites.
         rewrite_fraction: Fraction of eligible gates the DeMorgan rewrite
             attack restructures.
         colluders: Number of fingerprinted copies the collusion attack
@@ -44,9 +33,7 @@ class AttackConfig:
 
     seed: int = 2015
     n_vectors: int = 256
-    window: WindowConfig = field(default_factory=WindowConfig)
     max_passes: int = 8
-    proof_budget: Optional[Budget] = field(default_factory=_default_proof_budget)
     rewrite_fraction: float = 0.4
     colluders: int = 3
     collusion_strategy: str = "strip"

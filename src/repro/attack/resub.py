@@ -10,15 +10,12 @@ literal, plus whatever genuine redundancy the design carries.
 
 Per candidate ``(gate, input position)`` the tiers are, cheapest first:
 
-1. **Packed simulation**: evaluate the narrowed gate over the shared
-   stimulus.  If the narrowed signature matches the gate's current row and
-   the two local functions agree on *every* assignment of the gate's
-   distinct fanins (<= 2^5 evaluations), the rewrite is proven without SAT.
-2. **Window simulation**: otherwise propagate the narrowed signature
-   through the gate's :class:`~repro.attack.window.Window`.  Any simulated
-   difference reaching a window output almost certainly escapes — the
-   candidate is skipped without SAT work.
-3. **Window SAT**: a window-local miter — copy A encodes the original
+1. **Window simulation**: evaluate the narrowed gate over the shared
+   stimulus and propagate its signature through the gate's
+   :class:`~repro.attack.window.Window`.  Any simulated difference
+   reaching a window output almost certainly escapes — the candidate is
+   skipped without SAT work.
+2. **Window SAT**: a window-local miter — copy A encodes the original
    gate, copy B the narrowed gate, over *shared, free* side inputs, with
    XOR difference detectors on the window outputs.  UNSAT proves no
    difference ever crosses the window boundary, so the rewrite is
@@ -28,6 +25,9 @@ Per candidate ``(gate, input position)`` the tiers are, cheapest first:
    gate sees the source directly, and without the folding the miter would
    treat the two as independent and miss the ODC structure entirely.
    A candidate the window cannot prove is left in place.
+
+Every validation solve runs under :data:`PROOF_BUDGET`; an exhausted
+solve skips the candidate rather than committing an unproven rewrite.
 
 Soundness: the window is a fanin-closed prefix of the gate's fanout cone
 (:mod:`repro.attack.window`), so a difference can leave it only through
@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from .. import telemetry
+from ..budget import Budget
 from ..cells import functions
 from ..ir import compile_circuit
 from ..ir.kernels import (
@@ -73,6 +74,10 @@ from .window import Window, extract_window
 
 _CONST_KINDS = ("CONST0", "CONST1")
 
+#: Budget of each validation SAT solve (window miters and the
+#: constant/merge pass's proofs).
+PROOF_BUDGET = Budget(deadline_s=10.0, max_conflicts=500_000)
+
 
 @dataclass
 class ResubStats:
@@ -81,7 +86,6 @@ class ResubStats:
     passes: int = 0
     candidates: int = 0
     literals_dropped: int = 0
-    local_proved: int = 0
     window_sat_proved: int = 0
     window_sat_rejected: int = 0
     sim_rejected: int = 0
@@ -104,7 +108,6 @@ class ResubStats:
             "passes": self.passes,
             "candidates": self.candidates,
             "literals_dropped": self.literals_dropped,
-            "local_proved": self.local_proved,
             "window_sat_proved": self.window_sat_proved,
             "window_sat_rejected": self.window_sat_rejected,
             "sim_rejected": self.sim_rejected,
@@ -193,15 +196,8 @@ class ResubstitutionEngine:
             new_sig = eval_gate(
                 code_of(new_kind), [values[f] for f in remaining]
             )
-            if np.array_equal(new_sig, values[gid]) and self._locally_equal(
-                gate.kind, gate.inputs, new_kind, new_inputs
-            ):
-                circuit.replace_gate(gate.name, new_kind, new_inputs)
-                self.stats.local_proved += 1
-                self.stats.literals_dropped += 1
-                return True
             if window is None:
-                window = extract_window(compiled, gid, self.config.window)
+                window = extract_window(compiled, gid)
             if window.seed_escapes or window.seed_is_po:
                 continue  # the narrowed value leaves the window unchecked
             members = set(int(g) for g in window.gate_ids)
@@ -219,25 +215,6 @@ class ResubstitutionEngine:
                 return True
             self.stats.window_sat_rejected += 1
         return False
-
-    @staticmethod
-    def _locally_equal(old_kind, old_inputs, new_kind, new_inputs) -> bool:
-        """Exact local proof: both gate functions agree on all assignments."""
-        distinct: List[str] = []
-        for net in old_inputs:
-            if net not in distinct:
-                distinct.append(net)
-        if len(distinct) > 10:  # never with library arities; safety valve
-            return False
-        for pattern in range(1 << len(distinct)):
-            env = {
-                net: (pattern >> i) & 1 for i, net in enumerate(distinct)
-            }
-            old = functions.evaluate_bits(old_kind, [env[n] for n in old_inputs])
-            new = functions.evaluate_bits(new_kind, [env[n] for n in new_inputs])
-            if old != new:
-                return False
-        return True
 
     @staticmethod
     def _sim_escape(compiled, values, window, seed_id, new_sig) -> bool:
@@ -329,7 +306,7 @@ class ResubstitutionEngine:
         if not diffs:
             return True
         solver.add_clause(diffs)
-        result = solver.solve(budget=self.config.proof_budget)
+        result = solver.solve(budget=PROOF_BUDGET)
         if result.unknown:
             self.stats.proof_unknown += 1
             return False
@@ -376,9 +353,7 @@ class ResubstitutionEngine:
             return var_of[name]
 
         def proved(assumptions: List[int]) -> bool:
-            result = proof_solver().solve(
-                assumptions=assumptions, budget=self.config.proof_budget
-            )
+            result = proof_solver().solve(assumptions=assumptions, budget=PROOF_BUDGET)
             if result.unknown:
                 self.stats.proof_unknown += 1
                 return False

@@ -179,17 +179,6 @@ def match_nets(
     return to_golden
 
 
-def _multiset_contains(haystack: List[str], needles: List[str]) -> bool:
-    position = 0
-    for needle in needles:
-        while position < len(haystack) and haystack[position] < needle:
-            position += 1
-        if position >= len(haystack) or haystack[position] != needle:
-            return False
-        position += 1
-    return True
-
-
 def rename_to_golden(
     golden: Circuit,
     suspect: Circuit,

@@ -38,11 +38,7 @@ from ..sat.solver import SolverStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..sat.incremental import IncrementalCecSession
-from ..sim.equivalence import (
-    EquivalenceResult,
-    exhaustive_equivalent,
-    random_equivalent,
-)
+from ..sim.equivalence import exhaustive_equivalent, random_equivalent
 from ..sim.vectors import MAX_EXHAUSTIVE_INPUTS
 
 
@@ -160,16 +156,6 @@ class VerificationReport:
             "budget_hit": self.budget_hit,
             "tiers_tried": list(self.tiers_tried),
         }
-
-    def as_equivalence_result(self) -> EquivalenceResult:
-        """Legacy :class:`EquivalenceResult` view (pre-ladder interface)."""
-        return EquivalenceResult(
-            equivalent=self.equivalent,
-            complete=self.proven,
-            n_vectors=self.n_vectors,
-            counterexample=self.counterexample,
-            output=self.output,
-        )
 
     def summary(self) -> str:
         """One-line human-readable verdict."""

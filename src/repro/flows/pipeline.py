@@ -30,7 +30,6 @@ from ..fingerprint.locations import LocationCatalog, find_locations
 from ..netlist.blif import parse_blif
 from ..netlist.circuit import Circuit
 from ..netlist.sop import SopNetwork
-from ..sim.equivalence import EquivalenceResult
 from ..techmap.mapper import map_network
 from .ladder import VerificationReport, run_ladder
 from .options import FlowOptions
@@ -48,7 +47,6 @@ class FlowResult:
     baseline_metrics: Metrics
     fingerprinted_metrics: Metrics
     overhead: Overhead
-    equivalence: Optional[EquivalenceResult]
     constrained: Optional[ConstraintResult] = None
     verification: Optional[VerificationReport] = None
 
@@ -68,10 +66,6 @@ class FlowResult:
         ]
         if self.verification is not None:
             lines.append(f"verification: {self.verification.summary()}")
-        elif self.equivalence is not None:
-            kind = "exhaustive" if self.equivalence.complete else "random"
-            verdict = "equivalent" if self.equivalence.equivalent else "MISMATCH"
-            lines.append(f"verification ({kind} simulation): {verdict}")
         if self.constrained is not None:
             c = self.constrained
             lines.append(
@@ -150,10 +144,8 @@ def run_flow(
             )
 
         verification: Optional[VerificationReport] = None
-        equivalence: Optional[EquivalenceResult] = None
         if opts.verify:
             verification = run_ladder(base, copy.circuit, config=opts.ladder)
-            equivalence = verification.as_equivalence_result()
 
         baseline_metrics = _staged("measure", base.name, measure, base)
         fingerprinted_metrics = _staged("measure", base.name, measure, copy.circuit)
@@ -168,7 +160,6 @@ def run_flow(
             baseline_metrics=baseline_metrics,
             fingerprinted_metrics=fingerprinted_metrics,
             overhead=overhead(baseline_metrics, fingerprinted_metrics),
-            equivalence=equivalence,
             constrained=constrained,
             verification=verification,
         )

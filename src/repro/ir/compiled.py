@@ -236,10 +236,6 @@ class CompiledCircuit:
             self.fanout_offsets[net_id] : self.fanout_offsets[net_id + 1]
         ]
 
-    def level_of(self, net: str) -> int:
-        """Logic level of a net by name (PIs at 0)."""
-        return int(self.levels[self.id_of(net)])
-
     def levels_by_name(self) -> Dict[str, int]:
         """Levels as a plain ``name -> level`` dict (compat view)."""
         return {name: int(self.levels[i]) for i, name in enumerate(self.names)}

@@ -87,19 +87,6 @@ FAMILY_OP: Dict[int, int] = {
 _REDUCERS = (np.bitwise_and, np.bitwise_or, np.bitwise_xor)
 
 
-def reduce_family(op: int, operands: np.ndarray, invert: np.ndarray) -> np.ndarray:
-    """Evaluate one operator-family batch in two numpy operations.
-
-    ``operands`` has shape ``(batch, arity, words)``; ``invert`` is a
-    per-row uint64 mask (``ALL_ONES`` for inverting kinds, 0 otherwise)
-    XORed into the reduction, realizing NAND/NOR/XNOR/INV without a
-    separate batch.
-    """
-    acc = _REDUCERS[op].reduce(operands, axis=1)
-    acc ^= invert[:, None]
-    return acc
-
-
 def eval_family(
     op: int,
     values: np.ndarray,

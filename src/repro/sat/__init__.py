@@ -10,15 +10,13 @@ from .solver import (
     solve_cnf,
 )
 from .preprocess import (
-    INCREMENTAL_SAFE,
-    PreprocessConfig,
     PreprocessResult,
     PreprocessStats,
     Reconstruction,
     preprocess,
     preprocess_for_solve,
 )
-from .tseitin import CircuitEncoding, encode_circuit, encode_gate
+from .tseitin import CircuitEncoding, encode_circuit
 from .cec import (
     CecResult,
     CecVerdict,
@@ -38,16 +36,13 @@ __all__ = [
     "SolverAbortedError",
     "SolverStats",
     "solve_cnf",
-    "PreprocessConfig",
     "PreprocessResult",
     "PreprocessStats",
     "Reconstruction",
-    "INCREMENTAL_SAFE",
     "preprocess",
     "preprocess_for_solve",
     "CircuitEncoding",
     "encode_circuit",
-    "encode_gate",
     "CecResult",
     "CecVerdict",
     "build_miter",

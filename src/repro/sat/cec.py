@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..budget import Budget
 from ..hashing import COMMUTATIVE_KINDS
@@ -61,20 +61,16 @@ class CecResult:
         return self.verdict is not CecVerdict.UNDECIDED
 
 
-def structurally_identical(left: Circuit, right: Circuit) -> bool:
-    """Canonical structural hashing over both circuits at once.
+def differing_outputs(left: Circuit, right: Circuit) -> List[str]:
+    """Outputs of ``left`` whose canonical structural classes differ.
 
     Interns every net of both circuits into one congruence table keyed by
     ``(kind, fanin classes)`` — fanins sorted for commutative kinds, primary
-    inputs keyed by name — and compares the output classes.  A ``True``
-    verdict is a *proof* of equivalence (same outputs computed by literally
-    the same gate structure); ``False`` just means a miter is needed.  Used
-    as the no-SAT fast path for copies with zero surviving modifications.
+    inputs keyed by name — and compares the classes of same-named outputs.
+    An output not listed is computed by literally the same gate structure
+    on both sides, so it is equivalent by construction.  The circuits must
+    have the same outputs.
     """
-    if set(left.inputs) != set(right.inputs):
-        return False
-    if set(left.outputs) != set(right.outputs):
-        return False
     table: Dict[tuple, int] = {}
 
     def output_classes(circuit: Circuit) -> Dict[str, int]:
@@ -91,7 +87,24 @@ def structurally_identical(left: Circuit, right: Circuit) -> bool:
             cls[gate.name] = table.setdefault(key, len(table))
         return {net: cls[net] for net in circuit.outputs}
 
-    return output_classes(left) == output_classes(right)
+    left_cls = output_classes(left)
+    right_cls = output_classes(right)
+    return [net for net in left.outputs if left_cls[net] != right_cls[net]]
+
+
+def structurally_identical(left: Circuit, right: Circuit) -> bool:
+    """Same ports and no output in :func:`differing_outputs`.
+
+    A ``True`` verdict is a *proof* of equivalence (same outputs computed by
+    literally the same gate structure); ``False`` just means a miter is
+    needed.  Used as the no-SAT fast path for copies with zero surviving
+    modifications.
+    """
+    if set(left.inputs) != set(right.inputs):
+        return False
+    if set(left.outputs) != set(right.outputs):
+        return False
+    return not differing_outputs(left, right)
 
 
 def build_miter(left: Circuit, right: Circuit) -> CircuitEncoding:

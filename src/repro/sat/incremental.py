@@ -65,9 +65,15 @@ from ..sim.simulator import Simulator
 from ..sim.vectors import WORD_BITS, random_stimulus, vector_of
 from ..hashing import gate_key
 from .cec import CecResult, CecVerdict
-from .preprocess import INCREMENTAL_SAFE, preprocess
+from .preprocess import preprocess
 from .solver import CdclSolver
 from .tseitin import _encode, encode_circuit
+
+#: Packed random vectors behind the simulation pre-filter and the sweep's
+#: candidate merge points (a multiple of the 64-bit word).
+SESSION_VECTORS = 512
+#: Stimulus seed, so sessions are reproducible.
+SESSION_SEED = 2015
 
 
 @dataclass
@@ -96,27 +102,19 @@ class IncrementalCecSession:
     (detected via the circuit version and rejected).  Sessions are not
     thread-safe; the batch flow gives each worker process its own.
 
+    Signatures come from :data:`SESSION_VECTORS` packed random vectors
+    drawn with :data:`SESSION_SEED` (one word-parallel simulation per
+    copy).
+
     Args:
         base: The golden circuit every copy is checked against.
-        n_vectors: Packed random vectors for the simulation pre-filter
-            and the sweep's candidate merge points (must be a multiple of
-            64; signatures cost one word-parallel simulation per copy).
-        seed: Stimulus seed, so sessions are reproducible.
-        simplify_base: Run the incremental-safe preprocessor (probing +
-            subsumption + self-subsuming resolution, **no** variable
-            elimination — later copy deltas may reference any base
-            variable) over the base encoding before loading the solver.
+        simplify_base: Run the preprocessor without variable elimination
+            (probing + subsumption + self-subsuming resolution; later
+            copy deltas may reference any base variable) over the base
+            encoding before loading the solver.
     """
 
-    def __init__(
-        self,
-        base: Circuit,
-        n_vectors: int = 512,
-        seed: int = 2015,
-        simplify_base: bool = True,
-    ) -> None:
-        if n_vectors <= 0 or n_vectors % WORD_BITS:
-            raise ValueError(f"n_vectors must be a positive multiple of {WORD_BITS}")
+    def __init__(self, base: Circuit, *, simplify_base: bool = True) -> None:
         self.base = base
         self._base_version = base.version
         self.stats = SessionStats()
@@ -130,7 +128,7 @@ class IncrementalCecSession:
             if simplify_base:
                 # Equivalence-preserving only: the variable numbering must
                 # survive because every future delta strashes against it.
-                cnf = preprocess(cnf, config=INCREMENTAL_SAFE).cnf
+                cnf = preprocess(cnf, eliminate=False).cnf
             self._base_cnf = cnf
 
             #: Per-base-gate canonical key, for name-stable matching: a
@@ -147,8 +145,7 @@ class IncrementalCecSession:
                 self._base_strash.setdefault(key, self._base_var[gate.name])
             self._load_base()
 
-            self.n_vectors = n_vectors
-            self._stimulus = random_stimulus(base.inputs, n_vectors, seed=seed)
+            self._stimulus = random_stimulus(base.inputs, SESSION_VECTORS, seed=SESSION_SEED)
             matrix = Simulator(base).run_matrix(self._stimulus)
             self._base_rows: Dict[str, np.ndarray] = dict(zip(compiled.names, matrix))
 

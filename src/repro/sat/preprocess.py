@@ -17,10 +17,15 @@ map so verdicts and (extended) models are unchanged:
   (bloom) prefiltering keeps the candidate scans cheap.
 * **Failed-literal probing**: assume each candidate literal, run unit
   propagation; a conflict proves the negation as a root-level fact.
-  ``probe_limit`` caps the propagations of the whole call, a guard
+  :data:`PROBE_LIMIT` caps the propagations of the whole call, a guard
   against pathological inputs rather than a time bound: on the
   paper-flow miters the cap is never reached and probing is the largest
   phase.
+
+There is one configuration.  Every phase always runs, and the effort
+guards are the module constants :data:`MAX_ROUNDS`,
+:data:`RESOLVENT_MAX`, :data:`PROBE_LIMIT` and :data:`OCC_LIMIT`; tests
+patch them to make a bound bind.  The only switch is ``eliminate``.
 
 Eliminated variables go on a reconstruction stack
 (:class:`Reconstruction`) storing their removed clauses; extending a
@@ -31,7 +36,7 @@ counterexample extraction, activation literals — must be passed as
 ``frozen`` so BVE leaves them alone.  Probing/subsumption/SSR are
 equivalence-preserving over the original variable set and therefore safe
 even for incremental sessions that keep adding clauses; BVE is not, and
-is switched off for that use via :data:`INCREMENTAL_SAFE`.
+such callers pass ``eliminate=False``.
 
 A started :class:`~repro.budget.BudgetClock` passed as ``clock`` is read
 between probes and between eliminations; once its deadline has passed,
@@ -69,32 +74,15 @@ def _to_external(lit: int) -> int:
     return -var if lit & 1 else var
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    """Feature switches and effort bounds for :func:`preprocess`.
-
-    ``bve_grow`` allows elimination to add that many clauses beyond the
-    removed count (0 = classic never-grow).  ``probe_limit`` bounds total
-    unit propagations spent probing across the whole call;
-    ``subsume_occ_limit`` skips subsumption candidate scans through
-    occurrence lists longer than the limit (quadratic-blowup guard).
-    """
-
-    bve: bool = True
-    subsume: bool = True
-    ssr: bool = True
-    probe: bool = True
-    max_rounds: int = 4
-    bve_grow: int = 0
-    bve_resolvent_max: int = 24
-    probe_limit: int = 400_000
-    subsume_occ_limit: int = 400
-
-
-#: Safe for CNFs that will keep growing after preprocessing (incremental
-#: sessions): no variable elimination, only equivalence-preserving
-#: simplifications over the original variable set.
-INCREMENTAL_SAFE = PreprocessConfig(bve=False)
+#: Simplification rounds (probe, subsume, eliminate) per call, at most.
+MAX_ROUNDS = 4
+#: Widest resolvent elimination may add; a wider one keeps the variable.
+RESOLVENT_MAX = 24
+#: Unit propagations one call may spend probing, over all its rounds.
+PROBE_LIMIT = 400_000
+#: Subsumption skips scans through occurrence lists longer than this
+#: (a guard against quadratic blowup).
+OCC_LIMIT = 400
 
 
 @dataclass
@@ -111,7 +99,7 @@ class PreprocessStats:
     clauses_in: int = 0
     clauses_out: int = 0
     vars_in: int = 0
-    #: Propagations spent probing (the ``probe_limit`` budget used).
+    #: Propagations spent probing (the :data:`PROBE_LIMIT` budget used).
     probe_propagations: int = 0
     seconds: float = 0.0
     probe_seconds: float = 0.0
@@ -293,14 +281,14 @@ class _Store:
                     self.strengthen(index, lit ^ 1)
 
 
-def _subsumption_round(store: _Store, config: PreprocessConfig, stats: PreprocessStats) -> bool:
+def _subsumption_round(store: _Store, stats: PreprocessStats) -> bool:
     """One pass of (self-)subsumption over the touched clauses."""
     changed = False
     queue = sorted(store.touched)
     store.touched = set()
     occ = store.occ
     sigs = store.sigs
-    limit = config.subsume_occ_limit
+    limit = OCC_LIMIT
     for index in queue:
         clause = store.clauses[index]
         if clause is None:
@@ -309,7 +297,7 @@ def _subsumption_round(store: _Store, config: PreprocessConfig, stats: Preproces
         cset = set(clause)
         # Scan through the literal with the fewest occurrences.
         best = min(clause, key=lambda l: len(occ[l]))
-        if config.subsume and len(occ[best]) <= limit:
+        if len(occ[best]) <= limit:
             for other in occ[best][:]:
                 if other == index:
                     continue
@@ -322,8 +310,6 @@ def _subsumption_round(store: _Store, config: PreprocessConfig, stats: Preproces
                     store.delete(other)
                     stats.subsumed_clauses += 1
                     changed = True
-        if not config.ssr:
-            continue
         # Self-subsuming resolution: clause with one literal flipped
         # subsumes `other` → drop the flipped literal from `other`.  The
         # flipped clause's signature is the clause's own: a literal and
@@ -480,7 +466,6 @@ def _probe_round(
 def _eliminate_round(
     store: _Store,
     frozen: Set[int],
-    config: PreprocessConfig,
     recon: Reconstruction,
     stats: PreprocessStats,
     clock: Optional[BudgetClock],
@@ -495,7 +480,7 @@ def _eliminate_round(
          if var not in frozen and assign[var] == _UNASSIGNED),
         key=lambda v: len(occ[2 * v]) * len(occ[2 * v + 1]),
     )
-    width = config.bve_resolvent_max
+    width = RESOLVENT_MAX
     for var in order:
         if store.unsat:
             return True
@@ -508,8 +493,7 @@ def _eliminate_round(
         neg = occ[pos_lit + 1][:]
         if not pos and not neg:
             continue  # variable no longer occurs; nothing to reconstruct
-        before = len(pos) + len(neg)
-        limit = before + config.bve_grow
+        limit = len(pos) + len(neg)
         if len(pos) * len(neg) > max(limit * 4, 16):
             continue  # resolvent work clearly out of budget
         neg_rests = []
@@ -557,8 +541,9 @@ def _eliminate_round(
 def preprocess(
     cnf: Cnf,
     frozen: Iterable[int] = (),
-    config: Optional[PreprocessConfig] = None,
     clock: Optional[BudgetClock] = None,
+    *,
+    eliminate: bool = True,
 ) -> PreprocessResult:
     """Simplify ``cnf``; returns an equisatisfiable CNF + reconstruction.
 
@@ -567,8 +552,9 @@ def preprocess(
     any variable the caller will mention in later ``add_clause`` calls.
     The returned CNF keeps the original variable numbering.  ``clock``
     (optional) stops the work early once its deadline has passed.
+    ``eliminate=False`` skips variable elimination, for a CNF that will
+    keep growing after preprocessing (an incremental session's base).
     """
-    config = config if config is not None else PreprocessConfig()
     frozen_set = {abs(v) for v in frozen}
     stats = PreprocessStats(
         clauses_in=len(cnf.clauses), vars_in=cnf.n_vars
@@ -582,33 +568,31 @@ def preprocess(
             ([_to_internal(l) for l in clause] for clause in cnf.clauses),
         )
         store.propagate_units()
-        probe_budget = [config.probe_limit]
+        probe_limit = PROBE_LIMIT
+        probe_budget = [probe_limit]
 
         def stop() -> bool:
             return store.unsat or (clock is not None and clock.over_deadline())
 
-        while not stop() and stats.rounds < config.max_rounds:
+        while not stop() and stats.rounds < MAX_ROUNDS:
             stats.rounds += 1
-            changed = False
-            if config.probe:
-                t0 = perf()
-                changed |= _probe_round(store, probe_budget, stats, clock)
-                stats.probe_seconds += perf() - t0
+            t0 = perf()
+            changed = _probe_round(store, probe_budget, stats, clock)
+            stats.probe_seconds += perf() - t0
             if stop():
                 break
-            if config.subsume or config.ssr:
-                t0 = perf()
-                changed |= _subsumption_round(store, config, stats)
-                stats.subsume_seconds += perf() - t0
+            t0 = perf()
+            changed |= _subsumption_round(store, stats)
+            stats.subsume_seconds += perf() - t0
             if stop():
                 break
-            if config.bve:
+            if eliminate:
                 t0 = perf()
-                changed |= _eliminate_round(store, frozen_set, config, recon, stats, clock)
+                changed |= _eliminate_round(store, frozen_set, recon, stats, clock)
                 stats.bve_seconds += perf() - t0
             if not changed:
                 break
-        stats.probe_propagations = config.probe_limit - probe_budget[0]
+        stats.probe_propagations = probe_limit - probe_budget[0]
 
         if store.unsat:
             status: Optional[bool] = False
@@ -647,7 +631,6 @@ def preprocess_for_solve(
     cnf: Cnf,
     assumptions: Sequence[int] = (),
     frozen: Iterable[int] = (),
-    config: Optional[PreprocessConfig] = None,
 ) -> PreprocessResult:
     """Preprocess with ``assumptions`` baked in as unit clauses.
 
@@ -664,4 +647,4 @@ def preprocess_for_solve(
     for lit in assumptions:
         work.add_clause([lit])
     merged_frozen = set(frozen) | {abs(l) for l in assumptions}
-    return preprocess(work, frozen=merged_frozen, config=config)
+    return preprocess(work, frozen=merged_frozen)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..ir import compile_circuit
-from ..netlist.circuit import Circuit, Gate
+from ..netlist.circuit import Circuit
 from .cnf import Cnf
 
 
@@ -87,13 +87,6 @@ def _encode(cnf: Cnf, kind: str, out: int, ins: List[int]) -> None:
             cnf.add_clause([out, fresh])
     else:
         raise ValueError(f"cannot encode gate kind {kind!r}")
-
-
-def encode_gate(encoding: CircuitEncoding, gate: Gate, prefix: str = "") -> None:
-    """Append clauses constraining one gate's (optionally prefixed) output."""
-    out = encoding.variable(prefix + gate.name)
-    ins = [encoding.variable(prefix + n) for n in gate.inputs]
-    _encode(encoding.cnf, gate.kind, out, ins)
 
 
 def encode_circuit(

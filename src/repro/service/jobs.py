@@ -143,8 +143,6 @@ def _flow_result_dict(result) -> Dict[str, Any]:
     }
     if result.verification is not None:
         payload["verification"] = result.verification.as_dict()
-    elif result.equivalence is not None:
-        payload["equivalent"] = result.equivalence.equivalent
     return payload
 
 

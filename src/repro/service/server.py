@@ -391,10 +391,9 @@ class Server:
     def _replay_spans(self, job: ServiceJob, envelope: Dict[str, Any]) -> None:
         """Forward the job's span tree to its SSE subscribers.
 
-        The single-thread backend streamed spans live from a tracer
-        listener; worker processes ship the tree back with the result
-        instead, and it is replayed here (flattened, parents first)
-        before the ``result`` frame.
+        Worker processes ship the tree back with the result, and it is
+        replayed here (flattened, parents first) before the ``result``
+        frame.
         """
         if not job.subscribers:
             return

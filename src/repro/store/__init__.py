@@ -15,7 +15,6 @@ from .artifacts import (
     KIND_IR,
     KIND_SESSION,
     prepare_design,
-    session_key,
     warm_session,
 )
 from .core import (
@@ -44,7 +43,6 @@ __all__ = [
     "deactivate_store",
     "ensure_default_store",
     "prepare_design",
-    "session_key",
     "store_activated",
     "warm_session",
 ]

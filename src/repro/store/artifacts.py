@@ -9,7 +9,7 @@ here are the helpers for artifacts that need *placement* decisions:
 * :func:`warm_session` — a ready
   :class:`~repro.sat.incremental.IncrementalCecSession` for a base
   circuit.  Sessions hold a live solver, so they cache in the **memory
-  tier only** and are keyed by ``(structural digest, n_vectors, seed)``.
+  tier only** and are keyed by the base's structural digest.
   A cached session's :attr:`~IncrementalCecSession.base` is the circuit
   object it was built for — callers that later run the ladder must use
   ``session.base`` as their base reference (the ladder identity-checks
@@ -49,21 +49,15 @@ KIND_CATALOG = "catalog"
 KIND_SESSION = "session"
 
 
-def session_key(circuit, n_vectors: int, seed: int) -> str:
-    """Store key of a warm CEC session (digest + stimulus parameters)."""
-    return f"{circuit_digest(circuit)}-v{n_vectors}-s{seed}"
-
-
-def warm_session(base, n_vectors: int = 512, seed: int = 2015):
+def warm_session(base):
     """A (possibly cached) incremental CEC session for ``base``.
 
-    With no active store this is exactly
-    ``IncrementalCecSession(base, n_vectors, seed)``.  With one, a
-    structurally identical resubmission reuses the previous session —
-    its preprocessed base encoding, base strash table, stimulus and base
-    signatures.  Every copy still starts from a solver holding only the
-    base encoding, so a cached session gives the same verdicts as a new
-    one.
+    With no active store this is exactly ``IncrementalCecSession(base)``.
+    With one, a structurally identical resubmission reuses the previous
+    session — its preprocessed base encoding, base strash table, stimulus
+    and base signatures.  Every copy still starts from a solver holding
+    only the base encoding, so a cached session gives the same verdicts as
+    a new one.
 
     Callers must treat ``session.base`` as the canonical base object
     from here on (see module docstring).
@@ -71,14 +65,12 @@ def warm_session(base, n_vectors: int = 512, seed: int = 2015):
     from ..sat.incremental import IncrementalCecSession
 
     def build():
-        return IncrementalCecSession(base, n_vectors=n_vectors, seed=seed)
+        return IncrementalCecSession(base)
 
     store = active_store()
     if store is None:
         return build()
-    return store.get_or_compute(
-        KIND_SESSION, session_key(base, n_vectors, seed), build, disk=False
-    )
+    return store.get_or_compute(KIND_SESSION, circuit_digest(base), build, disk=False)
 
 
 def prepare_design(circuit, options=None, store: Optional[ArtifactStore] = None):
@@ -114,6 +106,5 @@ __all__ = [
     "KIND_IR",
     "KIND_SESSION",
     "prepare_design",
-    "session_key",
     "warm_session",
 ]

@@ -175,22 +175,6 @@ class Tracer:
     def __init__(self) -> None:
         self._stack: List[Span] = []
         self.finished: List[Span] = []
-        #: Live-progress hooks called with each span as it finishes
-        #: (service layer → server-sent events).  Listeners must be fast
-        #: and never raise into the traced code path; exceptions are
-        #: swallowed here so a broken subscriber cannot fail a flow.
-        self._listeners: List[Any] = []
-
-    def add_listener(self, listener) -> None:
-        """Subscribe ``listener(span)`` to every span finish."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        """Unsubscribe a listener (no-op when not subscribed)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
 
     def start(self, name: str, attrs: Optional[Dict[str, Any]] = None) -> Span:
         opened = Span(name, attrs)
@@ -209,11 +193,6 @@ class Tracer:
             parent.children.append(closing)
         else:
             self.finished.append(closing)
-        for listener in self._listeners:
-            try:
-                listener(closing)
-            except Exception:  # noqa: BLE001 - see _listeners docstring
-                pass
 
     def current(self) -> Optional[Span]:
         """The innermost open span, if any."""
@@ -244,11 +223,9 @@ class Tracer:
         return taken
 
     def reset(self) -> None:
-        """Drop all recorded and open spans (and any live listeners —
-        fork-inherited subscribers must not leak into worker processes)."""
+        """Drop all recorded and open spans."""
         self._stack.clear()
         self.finished.clear()
-        self._listeners.clear()
 
 
 _TRACER = Tracer()

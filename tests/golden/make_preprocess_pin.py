@@ -2,7 +2,8 @@
 
 Every case is one :func:`repro.sat.preprocess.preprocess` call on a CNF
 with its frozen-variable list under a named setting of :data:`CONFIGS`:
-the ``eliminate`` switch and the preprocessor's effort bounds.
+the ``eliminate`` switch and the preprocessor's effort bounds, which
+:func:`outcome` patches into the module constants for the call.
 The pin keeps, per case, the status, a sha256 of the output clause list
 in order, a sha256 of the reconstruction stack in order and every integer
 :class:`PreprocessStats` counter.  ``tests/test_preprocess_pin.py``
@@ -40,14 +41,19 @@ parent's preprocessor first to see what moved.  From the repository root::
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import random
 import sys
 from typing import Dict, List, Sequence, Tuple
+from unittest import mock
 
 from repro.sat.cnf import Cnf
-from repro.sat.preprocess import PreprocessConfig, preprocess
+from repro.sat.preprocess import preprocess
+
+# The module, not the function ``repro.sat`` re-exports under its name.
+_PREPROCESS = importlib.import_module("repro.sat.preprocess")
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "preprocess_pin.json")
 
@@ -67,14 +73,12 @@ STATS = (
 
 #: The preprocessor's effort bounds, by the names of their module constants.
 BOUNDS = ("MAX_ROUNDS", "RESOLVENT_MAX", "PROBE_LIMIT", "OCC_LIMIT")
-_FIELDS = dict(zip(BOUNDS, ("max_rounds", "bve_resolvent_max", "probe_limit", "subsume_occ_limit")))
 
-_DEFAULT_CONFIG = PreprocessConfig()
 #: The preprocessor as ``cec.check`` runs it: variable elimination on, every
 #: effort bound at its fixed value.
 DEFAULT: Dict[str, object] = {
-    "eliminate": _DEFAULT_CONFIG.bve,
-    **{name: getattr(_DEFAULT_CONFIG, field) for name, field in _FIELDS.items()},
+    "eliminate": True,
+    **{name: getattr(_PREPROCESS, name) for name in BOUNDS},
 }
 
 
@@ -114,11 +118,8 @@ def _sha(payload: object) -> str:
 
 def outcome(cnf: Cnf, frozen: Sequence[int], setting: Dict[str, object]) -> Dict[str, object]:
     """What the pin records about one :func:`preprocess` call under ``setting``."""
-    config = PreprocessConfig(
-        bve=setting["eliminate"],
-        **{field: setting[name] for name, field in _FIELDS.items()},
-    )
-    result = preprocess(cnf, frozen=frozen, config=config)
+    with mock.patch.multiple(_PREPROCESS, **{name: setting[name] for name in BOUNDS}):
+        result = preprocess(cnf, frozen=frozen, eliminate=setting["eliminate"])
     stack = [[var, [list(c) for c in clauses]]
              for var, clauses in result.reconstruction._stack]
     return {

@@ -28,18 +28,18 @@ class TestFlow:
         result = run_flow(fig1_circuit)
         assert isinstance(result, FlowResult)
         assert result.capacity.n_locations == 1
-        assert result.equivalence.equivalent
-        assert result.equivalence.complete  # 4 inputs -> exhaustive
+        assert result.verification.equivalent
+        assert result.verification.proven  # 4 inputs -> exhaustive
 
     def test_blif_text_input(self):
         result = run_flow(BLIF)
         assert result.base.name == "flowdemo"
-        assert result.equivalence.equivalent
+        assert result.verification.equivalent
 
     def test_sop_network_input(self):
         network = parse_blif(BLIF)
         result = run_flow(network, FlowOptions(map_style="nand"))
-        assert result.equivalence.equivalent
+        assert result.verification.equivalent
 
     def test_bad_input_type(self):
         with pytest.raises(TypeError):
@@ -70,13 +70,13 @@ class TestFlow:
 
     def test_verify_disabled(self, fig1_circuit):
         result = run_flow(fig1_circuit, FlowOptions(verify=False))
-        assert result.equivalence is None
+        assert result.verification is None
 
 
 class TestFlowMappingStyles:
     def test_aig_style_flow(self):
         result = run_flow(BLIF, FlowOptions(map_style="aig"))
-        assert result.equivalence.equivalent
+        assert result.verification.equivalent
         kinds = {g.kind for g in result.base.gates}
         assert kinds <= {"AND", "INV", "BUF", "CONST0", "CONST1"}
 

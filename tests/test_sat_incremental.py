@@ -335,11 +335,6 @@ class TestSessionMechanics:
         with pytest.raises(ValueError, match="mutated"):
             session.verify(base.clone("twin"))
 
-    def test_bad_vector_count_rejected(self):
-        base = _random_base(seed=5)
-        with pytest.raises(ValueError, match="multiple"):
-            IncrementalCecSession(base, n_vectors=100)
-
     def test_sim_prefilter_disproof_has_counterexample(self):
         """An easy inequivalence is caught by the signature pre-filter
         (no SAT) with a valid counterexample."""

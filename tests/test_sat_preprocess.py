@@ -1,24 +1,37 @@
 """Unit tests for the SatELite-style CNF preprocessor (`repro.sat.preprocess`).
 
 Covers each simplification in isolation (BVE / subsumption / SSR /
-failed-literal probing), the frozen-variable contract, model
-reconstruction, and the equisatisfiability of the whole pipeline against
-random CNFs.
+failed-literal probing, each driven as one round on a clause store), the
+frozen-variable contract, the ``eliminate`` switch, the probe limit,
+model reconstruction, and the equisatisfiability of the whole pipeline
+against random CNFs.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
 
 from repro.sat import (
-    INCREMENTAL_SAFE,
     Cnf,
-    PreprocessConfig,
+    PreprocessStats,
+    Reconstruction,
     SatStatus,
     preprocess,
     preprocess_for_solve,
     solve_cnf,
 )
+from repro.sat.preprocess import (
+    _eliminate_round,
+    _probe_round,
+    _Store,
+    _subsumption_round,
+    _to_external,
+    _to_internal,
+)
+
+# The module, not the function ``repro.sat`` re-exports under its name.
+preprocess_module = importlib.import_module("repro.sat.preprocess")
 
 
 def make_cnf(n_vars, clauses):
@@ -35,24 +48,38 @@ def as_assignment(model, n_vars):
     return [False] + [bool(model.get(v, False)) for v in range(1, n_vars + 1)]
 
 
+def make_store(n_vars, clauses):
+    """The clause store one simplification round works on."""
+    return _Store(n_vars, ([_to_internal(l) for l in c] for c in clauses))
+
+
+def store_clauses(store):
+    """The store's live clauses, DIMACS-signed and sorted."""
+    return sorted(
+        sorted(_to_external(l) for l in c) for c in store.clauses if c is not None
+    )
+
+
 class TestBve:
     def test_pure_literal_vanishes(self):
         # var 1 occurs only positively: zero resolvents, free elimination.
-        cnf = make_cnf(3, [[1, 2], [1, 3], [2, 3]])
-        result = preprocess(cnf, config=PreprocessConfig(
-            subsume=False, ssr=False, probe=False))
-        assert result.stats.eliminated_vars >= 1
-        assert all(1 not in c and -1 not in c for c in result.cnf.clauses)
+        store = make_store(3, [[1, 2], [1, 3], [2, 3]])
+        stats = PreprocessStats()
+        assert _eliminate_round(store, set(), Reconstruction(), stats, None)
+        assert stats.eliminated_vars >= 1
+        assert all(1 not in c and -1 not in c for c in store_clauses(store))
 
     def test_frozen_variables_block_elimination(self):
         """Freezing every variable pins the clause set: BVE may not
         resolve any frozen variable away."""
-        cnf = make_cnf(3, [[1, 2], [1, 3], [2, 3]])
-        result = preprocess(cnf, frozen=[1, 2, 3], config=PreprocessConfig(
-            subsume=False, ssr=False, probe=False))
-        assert result.stats.eliminated_vars == 0
-        assert sorted(map(sorted, result.cnf.clauses)) == \
-            sorted(map(sorted, cnf.clauses))
+        clauses = [[1, 2], [1, 3], [2, 3]]
+        store = make_store(3, clauses)
+        stats = PreprocessStats()
+        recon = Reconstruction()
+        assert not _eliminate_round(store, {1, 2, 3}, recon, stats, None)
+        assert stats.eliminated_vars == 0
+        assert len(recon) == 0
+        assert store_clauses(store) == clauses
 
     def test_reconstructed_model_satisfies_original(self):
         cnf = make_cnf(4, [[1, 2], [-1, 3], [-2, 4], [3, 4]])
@@ -65,43 +92,48 @@ class TestBve:
         assert cnf.evaluate(as_assignment(model, cnf.n_vars))
 
     def test_incremental_safe_never_eliminates(self):
+        """``eliminate=False`` (the incremental session's base) keeps
+        every variable, even a pure one."""
         cnf = make_cnf(3, [[1, 2], [1, 3], [2, 3]])
-        result = preprocess(cnf, config=INCREMENTAL_SAFE)
+        result = preprocess(cnf, eliminate=False)
         assert result.stats.eliminated_vars == 0
         assert len(result.reconstruction) == 0
 
 
 class TestSubsumption:
     def test_superset_clause_deleted(self):
-        cnf = make_cnf(3, [[1, 2], [1, 2, 3]])
-        result = preprocess(cnf, frozen=[1, 2, 3], config=PreprocessConfig(
-            bve=False, ssr=False, probe=False))
-        assert result.stats.subsumed_clauses == 1
-        assert sorted(map(sorted, result.cnf.clauses)) == [[1, 2]]
+        store = make_store(3, [[1, 2], [1, 2, 3]])
+        stats = PreprocessStats()
+        assert _subsumption_round(store, stats)
+        assert stats.subsumed_clauses == 1
+        assert stats.strengthened_literals == 0
+        assert store_clauses(store) == [[1, 2]]
 
     def test_self_subsuming_resolution_strengthens(self):
         # [1, 2] resolved with [-1, 2, 3] on var 1 gives [2, 3] ⊂ [-1, 2, 3].
-        cnf = make_cnf(3, [[1, 2], [-1, 2, 3]])
-        result = preprocess(cnf, frozen=[1, 2, 3], config=PreprocessConfig(
-            bve=False, subsume=False, probe=False))
-        assert result.stats.strengthened_literals == 1
-        assert sorted(map(sorted, result.cnf.clauses)) == [[1, 2], [2, 3]]
+        store = make_store(3, [[1, 2], [-1, 2, 3]])
+        stats = PreprocessStats()
+        assert _subsumption_round(store, stats)
+        assert stats.strengthened_literals == 1
+        assert stats.subsumed_clauses == 0
+        assert store_clauses(store) == [[1, 2], [2, 3]]
 
 
 class TestProbing:
     def test_failed_literal_becomes_root_unit(self):
         # Assuming 1 propagates 2 and 3, which conflict: ¬1 is a fact.
-        cnf = make_cnf(3, [[-1, 2], [-1, 3], [-2, -3], [1, 2]])
-        result = preprocess(cnf, frozen=[1, 2, 3], config=PreprocessConfig(
-            bve=False, subsume=False, ssr=False))
-        assert result.stats.failed_literals >= 1
-        assert [-1] in [sorted(c) for c in result.cnf.clauses]
+        store = make_store(3, [[-1, 2], [-1, 3], [-2, -3], [1, 2]])
+        stats = PreprocessStats()
+        assert _probe_round(store, [preprocess_module.PROBE_LIMIT], stats, None)
+        assert stats.failed_literals >= 1
+        assert -1 in [_to_external(unit) for unit in store.units]
 
-    def test_probe_budget_bounds_work(self):
+    def test_probe_budget_bounds_work(self, monkeypatch):
+        monkeypatch.setattr(preprocess_module, "PROBE_LIMIT", 0)
         cnf = make_cnf(3, [[-1, 2], [-1, 3], [-2, -3], [1, 2]])
-        result = preprocess(cnf, config=PreprocessConfig(
-            bve=False, subsume=False, ssr=False, probe_limit=0))
+        result = preprocess(cnf, frozen=[1, 2, 3])
         assert result.stats.probes == 0
+        assert result.stats.probe_propagations == 0
 
 
 class TestStatus:

@@ -124,8 +124,7 @@ def test_flow_never_raises_on_verification_timeout(fig1_circuit):
     assert result.verification.tier is VerificationTier.RANDOM_SIM
     assert result.verification.budget_hit
     assert result.verification.equivalent
-    # the legacy field stays populated for old callers
-    assert result.equivalence is not None and result.equivalence.equivalent
+    assert not result.verification.proven
 
 
 def test_flow_default_ladder_proves(fig1_circuit):
