@@ -24,9 +24,11 @@ There is one search path.  Watch lists are flat interleaved arrays
 with blocker literals and a dedicated binary-clause tier; learned-clause
 minimization and phase saving are always on; the restart base and the
 two activity decays are the module constants :data:`RESTART_BASE`,
-:data:`VAR_DECAY` and :data:`CLA_DECAY`.  The SAT trajectory pin
-(``tests/golden/sat_trajectory.json``) fixes the search itself: every
-counter and model digest of a set of recorded call logs.
+:data:`VAR_DECAY` and :data:`CLA_DECAY`.  A cone-bounded solve
+(``solve(inputs=...)``, used by the session's sweep) changes only which
+variables it branches on and when it answers SAT.  The SAT trajectory
+pin (``tests/golden/sat_trajectory.json``) fixes the search itself:
+every counter and model digest of a set of recorded call logs.
 
 Internal literal encoding: variable ``v`` (1-based) maps to literals
 ``2*v`` (positive) and ``2*v + 1`` (negative); ``lit ^ 1`` negates.
@@ -760,6 +762,17 @@ class CdclSolver:
             return self._pick_branch()
         return None
 
+    def _pick_input(self, inputs: List[int], cursor: int) -> Tuple[Optional[int], int]:
+        """The first unassigned variable of ``inputs`` at or after
+        ``cursor``, in its saved phase; ``None`` when all are assigned."""
+        assign = self._assign
+        while cursor < len(inputs):
+            var = inputs[cursor]
+            if assign[var] == _UNASSIGNED:
+                return 2 * var + (0 if self._phase[var] else 1), cursor
+            cursor += 1
+        return None, cursor
+
     # ------------------------------------------------------------------ #
     # learned-clause database reduction
     # ------------------------------------------------------------------ #
@@ -821,6 +834,8 @@ class CdclSolver:
         self,
         assumptions: Sequence[int] = (),
         budget: Optional[Budget] = None,
+        *,
+        inputs: Optional[Sequence[int]] = None,
     ) -> SatResult:
         """Solve, optionally under external (DIMACS-signed) assumptions.
 
@@ -836,15 +851,35 @@ class CdclSolver:
         instead (a signal-driven timeout, ``KeyboardInterrupt``), it
         propagates and the solver becomes unusable: later calls raise
         :class:`SolverAbortedError`.
+
+        ``inputs`` bounds the search to a circuit cone, for formulas that
+        Tseitin-encode a circuit (:mod:`repro.sat.tseitin`) plus
+        activation clauses ``(-d, v)`` on the assumptions.  It lists the
+        primary-input variables in the fanin cones of every variable the
+        assumptions constrain.  The solver then branches only on those
+        variables, in the given order, and answers SAT as soon as they
+        are all assigned without conflict; the model covers only them.
+        That is sound because every other variable is a Tseitin gate
+        output (or a gate's auxiliary) or an activation variable, so any
+        cone assignment extends to a full model: simulate the gates
+        outside the cone and set the unassumed activation variables
+        false.  Unit propagation from the cone's inputs evaluates every
+        gate of the cone, so a conflict-free fixpoint agrees with that
+        model.  Solves without ``inputs`` run unchanged.
         """
         self._check_usable()
+        if inputs is not None:
+            inputs = list(inputs)
+            for var in inputs:
+                if not 0 < var <= self.n_vars:
+                    raise ValueError(f"input variable {var} is not allocated")
         stats = self.stats
         conflicts0 = stats.conflicts
         propagations0 = stats.propagations
         start = time.perf_counter()
         with telemetry.span("sat.solve", vars=self.n_vars) as solve_span:
             try:
-                result = self._solve(assumptions, budget)
+                result = self._solve(assumptions, budget, inputs)
             except BaseException:
                 self._aborted = True
                 raise
@@ -868,6 +903,7 @@ class CdclSolver:
         self,
         assumptions: Sequence[int],
         budget: Optional[Budget],
+        inputs: Optional[List[int]],
     ) -> SatResult:
         clock = (budget if budget is not None else UNLIMITED).start()
         limited = not clock.budget.unlimited
@@ -902,6 +938,9 @@ class CdclSolver:
         conflicts_since_restart = 0
         restart_base = RESTART_BASE
         restart_limit = restart_base * _luby(stats.restarts)
+        # Cone-bounded solves: every ``inputs`` entry before ``cursor`` is
+        # assigned (each backjump resets it).
+        cursor = 0
 
         while True:
             if profile:
@@ -934,6 +973,7 @@ class CdclSolver:
                 learned, back_level = self._analyze(conflict)
                 back_level = max(back_level, assumption_level)
                 self._backjump(back_level)
+                cursor = 0
                 if profile:
                     stats.analyze_seconds += perf() - t0
                 head = len(self._trail)
@@ -953,6 +993,7 @@ class CdclSolver:
                 conflicts_since_restart = 0
                 restart_limit = restart_base * _luby(stats.restarts)
                 self._backjump(assumption_level)
+                cursor = 0
                 head = len(self._trail)
                 if profile:
                     t0 = perf()
@@ -971,14 +1012,16 @@ class CdclSolver:
                     return SatResult(SatStatus.UNKNOWN, None, stats, reason)
             if profile:
                 t0 = perf()
+            if inputs is None:
                 lit = self._pick_branch()
-                stats.decide_seconds += perf() - t0
             else:
-                lit = self._pick_branch()
+                lit, cursor = self._pick_input(inputs, cursor)
+            if profile:
+                stats.decide_seconds += perf() - t0
             if lit is None:
                 model = {
                     var: bool(self._assign[var])
-                    for var in range(1, self.n_vars + 1)
+                    for var in (range(1, self.n_vars + 1) if inputs is None else inputs)
                 }
                 self._backjump(0)
                 return SatResult(True, model, stats)

@@ -2,7 +2,8 @@
 
 Every scenario is a log of the calls one :class:`CdclSolver` received:
 its initial CNF, then ``new_var`` / ``add_clause`` /
-``solve(assumptions, Budget(max_conflicts=N))`` in order.  Each log is
+``solve(assumptions, Budget(max_conflicts=N))`` in order, a cone-bounded
+solve logging its ``inputs=`` list as a fourth item.  Each log is
 replayed, and the status, every integer :class:`SolverStats` counter and
 a digest of the model after each solve are written next to it, under
 :data:`CONFIG_KEY`.  ``tests/test_sat_trajectory.py`` replays the logs
@@ -22,10 +23,14 @@ flow issues them, one scenario per copy (the session starts every copy
 from a fresh solver holding only the base encoding); and two runs of many
 assumption solves on one random 3-SAT solver, the longer of which
 (``random-3sat-reduce``) reaches learned-clause reduction and an
-activity rescale.  The committed pin still holds
-``C432-session-8``, one solver serving all 8 copies as sessions did
-before they rebuilt per copy; it stays as a long-lived-solver scenario
-until the pin is next regenerated.
+activity rescale; and ``C432-session-cone``, the solver of one C432
+copy verified with cone-bounded sweep solves (the seventh copy the batch
+flow issues, the first of them whose sweep meets a conflict).  The
+committed pin still holds ``C432-session-8``, one solver serving all 8
+copies as sessions did before they rebuilt per copy, and session
+scenarios recorded before the sweep used activation literals; they stay
+until the pin is next regenerated.  ``C432-session-cone`` was appended
+to the pin on its own, leaving every other scenario byte-identical.
 
 The outcomes sit under :data:`CONFIG_KEY`, the key the solver's one
 configuration had when the pin also held the outcomes of the deleted
@@ -35,6 +40,10 @@ Regenerate only when a change is *meant* to alter the search (see the
 raw-speed section of ``docs/ARCHITECTURE.md``), from the repository root::
 
     PYTHONPATH=src python tests/golden/make_sat_trajectory.py
+
+or record only the named scenarios and add them to the committed pin::
+
+    PYTHONPATH=src python tests/golden/make_sat_trajectory.py --append C432-session-cone
 """
 
 from __future__ import annotations
@@ -79,6 +88,8 @@ SCRATCH_CONFLICTS = 20_000
 #: The session's per-copy conflict budget (the copy-issue benchmark's).
 SESSION_CONFLICTS = 5_000
 SESSION_COPIES = 8
+#: The batch-order index of the copy behind ``C432-session-cone``.
+CONE_COPY = 6
 #: Random 3-SAT: variables, clauses, solves, assumptions per solve, budget.
 RANDOM_SHAPE = (110, 450, 30, 3, 300)
 #: A longer random run: about 5,900 conflicts, enough for learned-clause
@@ -119,7 +130,8 @@ def replay(log: Dict[str, object], profile: bool = False) -> List[list]:
         elif op == "add_clause":
             solver.add_clause(call[1])
         else:
-            result = solver.solve(call[1], budget=Budget(max_conflicts=call[2]))
+            inputs = call[3] if len(call) > 3 else None
+            result = solver.solve(call[1], Budget(max_conflicts=call[2]), inputs=inputs)
             outcomes.append(
                 [result.status.value, counters(result.stats), model_digest(result.model)]
             )
@@ -161,12 +173,15 @@ class _RecordingSolver(CdclSolver):
         self._log["calls"].append(["add_clause", list(literals)])
         return super().add_clause(literals)
 
-    def solve(self, assumptions=(), budget=None):
+    def solve(self, assumptions=(), budget=None, *, inputs=None):
         max_conflicts = budget.max_conflicts if budget is not None else None
         if max_conflicts is None:
             raise ValueError("pinned solves need a conflict budget")
-        self._log["calls"].append(["solve", list(assumptions), max_conflicts])
-        return super().solve(assumptions, Budget(max_conflicts=max_conflicts))
+        call = ["solve", list(assumptions), max_conflicts]
+        if inputs is not None:
+            call.append(list(inputs))
+        self._log["calls"].append(call)
+        return super().solve(assumptions, Budget(max_conflicts=max_conflicts), inputs=inputs)
 
 
 def _c17():
@@ -221,11 +236,14 @@ def random_log(seed: int = 7, shape: Sequence[int] = RANDOM_SHAPE) -> Dict[str, 
     return log
 
 
-def session_logs(base) -> Dict[str, Dict[str, object]]:
-    """The solver of each copy a session verifies, as the batch flow issues them."""
+def session_logs(base, copies: Sequence[int] = range(SESSION_COPIES),
+                 label: str = "copy") -> Dict[str, Dict[str, object]]:
+    """The solver of each copy a session verifies, as the batch flow issues
+    them; ``copies`` picks copies by their index in the batch's order."""
     catalog = find_locations(base)
     codec = FingerprintCodec(catalog)
-    values = select_values(codec.combinations, 40, seed=0)[:SESSION_COPIES]
+    issued = select_values(codec.combinations, 40, seed=0)
+    values = [issued[index] for index in copies]
     _RecordingSolver.logs = []
     original = incremental.CdclSolver
     incremental.CdclSolver = _RecordingSolver
@@ -239,10 +257,17 @@ def session_logs(base) -> Dict[str, Dict[str, object]]:
     logs = _RecordingSolver.logs
     if len(logs) != len(values):
         raise ValueError(f"{len(logs)} solvers recorded for {len(values)} copies")
-    return {f"{base.name}-session-copy{index}": log for index, log in enumerate(logs)}
+    if len(values) == 1:
+        return {f"{base.name}-session-{label}": logs[0]}
+    return {f"{base.name}-session-{label}{index}": log for index, log in enumerate(logs)}
 
 
 def main(argv: Sequence[str] = ()) -> int:
+    argv = list(argv)
+    append: List[str] = []
+    if "--append" in argv:
+        append = argv[argv.index("--append") + 1:]
+        argv = argv[:argv.index("--append")]
     out = argv[0] if argv else OUT
     c432 = build_benchmark("C432")
     logs: Dict[str, Dict[str, object]] = {}
@@ -252,7 +277,12 @@ def main(argv: Sequence[str] = ()) -> int:
     logs.update(session_logs(c432))
     logs["random-3sat"] = random_log()
     logs["random-3sat-reduce"] = random_log(shape=REDUCTION_SHAPE)
+    logs.update(session_logs(c432, [CONE_COPY], label="cone"))
     scenarios = {}
+    if append:
+        with open(out) as handle:
+            scenarios = json.load(handle)["scenarios"]
+        logs = {name: logs[name] for name in append}
     for name, log in logs.items():
         scenarios[name] = dict(log, outcomes={CONFIG_KEY: replay(log)})
         print(name, len(scenarios[name]["outcomes"][CONFIG_KEY]))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.budget import Budget
-from repro.sat import CdclSolver, Cnf, SolverAbortedError, SolverStats, solve_cnf
+from repro.sat import CdclSolver, Cnf, SatStatus, SolverAbortedError, SolverStats, solve_cnf
 from repro.sat import solver as solver_module
 
 
@@ -212,6 +212,52 @@ class TestIncrementalInterface:
         # first call's accumulated counters.
         assert first.status is second.status
         assert not second.unknown or total_after_first < 50
+
+
+class TestConeBoundedSolve:
+    """``solve(inputs=...)`` branches only on a circuit cone's inputs and
+    answers SAT once they are assigned without conflict."""
+
+    @staticmethod
+    def _circuit() -> CdclSolver:
+        """Inputs 1-4; g = AND(1, 2) is var 5, h = OR(3, 4) var 6, and
+        var 7 is AND(2, 1), a second encoding of g."""
+        from repro.sat.tseitin import _encode
+
+        cnf = Cnf(n_vars=7)
+        _encode(cnf, "AND", 5, [1, 2])
+        _encode(cnf, "OR", 6, [3, 4])
+        _encode(cnf, "AND", 7, [2, 1])
+        return CdclSolver(cnf)
+
+    @staticmethod
+    def _activate(solver: CdclSolver, *lits: int) -> int:
+        act = solver.new_var()
+        for lit in lits:
+            solver.add_clause([-act, lit])
+        return act
+
+    def test_refutation_models_only_the_cone(self):
+        solver = self._circuit()
+        act = self._activate(solver, 5, -6)  # g and not h
+        result = solver.solve([act], inputs=[1, 2, 3, 4])
+        assert result.satisfiable
+        model = result.model
+        assert set(model) == {1, 2, 3, 4}
+        assert model[1] and model[2] and not (model[3] or model[4])
+        assert solver.stats.decisions <= 4
+
+    def test_equal_cones_are_unsat(self):
+        solver = self._circuit()
+        for lits in ((5, -7), (-5, 7)):
+            act = self._activate(solver, *lits)
+            assert solver.solve([act], inputs=[1, 2]).status is SatStatus.UNSAT
+        assert solver.solve().satisfiable  # the unbounded formula is untouched
+
+    def test_unallocated_input_is_rejected(self):
+        solver = self._circuit()
+        with pytest.raises(ValueError, match="not allocated"):
+            solver.solve(inputs=[1, 99])
 
 
 class TestSolverStatsExtensions:

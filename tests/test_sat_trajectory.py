@@ -59,3 +59,15 @@ def test_search_reaches_reduction_and_rescale(monkeypatch):
     monkeypatch.setattr(CdclSolver, "_rescale_activity", counted)
     assert replay(scenario) == outcomes
     assert rescales
+
+
+def test_cone_scenario_pins_cone_bounded_solves():
+    """``C432-session-cone`` replays cone-bounded sweep solves (``inputs=``):
+    refutations whose models cover only the cone's inputs, and a conflict
+    that sends the branching cursor back."""
+    scenario = PIN["scenarios"]["C432-session-cone"]
+    solves = [call for call in scenario["calls"] if call[0] == "solve"]
+    assert solves and all(len(call) == 4 for call in solves)
+    outcomes = scenario["outcomes"][CONFIG_KEY]
+    assert "sat" in {status for status, _, _ in outcomes}
+    assert outcomes[-1][1]["conflicts"] > 0
