@@ -35,7 +35,7 @@ from .api import (
     verify,
 )
 
-__version__ = "7.0.0"
+__version__ = "7.1.0"
 
 __all__ = [
     "BatchResult",

@@ -128,8 +128,8 @@ def _add_ladder_options(p: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--no-simplify", action="store_true",
-        help="skip SatELite-style CNF preprocessing before scratch miter "
-             "solves (preprocessing is verdict-neutral and on by default)",
+        help="skip CNF preprocessing of the SAT tier's base encoding "
+             "(preprocessing is verdict-neutral and on by default)",
     )
 
 

@@ -8,9 +8,10 @@ same discipline to the fingerprinting flow with a three-tier ladder:
 
 1. **Exhaustive simulation** — when the input count permits, a complete
    proof at bit-parallel simulation speed.
-2. **Budgeted SAT CEC** — the miter, solved under a
-   :class:`repro.budget.Budget`; a hard instance returns ``UNDECIDED``
-   instead of hanging.
+2. **Budgeted SAT CEC** — an incremental CEC session
+   (:class:`repro.sat.incremental.IncrementalCecSession`) proves the copy
+   under a :class:`repro.budget.Budget`, sweeping its modified gates onto
+   the base; a hard instance returns ``UNDECIDED`` instead of hanging.
 3. **Random-simulation fallback** — a probabilistic verdict with an
    *explicit* confidence estimate, used when the SAT budget is spent.
 
@@ -24,20 +25,16 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
-
-from typing import TYPE_CHECKING
 
 from .. import telemetry
 from ..budget import Budget
 from ..errors import ReproError, annotate
 from ..netlist.circuit import Circuit
-from ..sat.cec import CecVerdict, check as sat_check, structurally_identical
+from ..sat.cec import CecResult, CecVerdict, structurally_identical
+from ..sat.incremental import IncrementalCecSession
 from ..sat.solver import SolverStats
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..sat.incremental import IncrementalCecSession
 from ..sim.equivalence import exhaustive_equivalent, random_equivalent
 from ..sim.vectors import MAX_EXHAUSTIVE_INPUTS
 
@@ -70,10 +67,11 @@ class LadderConfig:
         detectable_rate: The activation rate ``eps`` used for the headline
             confidence estimate of the random tier (see
             :meth:`VerificationReport.confidence_for`).
-        sat_simplify: Run the SatELite-style CNF preprocessor
-            (:mod:`repro.sat.preprocess`) on scratch miters before solving.
-            Verdict-neutral (the differential suite pins it); off switches
-            to the raw miter.
+        sat_simplify: Run the CNF preprocessor (:mod:`repro.sat.preprocess`,
+            without variable elimination) over the base encoding of the
+            one-copy session the SAT tier builds when :func:`run_ladder`
+            gets none.  Verdict-neutral (the differential suite pins it);
+            off loads the raw base encoding.
     """
 
     max_exhaustive_inputs: int = 16
@@ -168,7 +166,7 @@ def run_ladder(
     left: Circuit,
     right: Circuit,
     config: Optional[LadderConfig] = None,
-    session: Optional["IncrementalCecSession"] = None,
+    session: Optional[IncrementalCecSession] = None,
 ) -> VerificationReport:
     """Run the verification ladder on two port-compatible circuits.
 
@@ -177,12 +175,14 @@ def run_ladder(
     :class:`~repro.errors.ReproError` (e.g. ``PortMismatchError``,
     ``NetlistError``) annotated with the ``verify`` stage.
 
-    When a ``session`` (an :class:`~repro.sat.incremental.IncrementalCecSession`
-    whose base is ``left``) is supplied, the SAT tier runs through it
-    instead of a scratch miter, so repeated calls against the same base
-    share one preprocessed base encoding and encode only each copy's
-    delta.  Budgets and UNDECIDED degradation behave identically either
-    way.
+    The SAT tier always runs through an
+    :class:`~repro.sat.incremental.IncrementalCecSession` whose base is
+    ``left``.  Pass a ``session`` to share one base encoding across
+    repeated calls, so each call encodes only its copy's delta; without
+    one, the tier builds a one-copy session, and the budget's deadline
+    then covers building it (base preprocessing included) as well as
+    the copy's solves.  Budgets and UNDECIDED degradation behave
+    identically either way.
     """
     with telemetry.span("ladder.verify", design=left.name) as ladder_span:
         report = _run_tiers(left, right, config, session)
@@ -203,7 +203,7 @@ def _run_tiers(
     left: Circuit,
     right: Circuit,
     config: Optional[LadderConfig],
-    session: Optional["IncrementalCecSession"],
+    session: Optional[IncrementalCecSession],
 ) -> VerificationReport:
     config = config if config is not None else LadderConfig()
     if session is not None and session.base is not left:
@@ -260,21 +260,11 @@ def _run_tiers(
             "ladder.sat_cec",
             deadline_s=tier_budget.deadline_s,
             max_conflicts=tier_budget.max_conflicts,
-            incremental=session is not None,
+            shared_session=session is not None,
         )
-        conflicts_before = session.solver.stats.conflicts if session is not None else 0
         try:
             with tier_span:
-                if session is not None:
-                    cec = session.verify(right, budget=tier_budget)
-                else:
-                    cec = sat_check(
-                        left,
-                        right,
-                        budget=tier_budget,
-                        simplify=config.sat_simplify,
-                    )
-                spent = cec.stats.conflicts - conflicts_before
+                cec, spent = _sat_tier(left, right, config, session)
                 remaining = (
                     max(0, tier_budget.max_conflicts - spent)
                     if tier_budget.max_conflicts is not None
@@ -295,7 +285,7 @@ def _run_tiers(
                 tier=VerificationTier.SAT_CEC,
                 reason=(
                     f"{n_inputs} inputs exceed exhaustive limit {limit}; "
-                    f"miter resolved within {config.sat_budget}"
+                    f"SAT resolved within {config.sat_budget}"
                 ),
                 confidence=1.0,
                 counterexample=cec.counterexample,
@@ -343,6 +333,35 @@ def _run_tiers(
         budget_hit=budget_hit,
         tiers_tried=tuple(tried),
     )
+
+
+def _sat_tier(
+    left: Circuit,
+    right: Circuit,
+    config: LadderConfig,
+    session: Optional[IncrementalCecSession],
+) -> Tuple[CecResult, int]:
+    """The SAT tier's verdict and the conflicts it spent."""
+    budget = config.sat_budget
+    if session is not None:
+        before = session.solver.stats.conflicts
+        cec = session.verify(right, budget=budget)
+        return cec, cec.stats.conflicts - before
+    # One clock covers building the session (base preprocessing included)
+    # and every solve; the copy gets only the time that remains.
+    clock = budget.start() if budget.deadline_s is not None else None
+    session = IncrementalCecSession(left, simplify_base=config.sat_simplify, clock=clock)
+    if clock is None:
+        cec = session.verify(right, budget=budget)
+    else:
+        rest = replace(budget, deadline_s=max(0.0, clock.remaining_seconds()))
+        cec = session.verify(right, budget=rest)
+        if cec.verdict is CecVerdict.UNDECIDED:
+            # Name the caller's limits, not the remainder the copy got.
+            stats = cec.stats
+            reason = clock.exhausted_reason(stats.conflicts, stats.decisions)
+            cec = replace(cec, reason=reason or cec.reason)
+    return cec, cec.stats.conflicts
 
 
 #: Facade-facing name for the ladder's report type.

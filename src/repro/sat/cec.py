@@ -152,8 +152,9 @@ def check(
     """Budgeted equivalence check via the miter; SAT model = mismatch.
 
     With a ``budget``, a hard miter yields :data:`CecVerdict.UNDECIDED`
-    instead of running unbounded — the caller decides what that means
-    (the verification ladder falls back to random simulation).
+    instead of running unbounded — the caller decides what that means.
+    (The verification ladder does not call this: it proves copies
+    through :class:`~repro.sat.incremental.IncrementalCecSession`.)
 
     Structurally identical pairs (see :func:`structurally_identical`) are
     discharged without building a miter or touching the solver at all —

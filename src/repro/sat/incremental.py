@@ -5,7 +5,9 @@ The fingerprinting flow issues *many* distinct copies of one base design
 the base.  The scratch checker (:func:`repro.sat.cec.check`) rebuilds the
 full miter CNF and runs a fresh solver per copy — wasteful, because each
 copy differs from the base only inside the fanout cones of a handful of
-ODC modifications.  :class:`IncrementalCecSession` exploits that:
+ODC modifications.  :class:`IncrementalCecSession` exploits that, and the
+verification ladder runs every SAT verdict through one (a one-copy
+session when its caller holds none):
 
 1. **Encode the base once.**  The base circuit is Tseitin-encoded a single
    time (stable variable numbering from the compiled IR's interned order)
@@ -25,23 +27,30 @@ ODC modifications.  :class:`IncrementalCecSession` exploits that:
    earlier in the same copy — reuses that variable and contributes
    *zero* clauses.  A gate that needs a fresh variable and has a
    same-named base gate with an identical signature is a candidate merge
-   point: two assumption solves (``[v, -b]``, then ``[-v, b]``) prove the
-   two variables equal, and the gate then takes the base variable, so
-   everything downstream hashes onto the base again.  A satisfiable
-   solve leaves the gate unmerged.  ODC modifications are masked, so the
-   sweep usually closes every modified cone within a few gates of the
-   modification.
+   point: two solves prove the two variables equal, and the gate then
+   takes the base variable, so everything downstream hashes onto the
+   base again.  Each solve asks for one implication's counterexample
+   (``v`` and not ``b``, then the mirror) under a single fresh
+   activation literal ``d`` with clauses ``(-d, v)`` and ``(-d, -b)``,
+   so both sides propagate at one decision level.  It is cone-bounded
+   (``CdclSolver.solve(inputs=...)``): the solver branches only on the
+   primary inputs in the fanin cones of ``v`` and ``b``, kept as
+   per-variable bitmasks, and answers SAT once they are all assigned.
+   A satisfiable solve leaves the gate unmerged.  ODC modifications are
+   masked, so the sweep usually closes every modified cone within a
+   few gates of the modification.
 
 4. **Discharge clean outputs structurally.**  An output whose copy
    variable equals its base variable is equivalent by construction; no
    miter, no output obligation.  After the sweep that is usually every
    output.
 
-5. **One solver per copy, assumptions per output.**  An output left with a
-   copy variable gets a difference detector in the copy's solver and is
-   solved under the assumption that it fires, hardest last (by dirty-cone
-   size), so cheap proofs land first and a budget interruption wastes the
-   least work.  Sweep solves and output obligations share the copy's
+5. **One solver per copy, assumptions per output.**  The sweep's
+   activation literals are retired (asserted false) first.  An output
+   left with a copy variable gets a difference detector in the copy's
+   solver and is solved under the assumption that it fires, hardest last
+   (by dirty-cone size), so cheap proofs land first and a budget
+   interruption wastes the least work.  Sweep solves and output obligations share the copy's
    budget, and an exhausted solve of either kind makes the copy
    UNDECIDED.  The next copy starts from the base encoding again, so a
    verdict depends only on the base, the copy and the budget — never on
@@ -52,7 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,9 +80,17 @@ from .tseitin import _encode, encode_circuit
 
 #: Packed random vectors behind the simulation pre-filter and the sweep's
 #: candidate merge points (a multiple of the 64-bit word).
-SESSION_VECTORS = 512
+SESSION_VECTORS = 2048
 #: Stimulus seed, so sessions are reproducible.
 SESSION_SEED = 2015
+
+
+def _union(support: Dict[int, int], variables: Iterable[int]) -> int:
+    """The union of ``variables``' input-support bitmasks."""
+    mask = 0
+    for var in variables:
+        mask |= support[var]
+    return mask
 
 
 @dataclass
@@ -92,6 +109,8 @@ class SessionStats:
     points_swept: int = 0
     points_merged: int = 0
     points_refuted: int = 0
+    sweep_propagations: int = 0
+    sweep_inputs: int = 0
 
 
 class IncrementalCecSession:
@@ -112,9 +131,18 @@ class IncrementalCecSession:
             (probing + subsumption + self-subsuming resolution; later
             copy deltas may reference any base variable) over the base
             encoding before loading the solver.
+        clock: A started budget whose deadline also stops the base
+            preprocessing (a one-copy session's whole check runs on one
+            clock).
     """
 
-    def __init__(self, base: Circuit, *, simplify_base: bool = True) -> None:
+    def __init__(
+        self,
+        base: Circuit,
+        *,
+        simplify_base: bool = True,
+        clock: Optional[BudgetClock] = None,
+    ) -> None:
         self.base = base
         self._base_version = base.version
         self.stats = SessionStats()
@@ -128,7 +156,7 @@ class IncrementalCecSession:
             if simplify_base:
                 # Equivalence-preserving only: the variable numbering must
                 # survive because every future delta strashes against it.
-                cnf = preprocess(cnf, eliminate=False).cnf
+                cnf = preprocess(cnf, clock=clock, eliminate=False).cnf
             self._base_cnf = cnf
 
             #: Per-base-gate canonical key, for name-stable matching: a
@@ -138,11 +166,21 @@ class IncrementalCecSession:
             #: look "modified").
             self._base_key: Dict[str, Tuple] = {}
             self._base_strash: Dict[Tuple, int] = {}
+            #: Primary-input support of every base variable, as a bitmask
+            #: over ``base.inputs``: the cone a sweep solve branches in.
+            self._input_vars = [self._base_var[name] for name in base.inputs]
+            self._base_support: Dict[int, int] = {
+                var: 1 << index for index, var in enumerate(self._input_vars)
+            }
             compiled = compile_circuit(base)
             for gate in compiled.gates_in_order():
-                key = self._key(gate.kind, [self._base_var[n] for n in gate.inputs])
+                ins = [self._base_var[n] for n in gate.inputs]
+                key = self._key(gate.kind, ins)
                 self._base_key[gate.name] = key
                 self._base_strash.setdefault(key, self._base_var[gate.name])
+                self._base_support[self._base_var[gate.name]] = _union(
+                    self._base_support, ins
+                )
             self._load_base()
 
             self._stimulus = random_stimulus(base.inputs, SESSION_VECTORS, seed=SESSION_SEED)
@@ -152,6 +190,15 @@ class IncrementalCecSession:
     # Canonical structural key (commutative fanins sorted), promoted to
     # repro.hashing so the artifact store and campaign ids share it.
     _key = staticmethod(gate_key)
+
+    def _cone_inputs(self, mask: int) -> List[int]:
+        """The primary-input variables a support bitmask names."""
+        inputs = []
+        while mask:
+            low = mask & -mask
+            inputs.append(self._input_vars[low.bit_length() - 1])
+            mask ^= low
+        return inputs
 
     def _load_base(self) -> None:
         """A fresh solver holding only the base encoding."""
@@ -173,6 +220,8 @@ class IncrementalCecSession:
         totals.points_swept += detail["points_swept"]
         totals.points_merged += detail["points_merged"]
         totals.points_refuted += detail["points_refuted"]
+        totals.sweep_propagations += detail["sweep_propagations"]
+        totals.sweep_inputs += detail["sweep_inputs"]
         stats = dataclasses.replace(self.solver.stats)
         return CecResult(verdict, counterexample, stats, reason, detail)
 
@@ -203,10 +252,10 @@ class IncrementalCecSession:
         Semantics match :func:`repro.sat.cec.check` (three-valued verdict,
         counterexample as an input-name-to-bit dict, UNDECIDED under an
         exhausted ``budget``), plus a ``detail`` dict recording how the
-        outputs were discharged and how many points the sweep tried,
-        merged and refuted.  The budget bounds this call as a whole: the
-        conflicts/decisions of the sweep's solves and of earlier outputs
-        count against every later solve.  Each output obligation left
+        outputs were discharged, how many points the sweep tried, merged
+        and refuted, and what its solves cost.  The budget bounds this
+        call as a whole: the conflicts/decisions of the sweep's solves
+        and of earlier outputs count against every later solve.  Each output obligation left
         after the sweep is solved on the copy's solver, hardest last.
         """
         with telemetry.span(
@@ -264,6 +313,8 @@ class IncrementalCecSession:
             "points_swept": 0,
             "points_merged": 0,
             "points_refuted": 0,
+            "sweep_propagations": 0,
+            "sweep_inputs": 0,
         }
 
         def rest() -> Tuple[Optional[str], Optional[Budget]]:
@@ -301,6 +352,8 @@ class IncrementalCecSession:
         var_of: Dict[str, int] = {name: base_var[name] for name in copy.inputs}
         # (kind, fanin vars) -> CNF var: the base's gates, then this copy's.
         strash = dict(self._base_strash)
+        support = dict(self._base_support)
+        activations: List[int] = []
         for row, gate in enumerate(compiled.gates_in_order(), len(copy.inputs)):
             ins = [var_of[n] for n in gate.inputs]
             key = self._key(gate.kind, ins)
@@ -311,17 +364,28 @@ class IncrementalCecSession:
             if var is None:
                 var = solver.new_var()
                 _encode(solver, gate.kind, var, ins)
+                support[var] = _union(support, ins)
                 detail["gates_encoded"] += 1
                 twin = base_var.get(gate.name)
                 if twin is not None and np.array_equal(base_rows[gate.name], copy_matrix[row]):
                     # Same signature as its base twin: sweep the point, and
                     # merge it when both implications are UNSAT.
                     detail["points_swept"] += 1
-                    for assumptions in ([var, -twin], [-var, twin]):
+                    cone = self._cone_inputs(support[var] | support[twin])
+                    detail["sweep_inputs"] += len(cone)
+                    for lits in ((var, -twin), (-var, twin)):
                         reason, remaining = rest()
                         if reason is not None:
                             return undecided("undecided_point", gate.name, reason)
-                        result = solver.solve(assumptions, budget=remaining)
+                        act = solver.new_var()
+                        activations.append(act)
+                        for lit in lits:
+                            solver.add_clause([-act, lit])
+                        propagations = solver.stats.propagations
+                        result = solver.solve([act], budget=remaining, inputs=cone)
+                        detail["sweep_propagations"] += (
+                            solver.stats.propagations - propagations
+                        )
                         if result.unknown:
                             return undecided("undecided_point", gate.name, result.reason)
                         if result.satisfiable:
@@ -370,6 +434,10 @@ class IncrementalCecSession:
             return count
 
         order = sorted(affected, key=dirty_cone_size)
+        # Full solves branch on every variable; a free activation literal
+        # would cost a conflict per merged point.
+        for act in activations:
+            solver.add_clause([-act])
         for position, net in enumerate(order):
             reason, remaining = rest()
             if reason is not None:

@@ -97,10 +97,10 @@ class TestCommands:
         assert main([
             "verify", golden_v, out_v,
             "--max-exhaustive-inputs", "0",
-            "--max-conflicts", "1",
+            # The sweep proves this copy without a conflict; a budget of
+            # 0 stops the session before its first solve.
+            "--max-conflicts", "0",
             "--random-vectors", "512",
-            # CNF preprocessing would decide this tiny miter outright;
-            # disable it so the 1-conflict budget forces the fallback.
             "--no-simplify",
         ]) == 0
         out = capsys.readouterr().out

@@ -404,10 +404,12 @@ class TestAbortedSolve:
         session = IncrementalCecSession(base)
         aborted = session.solver
 
-        def abort():
+        def abort(head):
             raise self.Abort()
 
-        aborted._pick_branch = abort
+        # Every solve propagates; a cone-bounded sweep solve that closes
+        # by propagation alone never picks a branch.
+        aborted._propagate = abort
         with pytest.raises(self.Abort):
             session.verify(copies[0])
         assert not aborted.usable

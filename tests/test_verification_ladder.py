@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
 from repro.budget import Budget
 from repro.flows import (
     FlowOptions,
@@ -65,12 +66,13 @@ def test_wide_circuit_climbs_to_sat(wide_pair):
 
 
 def test_starved_budget_falls_to_random(wide_pair):
-    """The acceptance scenario end to end: SAT starved at 1 conflict,
-    the ladder still answers — probabilistically, with the budget hit
-    recorded and both tiers listed."""
+    """The acceptance scenario end to end: SAT starved at 0 conflicts
+    (the session stops before its first sweep solve), the ladder still
+    answers — probabilistically, with the budget hit recorded and both
+    tiers listed."""
     base, copy = wide_pair
     config = LadderConfig(
-        sat_budget=Budget(max_conflicts=1), n_random_vectors=4096
+        sat_budget=Budget(max_conflicts=0), n_random_vectors=4096
     )
     report = run_ladder(base, copy, config=config)
     assert report.tier is VerificationTier.RANDOM_SIM
@@ -79,6 +81,25 @@ def test_starved_budget_falls_to_random(wide_pair):
     assert report.tiers_tried == ("sat-cec", "random-sim")
     assert 0.9 < report.confidence < 1.0
     assert report.n_vectors == 4096
+
+
+@pytest.mark.parametrize("deadline", [0.0, 1e-9])
+def test_one_clock_covers_the_session_build(wide_pair, deadline):
+    """Without a session the SAT tier builds a one-copy session on the
+    budget's clock: a deadline spent before it starts stops base
+    preprocessing before its first probe, the copy gets only what
+    remains, and the verdict names the caller's deadline, not the
+    remainder's."""
+    base, copy = wide_pair
+    telemetry.get_registry().reset()
+    with telemetry.enabled(trace=False, metrics=True):
+        report = run_ladder(
+            base, copy, config=LadderConfig(sat_budget=Budget(deadline_s=deadline))
+        )
+    counters = telemetry.drain_metrics()["counters"]
+    assert report.tier is VerificationTier.RANDOM_SIM and report.budget_hit
+    assert f"deadline {deadline:g}s exceeded" in report.reason
+    assert counters["sat.preprocess.probes"] == 0
 
 
 def test_random_tier_mismatch_is_a_proof(wide_pair):
@@ -102,7 +123,7 @@ def test_sat_disabled_skips_the_tier(wide_pair):
 
 def test_confidence_for_scales_with_detectable_rate(wide_pair):
     base, copy = wide_pair
-    config = LadderConfig(sat_budget=Budget(max_conflicts=1))
+    config = LadderConfig(sat_budget=Budget(max_conflicts=0))
     report = run_ladder(base, copy, config=config)
     assert report.confidence_for(1e-2) > report.confidence_for(1e-4)
 
@@ -112,11 +133,10 @@ def test_flow_never_raises_on_verification_timeout(fig1_circuit):
     tier is starved — the second half of the ISSUE's acceptance check."""
     config = LadderConfig(
         max_exhaustive_inputs=1,
-        sat_budget=Budget(max_conflicts=1),
+        # The sweep proves fig1's copy without a conflict; a budget of 0
+        # stops the session before its first solve.
+        sat_budget=Budget(max_conflicts=0),
         n_random_vectors=512,
-        # Preprocessing would decide this tiny miter before the solver
-        # spends its single conflict; pin the raw-miter path so the
-        # budget-degradation machinery under test actually engages.
         sat_simplify=False,
     )
     result = run_flow(fig1_circuit, FlowOptions(ladder=config))
