@@ -7,11 +7,12 @@ cone* (FFC), so FFC extraction is on the hot path of location finding.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Set
 
 from .circuit import Circuit, Gate
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported on use
+    import networkx
 
 
 def transitive_fanin(circuit: Circuit, net: str, include_inputs: bool = True) -> Set[str]:
@@ -94,13 +95,17 @@ def ffc_members(circuit: Circuit, root: str) -> List[Gate]:
     return [g for g in circuit.topological_order() if g.name in names]
 
 
-def to_networkx(circuit: Circuit) -> nx.DiGraph:
+def to_networkx(circuit: Circuit) -> "networkx.DiGraph":
     """Export the netlist as a ``networkx.DiGraph``.
 
     Nodes are net names with a ``type`` attribute (``"input"`` or the gate
-    kind); edges run from driver net to consumer gate output.
+    kind); edges run from driver net to consumer gate output.  networkx
+    is imported here, not with the package, so ``import repro`` stays
+    light.
     """
-    graph = nx.DiGraph(name=circuit.name)
+    import networkx
+
+    graph = networkx.DiGraph(name=circuit.name)
     for net in circuit.inputs:
         graph.add_node(net, type="input")
     for gate in circuit.gates:

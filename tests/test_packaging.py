@@ -7,13 +7,15 @@ tree, so adding a subpackage (as the store/service PR does with
 with one that fails to import — breaks loudly here instead of silently
 shipping an incomplete distribution.  It also requires the version in
 ``pyproject.toml`` to equal ``repro.__version__``, so a version bump
-moves both.
+moves both, and ``import repro`` to leave networkx unimported.
 """
 
 from __future__ import annotations
 
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -76,3 +78,14 @@ def test_pyproject_version_is_the_package_version():
     import repro
 
     assert pyproject_version() == repro.__version__
+
+
+def test_import_repro_leaves_networkx_unimported():
+    """networkx is imported by ``to_networkx`` alone, so the package
+    import (and every process that only runs the flow) stays light."""
+    code = "import sys, repro; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
