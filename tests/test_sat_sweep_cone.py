@@ -9,9 +9,9 @@ misleads the sweep: every point it merges equals its twin under
 exhaustive simulation, every point it refutes differs from it, and every
 verdict equals :func:`exhaustive_equivalent`.  16 inputs are 65,536
 patterns, so the session's 2,048 signature vectors leave false candidates
-for the refuting solves to find.  Tier-1 checks three circuits;
-``-m differential`` checks the catalog pin's population seeds at the
-same width.
+for the refuting solves to find.  Tier-1 checks three circuits and a
+copy whose point reads fewer inputs than its twin; ``-m differential``
+checks the catalog pin's population seeds at the same width.
 """
 
 from __future__ import annotations
@@ -132,6 +132,38 @@ def test_sweep_merges_and_refutes_exactly():
         refuted += more_refuted
     # Both kinds of answer must occur, or the check proves nothing.
     assert merged > 0 and refuted > 0
+
+
+def test_cone_covers_the_twins_inputs():
+    """A copy point whose base twin reads an input the point does not:
+    the base computes ``net`` as XOR(XOR(pre, extra), extra), the copy as
+    BUF(pre).  Propagation cannot evaluate the twin until ``extra`` is
+    assigned, so a cone holding only the point's own inputs would call the
+    equal pair different."""
+    circuit = wide_circuit(8)
+    supports = {name: {name} for name in circuit.inputs}
+    for gate in circuit.topological_order():
+        supports[gate.name] = set().union(*(supports[n] for n in gate.inputs))
+    for gate in circuit.topological_order():
+        missing = [n for n in circuit.inputs if n not in supports[gate.name]]
+        if missing and gate.name not in circuit.outputs:
+            net, extra = gate.name, missing[0]
+            break
+    base = circuit.clone(f"{circuit.name}_wide")
+    driver = base.remove_gate(net)
+    base.add_gate(f"{net}_pre", driver.kind, driver.inputs, cell=driver.cell)
+    base.add_gate(f"{net}_t", "XOR", [f"{net}_pre", extra])
+    base.add_gate(net, "XOR", [f"{net}_t", extra])
+    base.validate()
+    copy = base.clone(f"{circuit.name}_narrow")
+    copy.remove_gate(net)
+    copy.remove_gate(f"{net}_t")
+    copy.add_gate(net, "BUF", [f"{net}_pre"])
+    copy.validate()
+
+    result, merged = sweep(incremental.IncrementalCecSession(base), copy)
+    assert merged[net] is True
+    assert result.equivalent and exhaustive_equivalent(base, copy).equivalent
 
 
 def test_sweep_counts_its_work():
