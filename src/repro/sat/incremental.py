@@ -50,11 +50,11 @@ session when its caller holds none):
    left with a copy variable gets a difference detector in the copy's
    solver and is solved under the assumption that it fires, hardest last
    (by dirty-cone size), so cheap proofs land first and a budget
-   interruption wastes the least work.  Sweep solves and output obligations share the copy's
-   budget, and an exhausted solve of either kind makes the copy
-   UNDECIDED.  The next copy starts from the base encoding again, so a
-   verdict depends only on the base, the copy and the budget — never on
-   which copies the session verified before.
+   interruption wastes the least work.  Sweep solves and output
+   obligations share the copy's budget, and an exhausted solve of either
+   kind makes the copy UNDECIDED.  The next copy starts from the base
+   encoding again, so a verdict depends only on the base, the copy and
+   the budget — never on which copies the session verified before.
 """
 
 from __future__ import annotations
@@ -255,8 +255,9 @@ class IncrementalCecSession:
         outputs were discharged, how many points the sweep tried, merged
         and refuted, and what its solves cost.  The budget bounds this
         call as a whole: the conflicts/decisions of the sweep's solves
-        and of earlier outputs count against every later solve.  Each output obligation left
-        after the sweep is solved on the copy's solver, hardest last.
+        and of earlier outputs count against every later solve.  Each
+        output obligation left after the sweep is solved on the copy's
+        solver, hardest last.
         """
         with telemetry.span(
             "cec.verify", design=copy.name, outputs=len(copy.outputs)
