@@ -64,12 +64,14 @@ def test_ladder_default(benchmark, pairs):
 
 
 def test_ladder_starved(benchmark, pairs):
-    """A 1-conflict SAT budget: every non-exhaustible circuit must fall
-    through to random simulation with ``budget_hit`` recorded, and the
-    flow must still produce a verdict for all of them."""
+    """A 0-conflict SAT budget (the session stops before its first sweep
+    solve; one conflict is enough to prove most copies): every
+    non-exhaustible circuit must fall through to random simulation with
+    ``budget_hit`` recorded, and the flow must still produce a verdict
+    for all of them."""
     config = LadderConfig(
         max_exhaustive_inputs=8,
-        sat_budget=Budget(max_conflicts=1),
+        sat_budget=Budget(max_conflicts=0),
         n_random_vectors=2048,
     )
     reports = benchmark.pedantic(
