@@ -128,8 +128,8 @@ def _add_ladder_options(p: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--no-simplify", action="store_true",
-        help="skip CNF preprocessing of the SAT tier's base encoding "
-             "(preprocessing is verdict-neutral and on by default)",
+        help="accepted and ignored: since 8.0.0 the SAT tier never "
+             "preprocesses its base encoding",
     )
 
 

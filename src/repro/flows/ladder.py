@@ -67,11 +67,10 @@ class LadderConfig:
         detectable_rate: The activation rate ``eps`` used for the headline
             confidence estimate of the random tier (see
             :meth:`VerificationReport.confidence_for`).
-        sat_simplify: Run the CNF preprocessor (:mod:`repro.sat.preprocess`,
-            without variable elimination) over the base encoding of the
-            one-copy session the SAT tier builds when :func:`run_ladder`
-            gets none.  Verdict-neutral (the differential suite pins it);
-            off loads the raw base encoding.
+        sat_simplify: Inert since 8.0.0, when CEC sessions stopped
+            preprocessing their base encoding: both values verify the
+            same way.  Still accepted and type-checked, because stored
+            configurations and service payloads carry it.
     """
 
     max_exhaustive_inputs: int = 16
@@ -180,8 +179,8 @@ def run_ladder(
     ``left``.  Pass a ``session`` to share one base encoding across
     repeated calls, so each call encodes only its copy's delta; without
     one, the tier builds a one-copy session, and the budget's deadline
-    then covers building it (base preprocessing included) as well as
-    the copy's solves.  Budgets and UNDECIDED degradation behave
+    then covers building it (encoding and simulating the base) as well
+    as the copy's solves.  Budgets and UNDECIDED degradation behave
     identically either way.
     """
     with telemetry.span("ladder.verify", design=left.name) as ladder_span:
@@ -347,10 +346,10 @@ def _sat_tier(
         before = session.solver.stats.conflicts
         cec = session.verify(right, budget=budget)
         return cec, cec.stats.conflicts - before
-    # One clock covers building the session (base preprocessing included)
-    # and every solve; the copy gets only the time that remains.
+    # One clock covers building the session and every solve; the copy
+    # gets only the time that remains.
     clock = budget.start() if budget.deadline_s is not None else None
-    session = IncrementalCecSession(left, simplify_base=config.sat_simplify, clock=clock)
+    session = IncrementalCecSession(left)
     if clock is None:
         cec = session.verify(right, budget=budget)
     else:

@@ -11,10 +11,13 @@ session when its caller holds none):
 
 1. **Encode the base once.**  The base circuit is Tseitin-encoded a single
    time (stable variable numbering from the compiled IR's interned order)
-   and preprocessed once; every copy's :class:`~repro.sat.solver.CdclSolver`
-   starts from that cached base encoding.  The base's simulation
-   signature (packed random vectors through the compiled IR) is kept for
-   every net.
+   and loaded as it is, without preprocessing: the sweep proves each
+   copy without the root-level units probing would find, and a solve's
+   root trail then holds only the encoding's own units (constant
+   gates), so no solve walks a long one again.  Every copy's
+   :class:`~repro.sat.solver.CdclSolver` starts from that cached base
+   encoding.  The base's simulation signature (packed random vectors
+   through the compiled IR) is kept for every net.
 
 2. **Simulate the copy first.**  The copy runs through the same vectors
    before anything is encoded.  A signature mismatch on any output is an
@@ -74,7 +77,6 @@ from ..sim.simulator import Simulator
 from ..sim.vectors import WORD_BITS, random_stimulus, vector_of
 from ..hashing import gate_key
 from .cec import CecResult, CecVerdict
-from .preprocess import preprocess
 from .solver import CdclSolver
 from .tseitin import _encode, encode_circuit
 
@@ -127,22 +129,9 @@ class IncrementalCecSession:
 
     Args:
         base: The golden circuit every copy is checked against.
-        simplify_base: Run the preprocessor without variable elimination
-            (probing + subsumption + self-subsuming resolution; later
-            copy deltas may reference any base variable) over the base
-            encoding before loading the solver.
-        clock: A started budget whose deadline also stops the base
-            preprocessing (a one-copy session's whole check runs on one
-            clock).
     """
 
-    def __init__(
-        self,
-        base: Circuit,
-        *,
-        simplify_base: bool = True,
-        clock: Optional[BudgetClock] = None,
-    ) -> None:
+    def __init__(self, base: Circuit) -> None:
         self.base = base
         self._base_version = base.version
         self.stats = SessionStats()
@@ -152,12 +141,7 @@ class IncrementalCecSession:
         ):
             encoding = encode_circuit(base)
             self._base_var: Dict[str, int] = dict(encoding.var_of)
-            cnf = encoding.cnf
-            if simplify_base:
-                # Equivalence-preserving only: the variable numbering must
-                # survive because every future delta strashes against it.
-                cnf = preprocess(cnf, clock=clock, eliminate=False).cnf
-            self._base_cnf = cnf
+            self._base_cnf = encoding.cnf
 
             #: Per-base-gate canonical key, for name-stable matching: a
             #: copy gate that keeps its base name and definition maps to

@@ -35,8 +35,10 @@ reference later — assumption literals, primary inputs needed for
 counterexample extraction, activation literals — must be passed as
 ``frozen`` so BVE leaves them alone.  Probing/subsumption/SSR are
 equivalence-preserving over the original variable set and therefore safe
-even for incremental sessions that keep adding clauses; BVE is not, and
-such callers pass ``eliminate=False``.
+even for a CNF that keeps growing after preprocessing; BVE is not, and
+such callers pass ``eliminate=False``.  The flow's one caller is
+:func:`repro.sat.cec.check`, which eliminates: since 8.0.0 no
+incremental CEC session preprocesses its base.
 
 A started :class:`~repro.budget.BudgetClock` passed as ``clock`` is read
 between probes and between eliminations; once its deadline has passed,
@@ -553,7 +555,7 @@ def preprocess(
     The returned CNF keeps the original variable numbering.  ``clock``
     (optional) stops the work early once its deadline has passed.
     ``eliminate=False`` skips variable elimination, for a CNF that will
-    keep growing after preprocessing (an incremental session's base).
+    keep growing after preprocessing.
     """
     frozen_set = {abs(v) for v in frozen}
     stats = PreprocessStats(

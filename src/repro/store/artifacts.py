@@ -52,12 +52,13 @@ KIND_SESSION = "session"
 def warm_session(base):
     """A (possibly cached) incremental CEC session for ``base``.
 
-    With no active store this is exactly ``IncrementalCecSession(base)``.
+    With no active store this is exactly ``IncrementalCecSession(base)``,
+    which loads the raw base encoding (no session preprocesses it).
     With one, a structurally identical resubmission reuses the previous
-    session — its preprocessed base encoding, base strash table, stimulus
-    and base signatures.  Every copy still starts from a solver holding
-    only the base encoding, so a cached session gives the same verdicts as
-    a new one.
+    session — its base encoding, base strash table, stimulus and base
+    signatures.  Every copy still starts from a solver holding only the
+    base encoding, so a cached session gives the same verdicts as a new
+    one.
 
     Callers must treat ``session.base`` as the canonical base object
     from here on (see module docstring).

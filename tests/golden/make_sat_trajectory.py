@@ -31,6 +31,9 @@ copies as sessions did before they rebuilt per copy, and session
 scenarios recorded before the sweep used activation literals; they stay
 until the pin is next regenerated.  ``C432-session-cone`` was appended
 to the pin on its own, leaving every other scenario byte-identical.
+Every committed session scenario starts from a preprocessed base
+encoding, as sessions built before version 8.0.0; a session now loads
+its raw base, so regenerating them records raw bases.
 
 The outcomes sit under :data:`CONFIG_KEY`, the key the solver's one
 configuration had when the pin also held the outcomes of the deleted

@@ -1,9 +1,10 @@
 """Record the SAT verdict pin: the baseline verdict of every differential pair.
 
-``tests/test_sat_speed_differential.py`` checks the default SAT pipeline
-(preprocessing plus the CDCL solver) against a baseline leg on a fixed
-set of circuit pairs.  This script builds those pairs and writes the
-baseline leg's verdict for each to ``tests/golden/sat_verdict_pin.json``,
+``tests/test_sat_speed_differential.py`` checks the default scratch SAT
+pipeline (preprocessing plus the CDCL solver) against a baseline leg,
+and the incremental session, on a fixed set of circuit pairs.  This
+script builds those pairs and writes the baseline leg's verdict for
+each to ``tests/golden/sat_verdict_pin.json``,
 next to a digest of both circuits, so the test knows the pair it checks
 is the pair that was recorded.  The pin is an independent reference:
 the test checks each verdict against it and, for pairs of at most
@@ -23,10 +24,12 @@ small suite (a copy and a mutant each) and a k2 session (a copy and two
 mutants) under ``-m differential``.
 
 The baseline leg is the unsimplified pipeline: ``check(simplify=False)``
-on the raw miter, and an ``IncrementalCecSession(simplify_base=False)``.
-The committed pin was recorded before version 6.0.0, when the baseline
-leg also ran the legacy solver configuration (no learned-clause
-minimization, clause-index watch lists), which has since been deleted.
+on the raw miter, and a session, which since version 8.0.0 always loads
+its raw base encoding, so a session case has one leg (the pin was
+recorded from unsimplified sessions).  The committed pin was recorded
+before version 6.0.0, when the baseline leg also ran the legacy solver
+configuration (no learned-clause minimization, clause-index watch
+lists), which has since been deleted.
 Regenerate it only when the case table changes.  From the repository
 root::
 
@@ -144,11 +147,12 @@ def digest(circuit: Circuit) -> str:
 def results(
     engine: str, base: Circuit, others: Sequence[Circuit], simplify: bool
 ) -> List[CecResult]:
-    """One leg's result for each (base, other) pair: the default pipeline
-    with ``simplify``, the baseline leg without."""
+    """One leg's result for each (base, other) pair: the default scratch
+    pipeline with ``simplify``, the baseline leg without.  A session has
+    one leg, so ``simplify`` selects nothing for it."""
     if engine == "scratch":
         return [check(base, other, simplify=simplify) for other in others]
-    session = IncrementalCecSession(base, simplify_base=simplify)
+    session = IncrementalCecSession(base)
     return [session.verify(other) for other in others]
 
 
