@@ -8,6 +8,7 @@ multiplexers) so generators read like datapath descriptions.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, List, Optional, Sequence
 
 from ..cells.library import CellLibrary
@@ -40,10 +41,17 @@ class CircuitBuilder:
     # ------------------------------------------------------------------ #
 
     def fresh(self, prefix: str = "n") -> str:
-        """Return a net name that is not yet used in the circuit."""
+        """Return a net name that is not yet used in the circuit.
+
+        Names are interned, so every circuit built with the same prefixes
+        (each techmap run of one design, say) shares one string per name.
+        Names parsed from user netlists are deliberately not interned: on
+        Python 3.12 interned strings are immortal, and generated names are
+        bounded by the largest circuit built, while user names are not.
+        """
         while True:
             self._counter += 1
-            name = f"{prefix}{self._counter}"
+            name = sys.intern(f"{prefix}{self._counter}")
             if not self.circuit.has_net(name):
                 return name
 
