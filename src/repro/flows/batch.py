@@ -23,9 +23,9 @@ import random
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .. import telemetry, workers
+from .. import telemetry
 from ..analysis.compare import overhead
 from ..analysis.metrics import measure
 from ..errors import ReproError, annotate
@@ -35,9 +35,11 @@ from ..fingerprint.locations import FinderOptions, find_locations
 from ..netlist.circuit import Circuit
 from ..store import warm_session
 from ..telemetry.metrics import safe_rate
-from ..workers import BrokenProcessPool
 from .ladder import LadderConfig, run_ladder
 from .options import FlowOptions
+
+if TYPE_CHECKING:
+    from ..workers import Handoff
 
 
 class BatchError(ReproError, ValueError):
@@ -237,8 +239,10 @@ def verify_one_value(state: Dict[str, object], value: int) -> CopyRecord:
     )
 
 
-def _verify_chunk(values: Sequence[int]) -> workers.Handoff:
+def _verify_chunk(values: Sequence[int]) -> Handoff:
     """Worker task: one chunk's records, with the telemetry that made them."""
+    from .. import workers
+
     for value in values:
         workers.crash_hook(str(value))
     return workers.hand_off([verify_one_value(_WORKER, value) for value in values])
@@ -294,6 +298,11 @@ def run_batch_flow(
             )
             records = [verify_one_value(state, value) for value in values]
         else:
+            # The pool's modules (multiprocessing, concurrent.futures) load
+            # only in a process that starts one.
+            from .. import workers
+            from ..workers import BrokenProcessPool
+
             # A fresh clone drops the (potentially large) per-version
             # caches before pickling the circuit into each worker.
             payload = design.clone(design.name)

@@ -7,12 +7,14 @@ tree, so adding a subpackage (as the store/service PR does with
 with one that fails to import — breaks loudly here instead of silently
 shipping an incomplete distribution.  It also requires the version in
 ``pyproject.toml`` to equal ``repro.__version__``, so a version bump
-moves both, and ``import repro`` to leave networkx unimported.
+moves both, and ``import repro`` to leave networkx and the worker
+pool's modules unimported.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -80,12 +82,28 @@ def test_pyproject_version_is_the_package_version():
     assert pyproject_version() == repro.__version__
 
 
-def test_import_repro_leaves_networkx_unimported():
-    """networkx is imported by ``to_networkx`` alone, so the package
-    import (and every process that only runs the flow) stays light."""
-    code = "import sys, repro; print('networkx' in sys.modules)"
+def modules_after_import_repro(names) -> dict:
+    """Which of ``names`` a fresh interpreter holds after ``import repro``."""
+    code = (
+        "import json, sys, repro; "
+        f"print(json.dumps([name in sys.modules for name in {list(names)!r}]))"
+    )
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    return dict(zip(names, json.loads(out)))
+
+
+def test_import_repro_leaves_networkx_unimported():
+    """networkx is imported by ``to_networkx`` alone, so the package
+    import (and every process that only runs the flow) stays light."""
+    assert modules_after_import_repro(["networkx"]) == {"networkx": False}
+
+
+def test_import_repro_leaves_the_worker_pool_unimported():
+    """The batch flow imports ``repro.workers`` only where it starts a
+    pool, so a flow process never loads multiprocessing and
+    concurrent.futures."""
+    names = ["repro.workers", "multiprocessing", "concurrent.futures"]
+    assert modules_after_import_repro(names) == dict.fromkeys(names, False)
