@@ -9,11 +9,12 @@ from .solver import (
     SolverStats,
     solve_cnf,
 )
+# The function ``preprocess`` is not re-exported: ``repro.sat.preprocess``
+# names its module (whose constants tests patch).
 from .preprocess import (
     PreprocessResult,
     PreprocessStats,
     Reconstruction,
-    preprocess,
     preprocess_for_solve,
 )
 from .tseitin import CircuitEncoding, encode_circuit
@@ -39,7 +40,6 @@ __all__ = [
     "PreprocessResult",
     "PreprocessStats",
     "Reconstruction",
-    "preprocess",
     "preprocess_for_solve",
     "CircuitEncoding",
     "encode_circuit",

@@ -41,7 +41,6 @@ parent's preprocessor first to see what moved.  From the repository root::
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import os
 import random
@@ -49,11 +48,9 @@ import sys
 from typing import Dict, List, Sequence, Tuple
 from unittest import mock
 
+import repro.sat.preprocess as _PREPROCESS
 from repro.sat.cnf import Cnf
 from repro.sat.preprocess import preprocess
-
-# The module, not the function ``repro.sat`` re-exports under its name.
-_PREPROCESS = importlib.import_module("repro.sat.preprocess")
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "preprocess_pin.json")
 

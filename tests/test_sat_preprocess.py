@@ -9,15 +9,14 @@ against random CNFs.
 
 from __future__ import annotations
 
-import importlib
 import random
 
+import repro.sat.preprocess as preprocess_module
 from repro.sat import (
     Cnf,
     PreprocessStats,
     Reconstruction,
     SatStatus,
-    preprocess,
     preprocess_for_solve,
     solve_cnf,
 )
@@ -28,10 +27,8 @@ from repro.sat.preprocess import (
     _subsumption_round,
     _to_external,
     _to_internal,
+    preprocess,
 )
-
-# The module, not the function ``repro.sat`` re-exports under its name.
-preprocess_module = importlib.import_module("repro.sat.preprocess")
 
 
 def make_cnf(n_vars, clauses):
@@ -134,6 +131,14 @@ class TestProbing:
         result = preprocess(cnf, frozen=[1, 2, 3])
         assert result.stats.probes == 0
         assert result.stats.probe_propagations == 0
+
+    def test_probe_limit_patches_by_its_dotted_name(self, monkeypatch):
+        """``repro.sat.preprocess`` names the module (``repro.sat`` does
+        not re-export the function under it), so the dotted form of
+        ``monkeypatch.setattr`` reaches the module's constants."""
+        monkeypatch.setattr("repro.sat.preprocess.PROBE_LIMIT", 0)
+        cnf = make_cnf(3, [[-1, 2], [-1, 3], [-2, -3], [1, 2]])
+        assert preprocess(cnf, frozen=[1, 2, 3]).stats.probes == 0
 
 
 class TestStatus:
