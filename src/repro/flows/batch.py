@@ -301,7 +301,6 @@ def run_batch_flow(
             # The pool's modules (multiprocessing, concurrent.futures) load
             # only in a process that starts one.
             from .. import workers
-            from ..workers import BrokenProcessPool
 
             # A fresh clone drops the (potentially large) per-version
             # caches before pickling the circuit into each worker.
@@ -318,7 +317,7 @@ def run_batch_flow(
                         _verify_chunk, _chunked(values, opts.jobs)
                     ):
                         records.extend(workers.adopt(handoff))
-            except BrokenProcessPool:
+            except workers.BrokenProcessPool:
                 # A worker died (OOM-kill, native crash, os._exit).  The
                 # chunk results already consumed above are valid verdicts
                 # — keep them, and finish the not-yet-reported values

@@ -103,6 +103,52 @@ def test_one_clock_covers_the_session_build(wide_pair, deadline):
     assert "sat.preprocess.probes" not in counters
 
 
+def preprocess_counters(run) -> list:
+    """The ``sat.preprocess.*`` counters ``run()`` leaves behind; it must
+    verify at least one copy through a session."""
+    telemetry.get_registry().reset()
+    with telemetry.enabled(trace=False, metrics=True):
+        run()
+    counters = telemetry.drain_metrics()["counters"]
+    assert counters.get("cec.copies", 0) >= 1, counters
+    return sorted(name for name in counters if name.startswith("sat.preprocess"))
+
+
+@pytest.mark.parametrize("simplify", [True, False])
+@pytest.mark.parametrize("entry", ["fingerprint", "verify", "batch"])
+def test_facade_verdicts_preprocess_nothing(wide_pair, entry, simplify):
+    """Every verdict's SAT tier is a session, and no session preprocesses
+    its base, whatever the inert ``sat_simplify`` says."""
+    from repro import api
+
+    base, copy = wide_pair
+    opts = FlowOptions(ladder=LadderConfig(sat_simplify=simplify))
+    run = {
+        "fingerprint": lambda: api.fingerprint(base, opts),
+        "verify": lambda: api.verify(base, copy, opts),
+        "batch": lambda: api.batch(base, 2, opts),
+    }[entry]
+    assert preprocess_counters(run) == []
+
+
+def test_warm_session_preprocesses_nothing(wide_pair):
+    """A batch's session, fresh or from a store's cache, loads the raw base."""
+    from repro.store import store_activated, warm_session
+
+    base, copy = wide_pair
+
+    def run():
+        session = warm_session(base)
+        report = run_ladder(session.base, copy, session=session)
+        assert report.tier is VerificationTier.SAT_CEC and report.proven
+
+    assert preprocess_counters(run) == []
+    with store_activated(memory_entries=4) as store:
+        assert preprocess_counters(run) == []
+        assert preprocess_counters(run) == []
+        assert store.hits >= 1
+
+
 def test_random_tier_mismatch_is_a_proof(wide_pair):
     base, _ = wide_pair
     mutant = _mutate(base, "wide_broken")
