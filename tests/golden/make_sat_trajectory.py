@@ -19,21 +19,22 @@ preprocessed, as :func:`repro.sat.cec.check` builds them); the same C432
 miters against a known-bad copy (one output inverted), so SAT models are
 pinned too; the first 8 copies of a C432
 :class:`~repro.sat.incremental.IncrementalCecSession` issued as the batch
-flow issues them, one scenario per copy (the session starts every copy
-from a fresh solver holding only the base encoding); and two runs of many
-assumption solves on one random 3-SAT solver, the longer of which
-(``random-3sat-reduce``) reaches learned-clause reduction and an
-activity rescale; and ``C432-session-cone``, the solver of one C432
-copy verified with cone-bounded sweep solves (the seventh copy the batch
-flow issues, the first of them whose sweep meets a conflict).  The
-committed pin still holds ``C432-session-8``, one solver serving all 8
-copies as sessions did before they rebuilt per copy, and session
-scenarios recorded before the sweep used activation literals; they stay
-until the pin is next regenerated.  ``C432-session-cone`` was appended
-to the pin on its own, leaving every other scenario byte-identical.
-Every committed session scenario starts from a preprocessed base
-encoding, as sessions built before version 8.0.0; a session now loads
-its raw base, so regenerating them records raw bases.
+flow issues them, one scenario per copy (``C432-session-raw<i>``: the
+session starts every copy from a fresh solver holding only the raw base
+encoding); two runs of many assumption solves on one random 3-SAT
+solver, the longer of which (``random-3sat-reduce``) reaches
+learned-clause reduction and an activity rescale; and
+``C432-session-raw-cone``, the solver of one C432 copy verified with
+cone-bounded sweep solves (the seventh copy the batch flow issues).
+
+Of the session scenarios the committed pin holds ``C432-session-raw0``
+and ``C432-session-raw-cone``, appended on their own with every other
+scenario left byte-identical.  It also still holds ``C432-session-8``
+(one solver serving all 8 copies, as sessions did before they rebuilt
+per copy) and ``C432-session-cone`` (the cone copy, appended when the
+sweep became cone-bounded).  Both start from a preprocessed base
+encoding (500 clauses, 8 of them units), as sessions built before
+version 8.0.0 loaded it; they stay until the pin is next regenerated.
 
 The outcomes sit under :data:`CONFIG_KEY`, the key the solver's one
 configuration had when the pin also held the outcomes of the deleted
@@ -46,7 +47,7 @@ raw-speed section of ``docs/ARCHITECTURE.md``), from the repository root::
 
 or record only the named scenarios and add them to the committed pin::
 
-    PYTHONPATH=src python tests/golden/make_sat_trajectory.py --append C432-session-cone
+    PYTHONPATH=src python tests/golden/make_sat_trajectory.py --append C432-session-raw-cone
 """
 
 from __future__ import annotations
@@ -277,10 +278,10 @@ def main(argv: Sequence[str] = ()) -> int:
     logs.update(scratch_logs("c17", _c17()))
     logs.update(scratch_logs("C432", c432))
     logs.update(scratch_logs("C432", c432, bad=True))
-    logs.update(session_logs(c432))
+    logs.update(session_logs(c432, label="raw"))
     logs["random-3sat"] = random_log()
     logs["random-3sat-reduce"] = random_log(shape=REDUCTION_SHAPE)
-    logs.update(session_logs(c432, [CONE_COPY], label="cone"))
+    logs.update(session_logs(c432, [CONE_COPY], label="raw-cone"))
     scenarios = {}
     if append:
         with open(out) as handle:

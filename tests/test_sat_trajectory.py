@@ -15,7 +15,9 @@ import json
 
 import pytest
 
+from repro.bench.suite import build_benchmark
 from repro.sat.solver import CdclSolver
+from repro.sat.tseitin import encode_circuit
 from tests.golden.make_sat_trajectory import CONFIG_KEY, OUT, replay
 
 with open(OUT) as _handle:
@@ -66,6 +68,25 @@ def test_cone_scenario_pins_cone_bounded_solves():
     refutations whose models cover only the cone's inputs, and a conflict
     that sends the branching cursor back."""
     scenario = PIN["scenarios"]["C432-session-cone"]
+    solves = [call for call in scenario["calls"] if call[0] == "solve"]
+    assert solves and all(len(call) == 4 for call in solves)
+    outcomes = scenario["outcomes"][CONFIG_KEY]
+    assert "sat" in {status for status, _, _ in outcomes}
+    assert outcomes[-1][1]["conflicts"] > 0
+
+
+@pytest.mark.parametrize("name", ["C432-session-raw0", "C432-session-raw-cone"])
+def test_raw_session_scenarios_start_from_the_raw_base(name):
+    """A session loads its base's raw Tseitin encoding (for C432, 525
+    clauses and no unit), and the raw session scenarios start from exactly
+    those clauses; their sweep solves are all cone-bounded, and both
+    refute a point and meet a conflict."""
+    cnf = encode_circuit(build_benchmark("C432")).cnf
+    assert len(cnf.clauses) == 525
+    assert all(len(clause) > 1 for clause in cnf.clauses)
+    scenario = PIN["scenarios"][name]
+    assert scenario["n_vars"] == cnf.n_vars
+    assert scenario["clauses"] == [list(clause) for clause in cnf.clauses]
     solves = [call for call in scenario["calls"] if call[0] == "solve"]
     assert solves and all(len(call) == 4 for call in solves)
     outcomes = scenario["outcomes"][CONFIG_KEY]
