@@ -6,14 +6,17 @@ simulation and SAT-based CEC — and asserts they agree.  This is the check
 that backs every "without changing the functionality" claim in the
 reproduction.
 
-Also measures the incremental CEC session
-(:class:`repro.sat.incremental.IncrementalCecSession`) against per-copy
-scratch :func:`repro.sat.cec.check` on a multi-copy fingerprint workload,
-and writes ``BENCH_cec_incremental.json`` at the repository root.
+Also measures one incremental CEC session
+(:class:`repro.sat.incremental.IncrementalCecSession`) against a
+per-copy scratch miter on a multi-copy fingerprint workload, and writes
+``BENCH_cec_incremental.json`` at the repository root.  The scratch leg
+is the raw reference miter (:func:`tests.miter_reference.miter_check`:
+:func:`repro.sat.cec.build_miter` and one fresh solve), which shares no
+sweep or simulation with the session.
 
 Acceptance gate: >= 3x total speedup verifying 8 fingerprint copies of a
->= 1,000-gate design (``k2``, 1206 gates), verdicts identical to
-``sat_equivalent`` on every copy.
+>= 1,000-gate design (``k2``, 1206 gates), verdicts identical to the raw
+miter's on every copy.
 
 Standalone usage::
 
@@ -37,13 +40,14 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from repro.bench import RandomLogicSpec, build_benchmark, generate  # noqa: E402
 from repro.fingerprint import FingerprintCodec, embed, find_locations, full_assignment  # noqa: E402
 from repro.netlist.circuit import Circuit  # noqa: E402
 from repro.sat import IncrementalCecSession, sat_equivalent  # noqa: E402
-from repro.sat.cec import check  # noqa: E402
 from repro.sim import exhaustive_equivalent, random_equivalent  # noqa: E402
+from tests.miter_reference import miter_check  # noqa: E402
 
 #: The >= 1,000-gate design the incremental acceptance gate runs on.
 INCREMENTAL_DESIGN = "k2"
@@ -161,10 +165,10 @@ def collect_incremental(
 ) -> dict:
     """Scratch-vs-incremental timing record for a multi-copy workload.
 
-    Every copy is checked twice — once through a fresh miter + fresh
-    solver (``check``, identical to ``sat_equivalent``) and once through
-    one shared :class:`IncrementalCecSession` — and the verdicts must
-    agree copy for copy.
+    Every copy is checked twice — once through the raw reference miter
+    (a fresh miter and a fresh solver) and once through one shared
+    :class:`IncrementalCecSession` — and the verdicts must agree copy for
+    copy.
     """
     if base is None:
         base = build_benchmark(INCREMENTAL_DESIGN)
@@ -175,7 +179,7 @@ def collect_incremental(
     scratch_total = 0.0
     for value, copy in copies:
         start = time.perf_counter()
-        result = check(base, copy)  # budget=None: this IS sat_equivalent
+        result = miter_check(base, copy)
         seconds = time.perf_counter() - start
         scratch_total += seconds
         scratch_rows.append((value, result, seconds))
@@ -261,7 +265,7 @@ def run_smoke() -> dict:
     """Exercise the incremental path at CI scale (no record written).
 
     Besides the equivalent copies, a functionally broken copy must come
-    back NOT_EQUIVALENT from both engines.
+    back NOT_EQUIVALENT from both the session and the raw miter.
     """
     base = smoke_base()
     record = collect_incremental(base, n_copies=3, n_mods=2, seed=4)
@@ -271,7 +275,7 @@ def run_smoke() -> dict:
     mutant.replace_gate(victim.name, flipped, list(victim.inputs))
     session = IncrementalCecSession(base)
     inc = session.verify(mutant)
-    ref = sat_equivalent(base, mutant)
+    ref = miter_check(base, mutant)
     if inc.verdict is not ref.verdict:
         raise AssertionError(
             f"mutant verdicts disagree: incremental={inc.verdict} ref={ref.verdict}"
@@ -281,7 +285,7 @@ def run_smoke() -> dict:
 
 
 def test_incremental_session_smoke():
-    """CI-sized differential check of session vs scratch CEC."""
+    """CI-sized differential check of the session vs the raw miter."""
     record = run_smoke()
     assert record["verdicts_match"]
     assert all(row["verdict"] == "equivalent" for row in record["copies"])

@@ -3,21 +3,20 @@
 Profiles the per-output miter obligations behind the
 ``BENCH_cec_incremental`` workload (k2 x 8 sparse fingerprint copies):
 every structurally affected output of every copy gives a single-output
-miter obligation, solved with SatELite-style preprocessing
-(:mod:`repro.sat.preprocess`: bounded variable elimination acting as
-cone-of-influence pruning, subsumption/self-subsuming resolution,
-failed-literal probing) followed by the CDCL solver (flat watch lists
-with a binary-clause tier, recursive learned-clause minimization).  A
-mutated copy adds satisfiable obligations, so both polarities run.
+miter obligation, solved raw (no CNF rewriting) on a fresh CDCL solver
+(flat watch lists with a binary-clause tier, recursive learned-clause
+minimization) under the assumption that its difference detector fires.
+A mutated copy adds satisfiable obligations, so both polarities run.
 
 The record — every obligation's time and counters, the hardest ones by
 time, and an sst-sat-style propagation/analysis/decision/reduction time
 breakdown of the hardest solve (``CdclSolver(profile=True)``) — is
 written to ``BENCH_sat_profile.json`` at the repository root.
 
-``--smoke`` is the CI-sized verdict check: on c17 and k2 it solves each
-obligation twice, preprocessed and raw, on the same solver, and fails
-unless the verdicts are identical.
+Each pair's obligation verdicts must agree with the CEC engine's verdict
+on the pair (:func:`repro.sat.sat_equivalent`): some obligation is SAT
+exactly when the pair is NOT_EQUIVALENT.  ``--smoke`` is the CI-sized
+version of that check, on a c17 mutant and one k2 copy.
 
 Standalone usage::
 
@@ -44,9 +43,9 @@ from repro.fingerprint import find_locations  # noqa: E402
 from repro.netlist import read_blif  # noqa: E402
 from repro.techmap import map_network  # noqa: E402
 from repro.netlist.circuit import Circuit  # noqa: E402
-from repro.sat.cec import _encode_xor2, differing_outputs  # noqa: E402
+from repro.sat import sat_equivalent  # noqa: E402
+from repro.sat.cec import CecVerdict, _encode_xor2, differing_outputs  # noqa: E402
 from repro.sat.cnf import Cnf  # noqa: E402
-from repro.sat.preprocess import preprocess_for_solve  # noqa: E402
 from repro.sat.solver import CdclSolver  # noqa: E402
 from repro.sat.tseitin import CircuitEncoding, encode_circuit  # noqa: E402
 
@@ -66,7 +65,7 @@ SMOKE_RECORD = "BENCH_sat_profile_smoke.json"
 
 def encode_obligations(
     base: Circuit, copy: Circuit, outputs: Sequence[str]
-) -> Tuple[Cnf, List[int], List[Tuple[str, int]]]:
+) -> Tuple[Cnf, List[Tuple[str, int]]]:
     """One two-sided encoding; a diff variable per tested output.
 
     No OR-of-differences clause is asserted — each obligation is solved
@@ -87,44 +86,20 @@ def encode_obligations(
         diff = cnf.new_var()
         _encode_xor2(cnf, diff, left, right)
         obligations.append((net, diff))
-    pis = [encoding.variable(name) for name in base.inputs]
-    return cnf, pis, obligations
+    return cnf, obligations
 
 
-def solve(
-    cnf: Cnf, diff: int, frozen: Sequence[int]
-) -> Tuple[str, float, Dict[str, float], Dict[str, float]]:
-    """Preprocess + solve; returns (verdict, seconds, pre, solver)."""
-    start = time.perf_counter()
-    pre = preprocess_for_solve(cnf, assumptions=[diff], frozen=frozen)
-    if pre.status is False:
-        seconds = time.perf_counter() - start
-        return "unsat", seconds, pre.stats.as_dict(), {}
-    result = CdclSolver(pre.cnf).solve()
-    seconds = time.perf_counter() - start
-    return (
-        result.status.value,
-        seconds,
-        pre.stats.as_dict(),
-        result.stats.as_dict(),
-    )
-
-
-def solve_raw(cnf: Cnf, diff: int) -> Tuple[str, float]:
-    """The raw miter on a fresh solver, no preprocessing."""
+def solve(cnf: Cnf, diff: int) -> Tuple[str, float, Dict[str, float]]:
+    """One raw obligation on a fresh solver; returns (verdict, seconds, solver)."""
     start = time.perf_counter()
     result = CdclSolver(cnf).solve(assumptions=[diff])
-    return result.status.value, time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    return result.status.value, seconds, result.stats.as_dict()
 
 
-def profile_breakdown(cnf: Cnf, diff: int, frozen: Sequence[int]) -> Dict[str, float]:
+def profile_breakdown(cnf: Cnf, diff: int) -> Dict[str, float]:
     """Re-solve one obligation with phase timers on (sst-sat style)."""
-    pre = preprocess_for_solve(cnf, assumptions=[diff], frozen=frozen)
-    breakdown: Dict[str, float] = {"preprocess_seconds": pre.stats.seconds}
-    if pre.status is False:
-        breakdown["decided_by"] = "preprocess"
-        return breakdown
-    result = CdclSolver(pre.cnf, profile=True).solve()
+    result = CdclSolver(cnf, profile=True).solve(assumptions=[diff])
     stats = result.stats
     accounted = (
         stats.propagate_seconds
@@ -132,7 +107,7 @@ def profile_breakdown(cnf: Cnf, diff: int, frozen: Sequence[int]) -> Dict[str, f
         + stats.decide_seconds
         + stats.reduce_seconds
     )
-    breakdown.update(
+    return dict(
         verdict=result.status.value,
         solve_seconds=stats.solve_seconds,
         propagate_seconds=stats.propagate_seconds,
@@ -148,7 +123,6 @@ def profile_breakdown(cnf: Cnf, diff: int, frozen: Sequence[int]) -> Dict[str, f
         watch_visits=stats.watch_visits,
         propagations_per_sec=stats.propagations_per_sec,
     )
-    return breakdown
 
 
 def make_mutant(base: Circuit) -> Circuit:
@@ -166,8 +140,15 @@ def collect_obligations(
     max_per_pair: Optional[int] = None,
     progress: bool = False,
 ) -> List[dict]:
-    """Preprocessed solve of every affected per-output obligation."""
+    """Raw solve of every affected per-output obligation.
+
+    Each pair's verdicts are checked against :func:`sat_equivalent`: some
+    obligation is SAT exactly when the pair is NOT_EQUIVALENT.  With
+    ``max_per_pair`` only the first obligations are solved, so a pair
+    whose only SAT obligation falls outside them would fail the check.
+    """
     rows: List[dict] = []
+    mismatches = []
     for label, copy in pairs:
         # Outputs with equal canonical classes are equivalent by
         # construction, and the incremental session never SAT-solves them.
@@ -176,9 +157,11 @@ def collect_obligations(
             outputs = outputs[:max_per_pair]
         if not outputs:
             continue
-        cnf, pis, obligations = encode_obligations(base, copy, outputs)
+        cnf, obligations = encode_obligations(base, copy, outputs)
+        verdicts = []
         for net, diff in obligations:
-            verdict, seconds, pre_stats, solver_stats = solve(cnf, diff, pis)
+            verdict, seconds, solver_stats = solve(cnf, diff)
+            verdicts.append(verdict)
             rows.append(
                 {
                     "pair": label,
@@ -186,29 +169,17 @@ def collect_obligations(
                     "diff_var": diff,
                     "verdict": verdict,
                     "seconds": seconds,
-                    "preprocess": {
-                        key: pre_stats[key]
-                        for key in (
-                            "eliminated_vars",
-                            "subsumed_clauses",
-                            "strengthened_literals",
-                            "failed_literals",
-                            "clauses_in",
-                            "clauses_out",
-                            "seconds",
-                        )
-                    },
                     "solver": solver_stats,
                     "_cnf": cnf,
-                    "_pis": pis,
                 }
             )
             if progress:
-                print(
-                    f"  {label}/{net}: {verdict} in {seconds:.2f}s "
-                    f"(elim {pre_stats['eliminated_vars']:.0f} vars)",
-                    flush=True,
-                )
+                print(f"  {label}/{net}: {verdict} in {seconds:.2f}s", flush=True)
+        engine = sat_equivalent(base, copy).verdict
+        if ("sat" in verdicts) != (engine is CecVerdict.NOT_EQUIVALENT):
+            mismatches.append(f"{label}: obligations {verdicts}, engine {engine.value}")
+    if mismatches:
+        raise AssertionError("verdict mismatch: " + "; ".join(mismatches))
     return rows
 
 
@@ -227,9 +198,7 @@ def collect_profile(
         )
     hardest = sorted(rows, key=lambda r: r["seconds"], reverse=True)[:HARDEST_N]
     breakdown = (
-        profile_breakdown(hardest[0]["_cnf"], hardest[0]["diff_var"], hardest[0]["_pis"])
-        if hardest
-        else {}
+        profile_breakdown(hardest[0]["_cnf"], hardest[0]["diff_var"]) if hardest else {}
     )
     return {
         "bench": "sat_profile",
@@ -269,12 +238,12 @@ def run_full(progress: bool = True) -> dict:
 
 
 def run_smoke(progress: bool = False) -> dict:
-    """CI-sized cross-check on c17 and k2, verdict identity enforced.
+    """CI-sized cross-check on c17 and k2, verdict agreement enforced.
 
-    Every c17 obligation (a mutant's, so both polarities occur) and up
-    to six k2 obligations of one fingerprint copy are solved
-    preprocessed; the c17 obligations and the two cheapest k2 ones are
-    solved raw too, which keeps a 1,000-gate design within CI time.
+    Every c17 obligation (a mutant's, so both polarities occur) and the
+    first six k2 obligations of one fingerprint copy are solved raw,
+    which keeps a 1,000-gate design within CI time; each pair's
+    verdicts must agree with :func:`sat_equivalent`.
     """
     c17 = map_network(read_blif(data_path("c17.blif")))
     c17_rows = collect_obligations(
@@ -286,28 +255,8 @@ def run_smoke(progress: bool = False) -> dict:
         ("k2-copy0", make_sparse_copies(k2, catalog, 1, 1, seed=7)[0][1])
     ]
     k2_rows = collect_obligations(k2, copies, max_per_pair=6, progress=progress)
-    k2_rows.sort(key=lambda r: r["seconds"])
-    mismatches = []
-    for row in c17_rows + k2_rows[:2]:
-        row["raw_verdict"], row["raw_seconds"] = solve_raw(row["_cnf"], row["diff_var"])
-        if row["raw_verdict"] != row["verdict"]:
-            mismatches.append(row)
-    if mismatches:
-        raise AssertionError(
-            "smoke verdict mismatch: "
-            + ", ".join(
-                f"{r['pair']}/{r['output']} raw={r['raw_verdict']} "
-                f"preprocessed={r['verdict']}"
-                for r in mismatches
-            )
-        )
-
     hardest = max(k2_rows, key=lambda r: r["seconds"], default=None)
-    breakdown = (
-        profile_breakdown(hardest["_cnf"], hardest["diff_var"], hardest["_pis"])
-        if hardest
-        else {}
-    )
+    breakdown = profile_breakdown(hardest["_cnf"], hardest["diff_var"]) if hardest else {}
     return {
         "bench": "sat_profile_smoke",
         "python": platform.python_version(),
@@ -319,11 +268,11 @@ def run_smoke(progress: bool = False) -> dict:
 
 
 def test_sat_profile_smoke():
-    """CI-sized identity check of preprocessed vs raw solving."""
+    """CI-sized agreement check of raw obligations with the CEC engine."""
     record = run_smoke()
     assert record["verdicts_match"]
     assert any(r["verdict"] == "sat" for r in record["c17_obligations"])
-    assert all("raw_verdict" in r for r in record["c17_obligations"])
+    assert all(r["verdict"] == "unsat" for r in record["k2_obligations"])
 
 
 def _print_record(record: dict) -> None:
@@ -346,10 +295,9 @@ def _print_record(record: dict) -> None:
             share = 100.0 * seconds / total if total else 0.0
             print(f"  {phase:10s} {seconds:8.2f}s {share:5.1f}%")
         print(
-            f"  preprocess {breakdown['preprocess_seconds']:8.2f}s  "
-            f"(restarts {breakdown['restarts']}, "
+            f"  restarts {breakdown['restarts']}, "
             f"conflicts {breakdown['conflicts']}, "
-            f"minimized {breakdown['minimized_literals']} lits)"
+            f"minimized {breakdown['minimized_literals']} lits"
         )
 
 
@@ -358,7 +306,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI-sized identity check on c17 + k2; writes "
+        help="CI-sized agreement check on c17 + k2; writes "
         f"{SMOKE_RECORD} to the working directory",
     )
     args = parser.parse_args(argv)

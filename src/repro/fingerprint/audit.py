@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..netlist.circuit import Circuit
-from ..sat.cec import sat_equivalent
+from ..sat.incremental import sat_equivalent
 from ..sim.equivalence import exhaustive_equivalent
 from .embed import FingerprintedCircuit
 from .locations import LocationCatalog

@@ -37,7 +37,7 @@ import numpy as np
 from ..cells import functions
 from ..cells.library import CellLibrary
 from ..netlist.circuit import Circuit, NetlistError
-from ..sat.cec import sat_equivalent
+from ..sat.incremental import sat_equivalent
 from ..sim.equivalence import exhaustive_equivalent
 from ..sim.simulator import Simulator
 from ..sim.vectors import MAX_EXHAUSTIVE_INPUTS, exhaustive_stimulus, exhaustive_vector_count, random_stimulus

@@ -9,9 +9,10 @@ same discipline to the fingerprinting flow with a three-tier ladder:
 1. **Exhaustive simulation** — when the input count permits, a complete
    proof at bit-parallel simulation speed.
 2. **Budgeted SAT CEC** — an incremental CEC session
-   (:class:`repro.sat.incremental.IncrementalCecSession`) proves the copy
-   under a :class:`repro.budget.Budget`, sweeping its modified gates onto
-   the base; a hard instance returns ``UNDECIDED`` instead of hanging.
+   (:class:`repro.sat.incremental.IncrementalCecSession`, the package's
+   one equivalence engine) proves the copy under a
+   :class:`repro.budget.Budget`, sweeping its modified gates onto the
+   base; a hard instance returns ``UNDECIDED`` instead of hanging.
 3. **Random-simulation fallback** — a probabilistic verdict with an
    *explicit* confidence estimate, used when the SAT budget is spent.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .. import telemetry
@@ -33,7 +34,7 @@ from ..budget import Budget
 from ..errors import ReproError, annotate
 from ..netlist.circuit import Circuit
 from ..sat.cec import CecResult, CecVerdict, structurally_identical
-from ..sat.incremental import IncrementalCecSession
+from ..sat.incremental import IncrementalCecSession, check
 from ..sat.solver import SolverStats
 from ..sim.equivalence import exhaustive_equivalent, random_equivalent
 from ..sim.vectors import MAX_EXHAUSTIVE_INPUTS
@@ -178,10 +179,10 @@ def run_ladder(
     :class:`~repro.sat.incremental.IncrementalCecSession` whose base is
     ``left``.  Pass a ``session`` to share one base encoding across
     repeated calls, so each call encodes only its copy's delta; without
-    one, the tier builds a one-copy session, and the budget's deadline
-    then covers building it (encoding and simulating the base) as well
-    as the copy's solves.  Budgets and UNDECIDED degradation behave
-    identically either way.
+    one, the tier calls :func:`repro.sat.incremental.check`, which builds
+    a one-copy session, and the budget's deadline then covers building
+    it (encoding and simulating the base) as well as the copy's solves.
+    Budgets and UNDECIDED degradation behave identically either way.
     """
     with telemetry.span("ladder.verify", design=left.name) as ladder_span:
         report = _run_tiers(left, right, config, session)
@@ -342,25 +343,12 @@ def _sat_tier(
 ) -> Tuple[CecResult, int]:
     """The SAT tier's verdict and the conflicts it spent."""
     budget = config.sat_budget
-    if session is not None:
-        before = session.solver.stats.conflicts
-        cec = session.verify(right, budget=budget)
-        return cec, cec.stats.conflicts - before
-    # One clock covers building the session and every solve; the copy
-    # gets only the time that remains.
-    clock = budget.start() if budget.deadline_s is not None else None
-    session = IncrementalCecSession(left)
-    if clock is None:
-        cec = session.verify(right, budget=budget)
-    else:
-        rest = replace(budget, deadline_s=max(0.0, clock.remaining_seconds()))
-        cec = session.verify(right, budget=rest)
-        if cec.verdict is CecVerdict.UNDECIDED:
-            # Name the caller's limits, not the remainder the copy got.
-            stats = cec.stats
-            reason = clock.exhausted_reason(stats.conflicts, stats.decisions)
-            cec = replace(cec, reason=reason or cec.reason)
-    return cec, cec.stats.conflicts
+    if session is None:
+        cec = check(left, right, budget)
+        return cec, cec.stats.conflicts
+    before = session.solver.stats.conflicts
+    cec = session.verify(right, budget=budget)
+    return cec, cec.stats.conflicts - before
 
 
 #: Facade-facing name for the ladder's report type.

@@ -1,4 +1,4 @@
-"""CNF, a CDCL SAT solver, preprocessing, Tseitin encoding and SAT CEC."""
+"""CNF, a CDCL SAT solver, Tseitin encoding and SAT CEC."""
 
 from .cnf import Cnf, CnfError
 from .solver import (
@@ -9,24 +9,9 @@ from .solver import (
     SolverStats,
     solve_cnf,
 )
-# The function ``preprocess`` is not re-exported: ``repro.sat.preprocess``
-# names its module (whose constants tests patch).
-from .preprocess import (
-    PreprocessResult,
-    PreprocessStats,
-    Reconstruction,
-    preprocess_for_solve,
-)
 from .tseitin import CircuitEncoding, encode_circuit
-from .cec import (
-    CecResult,
-    CecVerdict,
-    build_miter,
-    check,
-    sat_equivalent,
-    structurally_identical,
-)
-from .incremental import IncrementalCecSession, SessionStats
+from .cec import CecResult, CecVerdict, build_miter, structurally_identical
+from .incremental import IncrementalCecSession, SessionStats, check, sat_equivalent
 
 __all__ = [
     "Cnf",
@@ -37,10 +22,6 @@ __all__ = [
     "SolverAbortedError",
     "SolverStats",
     "solve_cnf",
-    "PreprocessResult",
-    "PreprocessStats",
-    "Reconstruction",
-    "preprocess_for_solve",
     "CircuitEncoding",
     "encode_circuit",
     "CecResult",

@@ -1,26 +1,33 @@
-"""Miter-based combinational equivalence checking (CEC).
+"""Combinational equivalence checking (CEC): verdicts, structure, miters.
 
-Builds the classic miter: both circuits share primary-input variables,
-each pair of same-named outputs feeds an XOR, and the OR of all XORs is
-asserted true.  UNSAT proves equivalence; a model is a counterexample
-vector.  This is the complete check used when circuits are too wide for
-exhaustive simulation, mirroring the role of an industrial CEC step that
-the paper's "without changing the functionality" claim rests on.
+The verdict types every SAT-based check returns (:class:`CecVerdict`,
+:class:`CecResult`), the canonical structural comparison behind the
+ladder's no-SAT tier (:func:`differing_outputs`,
+:func:`structurally_identical`), and :func:`build_miter`, the classic
+miter: both circuits share primary-input variables, each pair of
+same-named outputs feeds an XOR, and the OR of all XORs is asserted true.
+UNSAT proves equivalence; a model is a counterexample vector.
+
+Every verdict the package computes comes from one engine, the CEC
+session of :mod:`repro.sat.incremental`, whose
+:func:`~repro.sat.incremental.check` proves one pair through a one-copy
+session.  :func:`build_miter` is kept as the raw reference miter: solved
+as it is by one :class:`~repro.sat.solver.CdclSolver` call, it shares
+only the Tseitin encoder and the solver with a session, which is what
+the differential tests compare the session with.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..budget import Budget
 from ..hashing import COMMUTATIVE_KINDS
 from ..ir import compile_circuit
 from ..netlist.circuit import Circuit
 from ..sim.equivalence import PortMismatchError
-from .preprocess import preprocess
-from .solver import CdclSolver, SolverStats
+from .solver import SolverStats
 from .tseitin import CircuitEncoding, _encode_xor2, encode_circuit
 
 
@@ -140,78 +147,3 @@ def build_miter(left: Circuit, right: Circuit) -> CircuitEncoding:
         cnf.add_clause([fresh])
         cnf.add_clause([-fresh])
     return encoding
-
-
-def check(
-    left: Circuit,
-    right: Circuit,
-    budget: Optional[Budget] = None,
-    *,
-    simplify: bool = True,
-) -> CecResult:
-    """Budgeted equivalence check via the miter; SAT model = mismatch.
-
-    With a ``budget``, a hard miter yields :data:`CecVerdict.UNDECIDED`
-    instead of running unbounded — the caller decides what that means.
-    (The verification ladder does not call this: it proves copies
-    through :class:`~repro.sat.incremental.IncrementalCecSession`.)
-
-    Structurally identical pairs (see :func:`structurally_identical`) are
-    discharged without building a miter or touching the solver at all —
-    the common case for fingerprint requests whose modifications were all
-    pruned away.
-
-    ``simplify`` runs the SatELite-style preprocessor
-    (:mod:`repro.sat.preprocess`) on the miter before solving — primary
-    inputs are frozen so counterexamples read straight off the extended
-    model; the differential suite pins verdicts identical either way.
-
-    A ``budget`` deadline covers the whole call: its clock starts here,
-    preprocessing stops once it has passed, and the solver gets only the
-    time that remains.
-    """
-    clock = budget.start() if budget is not None and budget.deadline_s is not None else None
-    if structurally_identical(left, right):
-        return CecResult(
-            CecVerdict.EQUIVALENT,
-            None,
-            SolverStats(),
-            reason="structurally identical under canonical hashing",
-        )
-    encoding = build_miter(left, right)
-    pre = None
-    cnf = encoding.cnf
-    if simplify:
-        frozen = [encoding.var_of[net] for net in left.inputs]
-        pre = preprocess(cnf, frozen=frozen, clock=clock)
-        if pre.status is False:
-            return CecResult(
-                CecVerdict.EQUIVALENT,
-                None,
-                SolverStats(),
-                reason="refuted during preprocessing",
-            )
-        cnf = pre.cnf
-    solve_budget = budget
-    if clock is not None:
-        solve_budget = replace(budget, deadline_s=max(0.0, clock.remaining_seconds()))
-    result = CdclSolver(cnf).solve(budget=solve_budget)
-    if result.unknown:
-        reason = result.reason
-        if clock is not None:
-            # Name the caller's limits, not the remainder the solver got.
-            stats = result.stats
-            reason = clock.exhausted_reason(stats.conflicts, stats.decisions) or reason
-        return CecResult(CecVerdict.UNDECIDED, None, result.stats, reason)
-    if not result.satisfiable:
-        return CecResult(CecVerdict.EQUIVALENT, None, result.stats)
-    model = result.model if pre is None else pre.extend_model(result.model)
-    counterexample = {
-        net: int(model.get(encoding.var_of[net], False)) for net in left.inputs
-    }
-    return CecResult(CecVerdict.NOT_EQUIVALENT, counterexample, result.stats)
-
-
-def sat_equivalent(left: Circuit, right: Circuit) -> CecResult:
-    """Complete (unbudgeted) equivalence check; always definitive."""
-    return check(left, right, budget=None)

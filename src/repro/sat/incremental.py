@@ -1,20 +1,20 @@
-"""Incremental, simulation-guided equivalence checking for fingerprint copies.
+"""Incremental, simulation-guided equivalence checking: the one CEC engine.
 
 The fingerprinting flow issues *many* distinct copies of one base design
 (one per user), and every copy must be proven functionally equivalent to
-the base.  The scratch checker (:func:`repro.sat.cec.check`) rebuilds the
-full miter CNF and runs a fresh solver per copy — wasteful, because each
-copy differs from the base only inside the fanout cones of a handful of
-ODC modifications.  :class:`IncrementalCecSession` exploits that, and the
-verification ladder runs every SAT verdict through one (a one-copy
-session when its caller holds none):
+the base.  Each copy differs from the base only inside the fanout cones
+of a handful of ODC modifications, so rebuilding a full miter per copy
+would waste almost all of its work.  :class:`IncrementalCecSession`
+exploits that, and every SAT verdict the package computes goes through
+one: the verification ladder's SAT tier, the batch flow, and
+:func:`check` / :func:`sat_equivalent`, which prove one pair through a
+one-copy session (so ``repro-fp audit`` and the SDC slot verification
+share the engine too):
 
 1. **Encode the base once.**  The base circuit is Tseitin-encoded a single
    time (stable variable numbering from the compiled IR's interned order)
-   and loaded as it is, without preprocessing: the sweep proves each
-   copy without the root-level units probing would find, and a solve's
-   root trail then holds only the encoding's own units (constant
-   gates), so no solve walks a long one again.  Every copy's
+   and loaded as it is, with no CNF rewriting, so a solve's root trail
+   holds only the encoding's own units (constant gates).  Every copy's
    :class:`~repro.sat.solver.CdclSolver` starts from that cached base
    encoding.  The base's simulation signature (packed random vectors
    through the compiled IR) is kept for every net.
@@ -233,15 +233,14 @@ class IncrementalCecSession:
     def verify(self, copy: Circuit, budget: Optional[Budget] = None) -> CecResult:
         """Check one copy against the base; returns a :class:`CecResult`.
 
-        Semantics match :func:`repro.sat.cec.check` (three-valued verdict,
-        counterexample as an input-name-to-bit dict, UNDECIDED under an
-        exhausted ``budget``), plus a ``detail`` dict recording how the
-        outputs were discharged, how many points the sweep tried, merged
-        and refuted, and what its solves cost.  The budget bounds this
-        call as a whole: the conflicts/decisions of the sweep's solves
-        and of earlier outputs count against every later solve.  Each
-        output obligation left after the sweep is solved on the copy's
-        solver, hardest last.
+        The verdict is three-valued (UNDECIDED under an exhausted
+        ``budget``), a counterexample maps input names to bits, and a
+        ``detail`` dict records how the outputs were discharged, how many
+        points the sweep tried, merged and refuted, and what its solves
+        cost.  The budget bounds this call as a whole: the
+        conflicts/decisions of the sweep's solves and of earlier outputs
+        count against every later solve.  Each output obligation left
+        after the sweep is solved on the copy's solver, hardest last.
         """
         with telemetry.span(
             "cec.verify", design=copy.name, outputs=len(copy.outputs)
@@ -460,3 +459,34 @@ class IncrementalCecSession:
             f"{len(order)} miter obligations proven UNSAT",
             detail,
         )
+
+
+def check(left: Circuit, right: Circuit, budget: Optional[Budget] = None) -> CecResult:
+    """Budgeted equivalence check of one pair through a one-copy session.
+
+    Builds an :class:`IncrementalCecSession` over ``left`` and verifies
+    ``right`` in it.  With a ``budget``, a hard pair yields
+    :data:`CecVerdict.UNDECIDED` instead of running unbounded — the caller
+    decides what that means.  A budget's deadline covers the whole call:
+    its clock starts here, before the session encodes and simulates the
+    base, the copy gets only the time that remains, and an UNDECIDED
+    verdict names the caller's limits, not that remainder.  A pair with
+    identical structure is discharged without a solve (every output
+    hashes onto the base).
+    """
+    clock = budget.start() if budget is not None and budget.deadline_s is not None else None
+    session = IncrementalCecSession(left)
+    if clock is None:
+        return session.verify(right, budget=budget)
+    rest = dataclasses.replace(budget, deadline_s=max(0.0, clock.remaining_seconds()))
+    result = session.verify(right, budget=rest)
+    if result.verdict is CecVerdict.UNDECIDED:
+        stats = result.stats
+        reason = clock.exhausted_reason(stats.conflicts, stats.decisions)
+        result = dataclasses.replace(result, reason=reason or result.reason)
+    return result
+
+
+def sat_equivalent(left: Circuit, right: Circuit) -> CecResult:
+    """Complete (unbudgeted) equivalence check; always definitive."""
+    return check(left, right)

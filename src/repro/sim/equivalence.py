@@ -146,7 +146,7 @@ def check_equivalence(
     result = random_equivalent(left, right, n_vectors=n_random_vectors, seed=seed)
     if not complete or not result.equivalent:
         return result
-    from ..sat.cec import sat_equivalent  # local import: sat layers above sim
+    from ..sat.incremental import sat_equivalent  # local import: sat layers above sim
 
     verdict = sat_equivalent(left, right)
     return EquivalenceResult(

@@ -12,12 +12,12 @@ must search exactly as the solver that wrote the pin did — same
 propagations, conflicts, decisions, learned clauses and models.
 
 The logs are CNF-level on purpose: once recorded they no longer depend on
-techmap, the Tseitin encoder, the preprocessor or the Python version.
+techmap, the Tseitin encoder or the Python version.
 
-Scenarios: the c17 and C432 full-embedding scratch miters (raw and
-preprocessed, as :func:`repro.sat.cec.check` builds them); the same C432
-miters against a known-bad copy (one output inverted), so SAT models are
-pinned too; the first 8 copies of a C432
+Scenarios: the c17 and C432 full-embedding raw miters
+(:func:`repro.sat.cec.build_miter`); the same C432 miter against a
+known-bad copy (one output inverted), so SAT models are pinned too; the
+first 8 copies of a C432
 :class:`~repro.sat.incremental.IncrementalCecSession` issued as the batch
 flow issues them, one scenario per copy (``C432-session-raw<i>``: the
 session starts every copy from a fresh solver holding only the raw base
@@ -34,7 +34,12 @@ scenario left byte-identical.  It also still holds ``C432-session-8``
 per copy) and ``C432-session-cone`` (the cone copy, appended when the
 sweep became cone-bounded).  Both start from a preprocessed base
 encoding (500 clauses, 8 of them units), as sessions built before
-version 8.0.0 loaded it; they stay until the pin is next regenerated.
+version 8.0.0 loaded it.  The ``*-miter-preprocessed`` scenarios hold
+the same miters after the SatELite-style preprocessor that 9.0.0
+deleted.  All of these stay as CNF fixtures, since replaying a log needs
+no preprocessor; a full regeneration drops them (and
+``test_cone_scenario_pins_cone_bounded_solves`` then names
+``C432-session-raw-cone``).
 
 The outcomes sit under :data:`CONFIG_KEY`, the key the solver's one
 configuration had when the pin also held the outcomes of the deleted
@@ -68,7 +73,6 @@ from repro.netlist import read_blif
 from repro.sat import incremental
 from repro.sat.cec import build_miter
 from repro.sat.cnf import Cnf
-from repro.sat.preprocess import preprocess
 from repro.sat.solver import CLA_DECAY, RESTART_BASE, VAR_DECAY, CdclSolver, SolverStats
 from repro.techmap import map_network
 
@@ -203,21 +207,15 @@ def complement_output(circuit, output: str):
 
 
 def scratch_logs(name: str, base, bad: bool = False) -> Dict[str, Dict[str, object]]:
-    """The raw and preprocessed full-embedding miters, as ``check`` builds them."""
+    """The raw full-embedding miter."""
     catalog = find_locations(base)
     copy = embed(base, catalog, full_assignment(base, catalog)).circuit
     if bad:
         name += "-bad"
         copy = complement_output(copy, copy.outputs[0])
-    encoding = build_miter(base, copy)
-    frozen = [encoding.var_of[net] for net in base.inputs]
-    pre = preprocess(encoding.cnf, frozen=frozen)
-    logs = {}
-    for label, cnf in (("raw", encoding.cnf), ("preprocessed", pre.cnf)):
-        log = _log_of_cnf(cnf)
-        log["calls"].append(["solve", [], SCRATCH_CONFLICTS])
-        logs[f"{name}-miter-{label}"] = log
-    return logs
+    log = _log_of_cnf(build_miter(base, copy).cnf)
+    log["calls"].append(["solve", [], SCRATCH_CONFLICTS])
+    return {f"{name}-miter-raw": log}
 
 
 def random_log(seed: int = 7, shape: Sequence[int] = RANDOM_SHAPE) -> Dict[str, object]:

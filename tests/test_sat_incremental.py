@@ -1,11 +1,11 @@
 """Differential tests for the incremental CEC session.
 
 The contract under test: :meth:`IncrementalCecSession.verify` must agree
-with the scratch checker (:func:`sat_equivalent`) verdict for verdict on
-every kind of copy — structurally identical, fingerprinted-equivalent,
-and functionally broken (via the :mod:`repro.faultinject` mutators) — and
-its counterexamples must be real (simulating them must expose an output
-difference).
+with the raw reference miter (:func:`tests.miter_reference.miter_check`)
+verdict for verdict on every kind of copy — structurally identical,
+fingerprinted-equivalent, and functionally broken (via the
+:mod:`repro.faultinject` mutators) — and its counterexamples must be real
+(simulating them must expose an output difference).
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from repro.budget import Budget
 from repro.faultinject.mutators import functional_mutators
 from repro.fingerprint import FingerprintCodec, embed, find_locations
 from repro.netlist import Circuit
-from repro.sat import IncrementalCecSession, sat_equivalent, structurally_identical
+from repro.sat import IncrementalCecSession, structurally_identical
 from repro.sat.cec import CecVerdict
 from repro.sim.equivalence import PortMismatchError
 from repro.sim.simulator import Simulator
+from tests.miter_reference import miter_check
 
 
 def _random_base(seed: int = 21, n_gates: int = 140) -> Circuit:
@@ -90,12 +91,12 @@ class TestDifferentialAgainstScratch:
             value = rng.randrange(codec.combinations)
             copy = embed(base, catalog, codec.encode(value)).circuit
             incremental = session.verify(copy)
-            reference = sat_equivalent(base, copy)
+            reference = miter_check(base, copy)
             assert incremental.verdict is reference.verdict
             assert incremental.verdict is CecVerdict.EQUIVALENT
 
     def test_mutated_copies_agree(self):
-        """Faultinject mutants: verdicts match scratch CEC, and any
+        """Faultinject mutants: verdicts match the raw miter, and any
         counterexample actually separates the circuits."""
         base = _random_base(seed=33)
         session = IncrementalCecSession(base)
@@ -106,7 +107,7 @@ class TestDifferentialAgainstScratch:
             mutator = rng.choice(functional_mutators())
             mutator.apply(mutant, rng)
             incremental = session.verify(mutant)
-            reference = sat_equivalent(base, mutant)
+            reference = miter_check(base, mutant)
             assert incremental.verdict is reference.verdict
             outcomes.add(incremental.verdict)
             if incremental.counterexample is not None:
@@ -117,7 +118,7 @@ class TestDifferentialAgainstScratch:
 
     def test_mutated_fingerprint_copy(self):
         """A broken *fingerprinted* copy (mutation on top of an embedding)
-        is caught, matching the scratch verdict."""
+        is caught, matching the raw miter's verdict."""
         base = _random_base(seed=8)
         catalog = find_locations(base)
         codec = FingerprintCodec(catalog)
@@ -128,7 +129,7 @@ class TestDifferentialAgainstScratch:
         mutator.apply(mutant, rng)
         session = IncrementalCecSession(base)
         incremental = session.verify(mutant)
-        reference = sat_equivalent(base, mutant)
+        reference = miter_check(base, mutant)
         assert incremental.verdict is reference.verdict
 
 
@@ -239,7 +240,7 @@ class TestSessionMechanics:
     def test_output_obligation_proves_an_equivalent_copy(self):
         """An output the sweep leaves unmerged is proven by its difference
         detector: the copy is EQUIVALENT through one output obligation,
-        matching the scratch checker."""
+        matching the raw miter."""
         from repro.bench.suite import build_benchmark
 
         base = build_benchmark("C432")
@@ -251,14 +252,13 @@ class TestSessionMechanics:
         )
         assert result.detail["outputs_sat"] == 1
         assert result.verdict is CecVerdict.EQUIVALENT
-        assert result.verdict is sat_equivalent(base, shadowed).verdict
+        assert result.verdict is miter_check(base, shadowed).verdict
 
     def test_rare_internal_difference_is_not_merged(self):
         """A point whose signature matches its base twin but whose function
         differs: the sweep's solves must refute the merge, and the copy
         must come back NOT_EQUIVALENT with a real counterexample."""
         from repro.bench.suite import build_benchmark
-        from repro.sat import check
 
         base = build_benchmark("C432")
         catalog = find_locations(base)
@@ -273,7 +273,7 @@ class TestSessionMechanics:
         result = session.verify(mutant, budget=Budget(max_conflicts=5000))
         assert result.verdict is CecVerdict.NOT_EQUIVALENT
         _assert_counterexample_real(base, mutant, result.counterexample)
-        assert result.verdict is check(base, mutant).verdict
+        assert result.verdict is miter_check(base, mutant).verdict
 
     def test_rebuilds_are_counted_and_traced(self):
         from repro import telemetry
@@ -344,7 +344,7 @@ class TestSessionMechanics:
         mutant.replace_gate(victim.name, "BUF", list(victim.inputs))
         session = IncrementalCecSession(base)
         result = session.verify(mutant)
-        reference = sat_equivalent(base, mutant)
+        reference = miter_check(base, mutant)
         assert result.verdict is reference.verdict
         if result.verdict is CecVerdict.NOT_EQUIVALENT:
             assert result.counterexample is not None
@@ -379,7 +379,8 @@ class TestStructuralFastPath:
 
         result = check(adder4, adder4.clone("twin"))
         assert result.equivalent
-        assert "structurally identical" in result.reason
+        assert result.reason == "all outputs discharged structurally"
+        assert result.detail["outputs_structural"] == len(adder4.outputs)
         assert result.stats.decisions == 0 and result.stats.propagations == 0
 
 

@@ -1,22 +1,23 @@
-"""Differential harness: the fast SAT pipeline must match the baseline.
+"""Differential harness: the production SAT engine must match a reference.
 
-Preprocessing is only admissible because it is *identical in verdicts*
-to solving the raw formula.  This suite enforces that on the pairs of
+Every verdict comes from one engine, the CEC session; this suite checks
+it against references that share none of its sweep, simulation or
+structural hashing, on the pairs of
 ``tests/golden/make_sat_verdict_pin.py``:
 
-* scratch CEC (`repro.sat.cec.check`): default pipeline (preprocessing +
-  solver) vs `simplify=False` on bundled designs, embedded fingerprint
-  copies, and faultinject mutants (tier-1);
-* incremental sessions over the same copies (tier-1), run once: since
-  8.0.0 a session always loads its raw base encoding, so it has one leg;
+* scratch cases: :func:`repro.sat.check` (a one-copy session) vs the raw
+  reference miter (:func:`tests.miter_reference.miter_check`) on bundled
+  designs, embedded fingerprint copies, and faultinject mutants
+  (tier-1);
+* incremental sessions over the same copies (tier-1), run once: a
+  session has one construction, so it has one leg;
 * every leg must give the verdict ``tests/golden/sat_verdict_pin.json``
-  recorded for the pair (by the legacy solver, before version 6.0.0
-  deleted it), and a pair of at most ``MAX_EXHAUSTIVE_INPUTS`` inputs
-  must get that verdict from exhaustive simulation too, which shares no
-  code with the solver;
-* every NOT_EQUIVALENT counterexample — which on the fast path crosses
-  the preprocessor's model reconstruction — is replayed through the
-  simulator and must actually distinguish the circuits;
+  recorded for the pair (by the legacy solver on raw miters, before
+  version 6.0.0 deleted it), and a pair of at most
+  ``MAX_EXHAUSTIVE_INPUTS`` inputs must get that verdict from exhaustive
+  simulation too, which shares no code with the solver;
+* every NOT_EQUIVALENT counterexample is replayed through the simulator
+  and must actually distinguish the circuits;
 * the bundled small benchmark suite plus k2 under the session engine,
   and the session's proof power on the larger designs at the copy-issue
   budget (``-m differential``, run in the dedicated CI job).
@@ -45,7 +46,7 @@ with open(OUT) as _handle:
 
 
 def assert_counterexample_distinguishes(left, right, counterexample, note):
-    """A reconstructed SAT model must be a *real* witness."""
+    """A counterexample must be a *real* witness."""
     assert counterexample is not None, note
     sim_l = Simulator(left).run_single(counterexample)
     sim_r = Simulator(right).run_single(counterexample)
@@ -64,16 +65,16 @@ def assert_case_identical(name):
         digest(c) for c in [base] + others
     ], f"{name}: the pairs differ from the pinned ones"
     exhaustive = len(base.inputs) <= MAX_EXHAUSTIVE_INPUTS
-    fast = results(engine, base, others, simplify=True)
+    production = results(engine, base, others, reference=False)
     # A session has one construction: its leg is its own baseline.
-    baseline = fast if engine == "session" else results(engine, base, others, simplify=False)
+    baseline = production if engine == "session" else results(engine, base, others, reference=True)
     for index, other in enumerate(others):
         note = f"({name} pair {index})"
-        rf, rb = fast[index], baseline[index]
+        rf, rb = production[index], baseline[index]
         pinned = record["pairs"][index][1]
         assert rf.verdict.value == rb.verdict.value == pinned, (
             f"verdict divergence {note}: pin={pinned} "
-            f"fast={rf.verdict} ({rf.reason}) "
+            f"production={rf.verdict} ({rf.reason}) "
             f"baseline={rb.verdict} ({rb.reason})"
         )
         if exhaustive:
@@ -82,7 +83,7 @@ def assert_case_identical(name):
             ), f"exhaustive simulation disagrees {note}"
         if rf.verdict is CecVerdict.NOT_EQUIVALENT:
             assert_counterexample_distinguishes(
-                base, other, rf.counterexample, f"(fast path {note})"
+                base, other, rf.counterexample, f"(production {note})"
             )
             assert_counterexample_distinguishes(
                 base, other, rb.counterexample, f"(baseline {note})"
@@ -127,7 +128,7 @@ class TestBenchmarkSuite:
     differential over k2, the design ``bench_sat_profile.py`` profiles.
 
     The per-test cap is raised because the *baseline* leg deliberately
-    solves full scratch miters without preprocessing."""
+    solves full raw miters."""
 
     @pytest.mark.parametrize("name", SMALL_SUITE)
     def test_scratch_copy_and_mutant(self, name):
@@ -144,7 +145,7 @@ class TestBenchmarkSuite:
         copy of the larger designs, and still refutes a copy whose output
         differs only when 15 inputs are all 1 — a difference its random
         simulation does not see.  The construction is the reference: a
-        scratch miter of one k2 copy takes about 30 s."""
+        full miter of one k2 copy is too slow for a test."""
         base = build_benchmark(name)
         catalog = find_locations(base)
         codec = FingerprintCodec(catalog)

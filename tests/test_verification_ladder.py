@@ -103,50 +103,31 @@ def test_one_clock_covers_the_session_build(wide_pair, deadline):
     assert "sat.preprocess.probes" not in counters
 
 
-def preprocess_counters(run) -> list:
-    """The ``sat.preprocess.*`` counters ``run()`` leaves behind; it must
-    verify at least one copy through a session."""
-    telemetry.get_registry().reset()
-    with telemetry.enabled(trace=False, metrics=True):
-        run()
-    counters = telemetry.drain_metrics()["counters"]
-    assert counters.get("cec.copies", 0) >= 1, counters
-    return sorted(name for name in counters if name.startswith("sat.preprocess"))
+def test_sessionless_sat_tier_is_check(wide_pair, monkeypatch):
+    """Without a session the SAT tier is :func:`repro.sat.check`, the one
+    path that builds a one-copy session on a clock, and a ladder call
+    compares the pair's structure once (tier 0; ``check`` has no
+    structural shortcut of its own)."""
+    from repro.flows import ladder
+    from repro.sat import cec
 
+    calls = []
 
-@pytest.mark.parametrize("simplify", [True, False])
-@pytest.mark.parametrize("entry", ["fingerprint", "verify", "batch"])
-def test_facade_verdicts_preprocess_nothing(wide_pair, entry, simplify):
-    """Every verdict's SAT tier is a session, and no session preprocesses
-    its base, whatever the inert ``sat_simplify`` says."""
-    from repro import api
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
 
+        return wrapper
+
+    monkeypatch.setattr(ladder, "check", counted("check", ladder.check))
+    monkeypatch.setattr(
+        cec, "differing_outputs", counted("differing_outputs", cec.differing_outputs)
+    )
     base, copy = wide_pair
-    opts = FlowOptions(ladder=LadderConfig(sat_simplify=simplify))
-    run = {
-        "fingerprint": lambda: api.fingerprint(base, opts),
-        "verify": lambda: api.verify(base, copy, opts),
-        "batch": lambda: api.batch(base, 2, opts),
-    }[entry]
-    assert preprocess_counters(run) == []
-
-
-def test_warm_session_preprocesses_nothing(wide_pair):
-    """A batch's session, fresh or from a store's cache, loads the raw base."""
-    from repro.store import store_activated, warm_session
-
-    base, copy = wide_pair
-
-    def run():
-        session = warm_session(base)
-        report = run_ladder(session.base, copy, session=session)
-        assert report.tier is VerificationTier.SAT_CEC and report.proven
-
-    assert preprocess_counters(run) == []
-    with store_activated(memory_entries=4) as store:
-        assert preprocess_counters(run) == []
-        assert preprocess_counters(run) == []
-        assert store.hits >= 1
+    report = run_ladder(base, copy)
+    assert report.tier is VerificationTier.SAT_CEC and report.proven
+    assert calls == ["differing_outputs", "check"]
 
 
 def test_random_tier_mismatch_is_a_proof(wide_pair):
