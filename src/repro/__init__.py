@@ -35,7 +35,7 @@ from .api import (
     verify,
 )
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "BatchResult",

@@ -8,10 +8,8 @@ those numbers from two :class:`~repro.analysis.metrics.Metrics`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..netlist.circuit import Circuit
-from ..timing.delay_models import DelayModel
 from .metrics import Metrics, measure
 
 
@@ -50,10 +48,6 @@ def overhead(baseline: Metrics, modified: Metrics) -> Overhead:
     )
 
 
-def circuit_overhead(
-    baseline: Circuit,
-    modified: Circuit,
-    delay_model: Optional[DelayModel] = None,
-) -> Overhead:
+def circuit_overhead(baseline: Circuit, modified: Circuit) -> Overhead:
     """Measure both circuits and return the overhead."""
-    return overhead(measure(baseline, delay_model), measure(modified, delay_model))
+    return overhead(measure(baseline), measure(modified))

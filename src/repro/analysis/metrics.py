@@ -8,11 +8,10 @@ reports per circuit (area, delay, power) plus gate count and depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..netlist.circuit import Circuit
 from ..power.estimate import estimate_power
-from ..timing.delay_models import DelayModel
 from ..timing.sta import critical_delay
 
 
@@ -43,13 +42,17 @@ def total_area(circuit: Circuit) -> float:
     return sum(gate.cell.area for gate in circuit.gates)
 
 
-def measure(circuit: Circuit, delay_model: Optional[DelayModel] = None) -> Metrics:
-    """Measure area, critical delay and estimated power of ``circuit``."""
+def measure(circuit: Circuit) -> Metrics:
+    """Measure area, critical delay and estimated power of ``circuit``.
+
+    The delay is under
+    :data:`~repro.timing.delay_models.DEFAULT_DELAY_MODEL`.
+    """
     return Metrics(
         name=circuit.name,
         gates=circuit.n_gates,
         depth=circuit.depth(),
         area=total_area(circuit),
-        delay=critical_delay(circuit, delay_model),
+        delay=critical_delay(circuit),
         power=estimate_power(circuit).total,
     )

@@ -8,22 +8,20 @@ exposes it as ``repro-fp measure --full``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..netlist.circuit import Circuit
 from ..netlist.graph import fanout_histogram
 from ..power.estimate import estimate_power
-from ..timing.delay_models import DelayModel
 from ..timing.sta import analyze
 from .metrics import total_area
 
 
-def design_report(
-    circuit: Circuit,
-    delay_model: Optional[DelayModel] = None,
-    include_fingerprint: bool = True,
-) -> str:
-    """Render a multi-section text report for one circuit."""
+def design_report(circuit: Circuit, include_fingerprint: bool = True) -> str:
+    """Render a multi-section text report for one circuit.
+
+    Timing is under :data:`~repro.timing.delay_models.DEFAULT_DELAY_MODEL`.
+    """
     lines: List[str] = []
     stats = circuit.stats()
     lines.append(f"design {circuit.name}")
@@ -41,7 +39,7 @@ def design_report(
         share = histogram[kind] / max(1, stats["gates"])
         lines.append(f"  {kind:<6} {histogram[kind]:>6}  ({share:5.1%})")
 
-    timing = analyze(circuit, delay_model)
+    timing = analyze(circuit)
     lines.append("")
     lines.append(f"critical delay: {timing.critical_delay:.3f}")
     path = timing.critical_path

@@ -8,9 +8,10 @@
 * :func:`run_figure7` — Fig. 7: per-circuit fingerprint sizes (bits)
   before and after each delay constraint.
 
-Every run verifies functional equivalence of each fingerprinted copy
-against its golden design (exhaustive simulation when narrow enough,
-random vectors otherwise) unless ``verify=False``.
+Every row and cell is one :func:`~repro.flows.pipeline.run_flow` run (the
+paper's flow: locate, embed, constrain, verify, measure), and every
+fingerprinted copy is checked against its golden design by the
+verification ladder (Table II skips it with ``verify=False``).
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.compare import Overhead, overhead
-from ..analysis.metrics import Metrics, measure
+from ..analysis.compare import Overhead
+from ..analysis.metrics import Metrics
 from ..fingerprint.capacity import CapacityReport, capacity
-from ..fingerprint.constraints import reactive_delay_constrain
-from ..fingerprint.embed import embed, full_assignment
 from ..fingerprint.locations import FinderOptions, find_locations
-from ..sim.equivalence import check_equivalence
+from ..flows.options import FlowOptions
+from ..flows.pipeline import run_flow
 from .suite import PAPER_TABLE2, PAPER_TABLE3, SUITE_ORDER, build_benchmark
 
 #: Default constraint levels of Table III / Fig. 7.
@@ -66,32 +66,25 @@ def run_table2(
     names: Optional[Sequence[str]] = None,
     options: Optional[FinderOptions] = None,
     verify: bool = True,
-    n_random_vectors: int = 2048,
 ) -> List[Table2Row]:
-    """Regenerate Table II for the given circuits."""
+    """Regenerate Table II for the given circuits.
+
+    ``equivalent`` is the ladder's verdict on the full embedding (left
+    ``True`` when ``verify=False``).
+    """
     rows: List[Table2Row] = []
     for name in names or suite_for_budget():
-        base = build_benchmark(name)
-        baseline = measure(base)
-        catalog = find_locations(base, options)
-        report = capacity(catalog)
-        assignment = full_assignment(base, catalog)
-        copy = embed(base, catalog, assignment)
-        fingerprinted = measure(copy.circuit)
-        equivalent = True
-        if verify:
-            result = check_equivalence(
-                base, copy.circuit, n_random_vectors=n_random_vectors
-            )
-            equivalent = result.equivalent
+        result = run_flow(
+            build_benchmark(name), FlowOptions(finder=options, verify=verify)
+        )
         rows.append(
             Table2Row(
                 name=name,
-                baseline=baseline,
-                fingerprinted=fingerprinted,
-                capacity=report,
-                overhead=overhead(baseline, fingerprinted),
-                equivalent=equivalent,
+                baseline=result.baseline_metrics,
+                fingerprinted=result.fingerprinted_metrics,
+                capacity=result.capacity,
+                overhead=result.overhead,
+                equivalent=result.verification.equivalent if verify else True,
                 paper=PAPER_TABLE2.get(name),
             )
         )
@@ -108,6 +101,7 @@ class Table3Cell:
     fingerprint_reduction: float
     surviving_bits: float
     met_constraint: bool
+    equivalent: bool
 
 
 @dataclass
@@ -145,31 +139,28 @@ def run_table3(
     options: Optional[FinderOptions] = None,
     seed: int = 0,
 ) -> List[Table3Row]:
-    """Regenerate Table III (reactive heuristic at each constraint)."""
-    names = list(names or suite_for_budget())
-    prepared = []
-    for name in names:
-        base = build_benchmark(name)
-        catalog = find_locations(base, options)
-        assignment = full_assignment(base, catalog)
-        baseline = measure(base)
-        prepared.append((name, base, catalog, assignment, baseline))
+    """Regenerate Table III (reactive heuristic at each constraint).
 
+    Each cell's ``equivalent`` is the ladder's verdict on the pruned copy.
+    """
+    names = list(names or suite_for_budget())
     rows: List[Table3Row] = []
     for constraint in constraints:
         cells: List[Table3Cell] = []
-        for name, base, catalog, assignment, baseline in prepared:
-            copy = embed(base, catalog, assignment)
-            result = reactive_delay_constrain(copy, constraint, seed=seed)
-            constrained = measure(copy.circuit)
+        for name in names:
+            result = run_flow(
+                build_benchmark(name),
+                FlowOptions(finder=options, delay_constraint=constraint, seed=seed),
+            )
             cells.append(
                 Table3Cell(
                     name=name,
                     constraint=constraint,
-                    result_overhead=overhead(baseline, constrained),
-                    fingerprint_reduction=result.fingerprint_reduction,
-                    surviving_bits=result.surviving_bits,
-                    met_constraint=result.met_constraint,
+                    result_overhead=result.overhead,
+                    fingerprint_reduction=result.constrained.fingerprint_reduction,
+                    surviving_bits=result.constrained.surviving_bits,
+                    met_constraint=result.constrained.met_constraint,
+                    equivalent=result.verification.equivalent,
                 )
             )
         rows.append(Table3Row.from_cells(constraint, cells))
@@ -194,38 +185,27 @@ def run_figure7(
 ) -> List[Figure7Series]:
     """Regenerate Fig. 7: fingerprint sizes before/after constraints.
 
-    Passing ``table3_rows`` (from :func:`run_table3` over the same names,
-    constraints and seed) reuses its reactive runs instead of repeating
-    them — the surviving-bit numbers are identical by construction.
+    The constrained sizes are the surviving bits of Table III's cells:
+    ``table3_rows`` (from :func:`run_table3` over the same names,
+    constraints and seed) when given, else a fresh :func:`run_table3`.
     """
     names = list(names or suite_for_budget())
+    if table3_rows is None:
+        table3_rows = run_table3(names, constraints, options, seed)
     surviving: Dict[str, Dict[float, float]] = {name: {} for name in names}
-    if table3_rows is not None:
-        for row in table3_rows:
-            for cell in row.cells:
-                if cell.name in surviving:
-                    surviving[cell.name][row.constraint] = cell.surviving_bits
+    for row in table3_rows:
+        for cell in row.cells:
+            if cell.name in surviving:
+                surviving[cell.name][row.constraint] = cell.surviving_bits
 
     series: List[Figure7Series] = []
     for name in names:
-        base = build_benchmark(name)
-        catalog = find_locations(base, options)
-        report = capacity(catalog)
-        assignment = full_assignment(base, catalog)
-        constrained_bits: Dict[float, float] = {}
-        for constraint in constraints:
-            cached = surviving[name].get(constraint)
-            if cached is not None:
-                constrained_bits[constraint] = cached
-                continue
-            copy = embed(base, catalog, assignment)
-            result = reactive_delay_constrain(copy, constraint, seed=seed)
-            constrained_bits[constraint] = result.surviving_bits
+        catalog = find_locations(build_benchmark(name), options)
         series.append(
             Figure7Series(
                 name=name,
-                unconstrained_bits=report.bits,
-                constrained_bits=constrained_bits,
+                unconstrained_bits=capacity(catalog).bits,
+                constrained_bits={c: surviving[name][c] for c in constraints},
             )
         )
     return series

@@ -144,6 +144,7 @@ def table3_records(rows: Sequence[Table3Row]) -> List[dict]:
                     "fingerprint_reduction": cell.fingerprint_reduction,
                     "surviving_bits": cell.surviving_bits,
                     "met_constraint": cell.met_constraint,
+                    "equivalent": cell.equivalent,
                 }
                 for cell in row.cells
             ],

@@ -36,6 +36,9 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..telemetry.metrics import safe_rate
 from .store import JobRow, JobStore, TERMINAL_STATES
 
+#: Ledger entries (newest first) a report lists.
+RECENT_EVENTS = 50
+
 
 def _percentile(values: Sequence[float], fraction: float) -> Optional[float]:
     """Nearest-rank percentile (no numpy dependency)."""
@@ -155,14 +158,15 @@ def _throughput_section(rows: Sequence[JobRow]) -> Dict[str, Any]:
     }
 
 
-def build_report(db_path: str, recent_events: int = 50) -> Dict[str, Any]:
-    """Aggregate one campaign DB into the JSON report payload."""
+def build_report(db_path: str) -> Dict[str, Any]:
+    """Aggregate one campaign DB into the JSON report payload (with the
+    newest :data:`RECENT_EVENTS` events)."""
     with JobStore(db_path) as store:
         spec = store.load_spec()
         rows = store.all_jobs()
         counts = store.counts()
         event_counts = store.event_counts()
-        events = store.events(limit=recent_events)
+        events = store.events(limit=RECENT_EVENTS)
         sources = store.design_sources()
     n_jobs = len(rows)
     terminal = sum(counts.get(state, 0) for state in TERMINAL_STATES)
@@ -349,16 +353,12 @@ def render_html(report: Dict[str, Any]) -> str:
     return "".join(parts)
 
 
-def write_report(
-    db_path: str,
-    out_dir: str,
-    recent_events: int = 50,
-) -> Dict[str, str]:
+def write_report(db_path: str, out_dir: str) -> Dict[str, str]:
     """Build and write ``report.json`` + ``report.html`` under ``out_dir``.
 
     Returns ``{"json": <path>, "html": <path>}``.
     """
-    report = build_report(db_path, recent_events=recent_events)
+    report = build_report(db_path)
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
     html_path = os.path.join(out_dir, "report.html")

@@ -12,7 +12,7 @@ and a database path it:
 4. executes everything still pending — serially or across a
    :class:`~repro.workers.WorkerPool` — with per-job wall-clock timeouts,
    bounded retries with exponential backoff, and crash quarantine: a job whose
-   worker dies (or which times out) :data:`quarantine_limit` times is
+   worker dies (or which times out) :data:`QUARANTINE_LIMIT` times is
    marked ``faulty`` and never retried again, so one poisonous input
    cannot wedge an overnight sweep.
 
@@ -49,6 +49,10 @@ from .spec import (
 )
 from .store import JobRow, JobStore, TERMINAL_STATES
 
+#: Worker crashes / timeouts a job may cause before it is marked
+#: ``faulty`` and abandoned.
+QUARANTINE_LIMIT = 2
+
 
 @dataclass(frozen=True)
 class CampaignOptions:
@@ -59,8 +63,6 @@ class CampaignOptions:
         timeout_s: Per-job wall-clock cap (``None``/``<=0`` disables).
         retry_attempts: Re-executions allowed after a job's first failed
             attempt (DAVOS's ``retry_attempts``); exhausted -> ``failed``.
-        quarantine_limit: Worker crashes / timeouts a job may cause
-            before it is marked ``faulty`` and abandoned.
         backoff_s: Base of the exponential retry backoff
             (``backoff_s * 2**(attempt-1)`` seconds before re-dispatch).
         overwrite: Which terminal rows to re-open before running
@@ -77,7 +79,6 @@ class CampaignOptions:
     jobs: int = 1
     timeout_s: Optional[float] = 300.0
     retry_attempts: int = 2
-    quarantine_limit: int = 2
     backoff_s: float = 0.5
     overwrite: str = "none"
     max_jobs: Optional[int] = None
@@ -275,7 +276,7 @@ class _Run:
                 row.job_id, "timeout",
                 f"attempt {attempts}: {result['error']}",
             )
-            if crashes >= self.options.quarantine_limit:
+            if crashes >= QUARANTINE_LIMIT:
                 self.quarantine(row, result["error"], result["error_type"])
             else:
                 self.requeue(row, attempts, f"timeout #{crashes}")
@@ -469,7 +470,7 @@ def _charge_crash(run: _Run, row: JobRow, alone: bool = False) -> None:
         row.job_id, "crash",
         f"worker died (#{crashes})" + (" [isolated]" if alone else ""),
     )
-    if alone or crashes >= run.options.quarantine_limit:
+    if alone or crashes >= QUARANTINE_LIMIT:
         run.quarantine(row, "worker process died while executing this job",
                        "WorkerCrash")
     else:

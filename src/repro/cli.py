@@ -63,7 +63,6 @@ from .fingerprint import (
     find_locations,
 )
 from .netlist import Circuit, save_verilog
-from .sim import check_equivalence
 
 CommandResult = Tuple[int, Dict[str, Any]]
 
@@ -216,11 +215,11 @@ def _cmd_embed(args: argparse.Namespace) -> CommandResult:
     copy = embed(design, catalog, codec.encode(value))
     verify_method = None
     if args.verify:
-        verdict = check_equivalence(design, copy.circuit)
-        if not verdict.equivalent:
+        report = run_ladder(design, copy.circuit)
+        if not report.equivalent:
             raise SystemExit("internal error: embedding broke functionality")
-        verify_method = "exhaustive" if verdict.complete else "random"
-        _say(args, f"verified equivalent ({verify_method})")
+        verify_method = report.tier.value
+        _say(args, f"verified: {report.summary()}")
     _say(args, f"embedded fingerprint value {value} "
                f"({copy.n_active} modifications)")
     if args.output:

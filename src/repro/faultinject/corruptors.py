@@ -60,13 +60,13 @@ class TruncateText(Corruptor):
 class GarbleCharacters(Corruptor):
     """Overwrite a handful of characters with random junk (bit rot)."""
 
-    def __init__(self, n_chars: int = 8) -> None:
-        self.n_chars = n_chars
+    #: Characters overwritten per corruption.
+    N_CHARS = 8
 
     def apply(self, text: str, rng: random.Random) -> CorruptedText:
         self._require_text(text)
         chars = list(text)
-        positions = [rng.randrange(len(chars)) for _ in range(self.n_chars)]
+        positions = [rng.randrange(len(chars)) for _ in range(self.N_CHARS)]
         for position in positions:
             chars[position] = rng.choice(_GARBLE_ALPHABET)
         return self._result(
@@ -77,13 +77,13 @@ class GarbleCharacters(Corruptor):
 class DropLines(Corruptor):
     """Delete random lines (lost packets, merge damage)."""
 
-    def __init__(self, fraction: float = 0.2) -> None:
-        self.fraction = fraction
+    #: Share of the lines deleted (at least one).
+    FRACTION = 0.2
 
     def apply(self, text: str, rng: random.Random) -> CorruptedText:
         self._require_text(text)
         lines = text.split("\n")
-        n_drop = max(1, int(len(lines) * self.fraction))
+        n_drop = max(1, int(len(lines) * self.FRACTION))
         doomed = set(rng.sample(range(len(lines)), min(n_drop, len(lines))))
         kept = [line for i, line in enumerate(lines) if i not in doomed]
         return self._result(

@@ -18,10 +18,15 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..netlist.circuit import Circuit
-from ..sat.incremental import sat_equivalent
+from ..sat.incremental import IncrementalCecSession
 from ..sim.equivalence import exhaustive_equivalent
 from .embed import FingerprintedCircuit
 from .locations import LocationCatalog
+
+#: Widest design audited by exhaustive simulation; wider ones go to SAT.
+#: Below the simulator's own limit (24), so a design with 15-24 inputs is
+#: proven by the CEC session, not by up to 2**24 vectors per variant.
+AUDIT_EXHAUSTIVE_INPUTS = 14
 
 
 @dataclass(frozen=True)
@@ -64,16 +69,18 @@ class AuditReport:
 def audit_catalog(
     base: Circuit,
     catalog: LocationCatalog,
-    max_exhaustive_inputs: int = 14,
     max_variants: Optional[int] = None,
 ) -> AuditReport:
     """Verify every variant of every slot against the golden design.
 
     ``max_variants`` bounds the total number of checks (useful to smoke a
-    huge catalog); ``None`` audits everything.
+    huge catalog); ``None`` audits everything.  SAT checks share one CEC
+    session over ``base``, built on first use; a session's verdict
+    depends only on the base and the copy.
     """
     report = AuditReport(base.name)
-    use_exhaustive = len(base.inputs) <= max_exhaustive_inputs
+    use_exhaustive = len(base.inputs) <= AUDIT_EXHAUSTIVE_INPUTS
+    session: Optional[IncrementalCecSession] = None
     fp = FingerprintedCircuit(base, catalog, name=f"{base.name}_audit")
     for slot in catalog.slots():
         for index in range(1, len(slot.variants) + 1):
@@ -84,7 +91,9 @@ def audit_catalog(
                 verdict = exhaustive_equivalent(base, fp.circuit).equivalent
                 method = "exhaustive"
             else:
-                verdict = sat_equivalent(base, fp.circuit).equivalent
+                if session is None:
+                    session = IncrementalCecSession(base)
+                verdict = session.verify(fp.circuit).equivalent
                 method = "sat"
             report.verdicts.append(
                 VariantVerdict(slot.target, index, verdict, method)

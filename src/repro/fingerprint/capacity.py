@@ -63,11 +63,16 @@ class FingerprintCodec:
 
     def __init__(self, catalog: LocationCatalog) -> None:
         self.catalog = catalog
-        self._slots: List[Slot] = catalog.slots()
+        self._slots: List[Slot] = self._digit_slots(catalog)
         self._radices = [slot.n_configs for slot in self._slots]
         self.combinations = 1
         for radix in self._radices:
             self.combinations *= radix
+
+    @staticmethod
+    def _digit_slots(catalog: LocationCatalog) -> List[Slot]:
+        """The digits' slots, in order (each has ``target`` and ``n_configs``)."""
+        return catalog.slots()
 
     @property
     def n_digits(self) -> int:

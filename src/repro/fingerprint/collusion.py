@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .signature import BuyerRegistry
+
+#: Smallest above-median score drop :func:`trace` accepts as the cut
+#: between colluders and innocents.
+MIN_GAP = 0.08
 
 
 @dataclass(frozen=True)
@@ -87,30 +91,21 @@ class TraceReport:
 def trace(
     registry: BuyerRegistry,
     pirate_assignment: Dict[str, int],
-    threshold: Optional[float] = None,
-    min_gap: float = 0.08,
 ) -> TraceReport:
     """Score all buyers against the pirate and accuse high scorers.
 
-    Without an explicit ``threshold`` the accusation cut is placed at the
-    largest drop between consecutive sorted scores above the population
-    median — colluders cluster high, innocents cluster around the chance
-    level, and the gap between the clusters is the robust separator.  If
-    no above-median drop reaches ``min_gap`` (a flat distribution: the
-    pirate resembles nobody in particular), nobody is accused, protecting
-    innocents.
+    The accusation cut is placed at the largest drop between consecutive
+    sorted scores above the population median — colluders cluster high,
+    innocents cluster around the chance level, and the gap between the
+    clusters is the robust separator.  If no above-median drop reaches
+    :data:`MIN_GAP` (a flat distribution: the pirate resembles nobody in
+    particular), nobody is accused, protecting innocents.
     """
     scores = registry.score(pirate_assignment)
     if not scores:
         return TraceReport(scores=(), accused=(), threshold=0.0)
     values = sorted((s for _, s in scores), reverse=True)
     median = values[len(values) // 2]
-    if threshold is not None:
-        cut = threshold
-        accused = tuple(
-            buyer for buyer, score in scores if score >= cut and score > median
-        )
-        return TraceReport(scores=tuple(scores), accused=accused, threshold=cut)
 
     # Largest-gap detection over the above-median region.
     best_gap = 0.0
@@ -122,7 +117,7 @@ def trace(
         if gap > best_gap:
             best_gap = gap
             cut = (values[index] + values[index + 1]) / 2.0
-    if best_gap < min_gap:
+    if best_gap < MIN_GAP:
         return TraceReport(scores=tuple(scores), accused=(), threshold=float("inf"))
     accused = tuple(buyer for buyer, score in scores if score > cut)
     return TraceReport(scores=tuple(scores), accused=accused, threshold=cut)

@@ -24,10 +24,16 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..netlist.circuit import Circuit
-from ..timing.delay_models import DelayModel
 from ..timing.sta import analyze, critical_delay, critical_path_nets
-from .embed import FingerprintedCircuit, representative_slots
+from .embed import EMBED_VARIANT, FingerprintedCircuit, representative_slots
 from .locations import LocationCatalog
+
+#: Float margin of the pruning loops: a trial must beat the best value by
+#: more than this to count, and a metric within this of its budget meets it.
+TOLERANCE = 1e-9
+
+#: Seed of the random removals made when no single removal helps.
+PRUNE_SEED = 0
 
 
 @dataclass
@@ -110,32 +116,31 @@ def _candidates_on_critical_path(
 def reactive_delay_constrain(
     fp: FingerprintedCircuit,
     max_delay_overhead: float,
-    delay_model: Optional[DelayModel] = None,
-    seed: int = 0,
-    tolerance: float = 1e-9,
+    seed: int = PRUNE_SEED,
 ) -> ConstraintResult:
     """Prune modifications from ``fp`` in place until the delay fits.
 
     ``max_delay_overhead`` is a fraction of the baseline critical delay
-    (0.10 = the paper's "10% delay constraint").
+    (0.10 = the paper's "10% delay constraint"), measured under
+    :data:`~repro.timing.delay_models.DEFAULT_DELAY_MODEL`.
     """
     rng = random.Random(seed)
-    baseline = critical_delay(fp.base, delay_model)
+    baseline = critical_delay(fp.base)
     budget = baseline * (1.0 + max_delay_overhead)
     initial_active = fp.n_active
     steps: List[Tuple[str, str]] = []
 
-    current = critical_delay(fp.circuit, delay_model)
-    while fp.n_active > 0 and current > budget + tolerance:
-        critical_nets = set(critical_path_nets(fp.circuit, delay_model))
+    current = critical_delay(fp.circuit)
+    while fp.n_active > 0 and current > budget + TOLERANCE:
+        critical_nets = set(critical_path_nets(fp.circuit))
         candidates = _candidates_on_critical_path(fp, critical_nets)
         best_target: Optional[str] = None
         best_delay = current
         for target in candidates:
             variant_index = fp.applied[target]
             fp.remove(target)
-            trial = critical_delay(fp.circuit, delay_model)
-            if trial < best_delay - tolerance:
+            trial = critical_delay(fp.circuit)
+            if trial < best_delay - TOLERANCE:
                 best_delay = trial
                 best_target = target
             fp.apply(target, variant_index)
@@ -149,7 +154,7 @@ def reactive_delay_constrain(
             target = rng.choice(sorted(fp.applied))
             fp.remove(target)
             steps.append(("random", target))
-            current = critical_delay(fp.circuit, delay_model)
+            current = critical_delay(fp.circuit)
 
     return ConstraintResult(
         fingerprinted=fp,
@@ -160,7 +165,7 @@ def reactive_delay_constrain(
         kept=fp.n_active,
         removed=initial_active - fp.n_active,
         surviving_bits=_surviving_bits(fp),
-        met_constraint=current <= budget + tolerance,
+        met_constraint=current <= budget + TOLERANCE,
         steps=steps,
     )
 
@@ -168,9 +173,9 @@ def reactive_delay_constrain(
 #: Metric extractors for the generalized reactive method (§III.D: "whether
 #: it be area, delay, power, or something else").
 _METRICS = {
-    "delay": lambda circuit, model: critical_delay(circuit, model),
-    "area": lambda circuit, model: sum(g.cell.area for g in circuit.gates),
-    "power": lambda circuit, model: _power_of(circuit),
+    "delay": critical_delay,
+    "area": lambda circuit: sum(g.cell.area for g in circuit.gates),
+    "power": lambda circuit: _power_of(circuit),
 }
 
 
@@ -184,9 +189,6 @@ def reactive_constrain(
     fp: FingerprintedCircuit,
     metric: str,
     max_overhead: float,
-    delay_model: Optional[DelayModel] = None,
-    seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> ConstraintResult:
     """Generalized reactive pruning for any supported cost metric.
 
@@ -197,29 +199,26 @@ def reactive_constrain(
     modification whose removal reduces the metric most.
     """
     if metric == "delay":
-        return reactive_delay_constrain(
-            fp, max_overhead, delay_model=delay_model, seed=seed,
-            tolerance=tolerance,
-        )
+        return reactive_delay_constrain(fp, max_overhead)
     try:
         evaluate = _METRICS[metric]
     except KeyError:
         raise ValueError(f"unsupported metric {metric!r}")
-    rng = random.Random(seed)
-    baseline = evaluate(fp.base, delay_model)
+    rng = random.Random(PRUNE_SEED)
+    baseline = evaluate(fp.base)
     budget = baseline * (1.0 + max_overhead)
     initial_active = fp.n_active
     steps: List[Tuple[str, str]] = []
 
-    current = evaluate(fp.circuit, delay_model)
-    while fp.n_active > 0 and current > budget + tolerance:
+    current = evaluate(fp.circuit)
+    while fp.n_active > 0 and current > budget + TOLERANCE:
         best_target: Optional[str] = None
         best_value = current
         for target in sorted(fp.applied):
             variant_index = fp.applied[target]
             fp.remove(target)
-            trial = evaluate(fp.circuit, delay_model)
-            if trial < best_value - tolerance:
+            trial = evaluate(fp.circuit)
+            if trial < best_value - TOLERANCE:
                 best_value = trial
                 best_target = target
             fp.apply(target, variant_index)
@@ -231,7 +230,7 @@ def reactive_constrain(
             target = rng.choice(sorted(fp.applied))
             fp.remove(target)
             steps.append(("random", target))
-            current = evaluate(fp.circuit, delay_model)
+            current = evaluate(fp.circuit)
 
     return ConstraintResult(
         fingerprinted=fp,
@@ -242,7 +241,7 @@ def reactive_constrain(
         kept=fp.n_active,
         removed=initial_active - fp.n_active,
         surviving_bits=_surviving_bits(fp),
-        met_constraint=current <= budget + tolerance,
+        met_constraint=current <= budget + TOLERANCE,
         steps=steps,
     )
 
@@ -251,18 +250,17 @@ def proactive_delay_constrain(
     base: Circuit,
     catalog: LocationCatalog,
     max_delay_overhead: float,
-    delay_model: Optional[DelayModel] = None,
-    variant_index: int = 1,
 ) -> ConstraintResult:
     """Build a fingerprint copy that never exceeds the delay budget.
 
-    Candidate modifications (one representative slot per location, as in
-    the paper's main flow) are sorted by decreasing slack of their target
+    Candidate modifications (one representative slot per location, at
+    variant :data:`~repro.fingerprint.embed.EMBED_VARIANT`, as in the
+    paper's main flow) are sorted by decreasing slack of their target
     gate in the baseline circuit, so the cheapest modifications are tried
     first; each application is kept only if the measured delay stays
     within budget.
     """
-    baseline_report = analyze(base, delay_model)
+    baseline_report = analyze(base)
     baseline = baseline_report.critical_delay
     budget = baseline * (1.0 + max_delay_overhead)
     slots = representative_slots(base, catalog)
@@ -273,14 +271,14 @@ def proactive_delay_constrain(
     fp = FingerprintedCircuit(base, catalog)
     steps: List[Tuple[str, str]] = []
     for slot in candidates:
-        index = min(variant_index, len(slot.variants))
+        index = min(EMBED_VARIANT, len(slot.variants))
         fp.apply(slot.target, index)
-        if critical_delay(fp.circuit, delay_model) > budget:
+        if critical_delay(fp.circuit) > budget:
             fp.remove(slot.target)
             steps.append(("rejected", slot.target))
         else:
             steps.append(("accepted", slot.target))
-    final = critical_delay(fp.circuit, delay_model)
+    final = critical_delay(fp.circuit)
     total = len(candidates)
     return ConstraintResult(
         fingerprinted=fp,

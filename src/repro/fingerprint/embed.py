@@ -23,6 +23,10 @@ from .locations import LocationCatalog
 from .modifications import Slot
 from ..errors import ReproError
 
+#: The variant (1-based) the paper's maximal embedding applies at each
+#: location's representative slot.
+EMBED_VARIANT = 1
+
 
 class EmbeddingError(ReproError, ValueError):
     """Invalid slot/variant selection or inconsistent embedding state."""
@@ -193,19 +197,16 @@ def representative_slots(
     return chosen
 
 
-def full_assignment(
-    base: Circuit,
-    catalog: LocationCatalog,
-    variant_index: int = 1,
-) -> Dict[str, int]:
+def full_assignment(base: Circuit, catalog: LocationCatalog) -> Dict[str, int]:
     """The paper's maximal embedding: every location modified once.
 
-    Uses the first (direct, when available) variant of each location's
-    representative slot; all other slots stay at configuration 0.
+    Uses variant :data:`EMBED_VARIANT` (the first: direct, when available)
+    of each location's representative slot; all other slots stay at
+    configuration 0.
     """
     assignment = {slot.target: 0 for slot in catalog.slots()}
     for slot in representative_slots(base, catalog):
-        index = min(variant_index, len(slot.variants))
+        index = min(EMBED_VARIANT, len(slot.variants))
         assignment[slot.target] = index
     return assignment
 

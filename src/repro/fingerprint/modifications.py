@@ -35,6 +35,9 @@ from ..cells import functions
 from ..cells.library import CellLibrary
 from ..netlist.circuit import Circuit, Gate
 
+#: Most two-literal reroute variants emitted per widened gate kind.
+MAX_PAIR_VARIANTS = 6
+
 #: Single-input kinds and the widened kinds that can absorb a literal.
 #: ``INV(a) == NAND2(a, 1) == NOR2(a, 0)``; ``BUF(a) == AND2(a, 1) == OR2(a, 0)``.
 _UNARY_WIDENINGS = {
@@ -217,9 +220,12 @@ def reroute_variants(
     trigger_value: int,
     library: CellLibrary,
     allow_xor_targets: bool = False,
-    max_pair_variants: int = 6,
 ) -> List[Variant]:
-    """Fig. 5 variants: tap the trigger gate's own inputs instead of X."""
+    """Fig. 5 variants: tap the trigger gate's own inputs instead of X.
+
+    At most :data:`MAX_PAIR_VARIANTS` two-literal variants per widened
+    kind.
+    """
     trigger_gate = circuit.driver(trigger)
     if trigger_gate is None:
         return []
@@ -258,7 +264,7 @@ def reroute_variants(
         emitted = 0
         for i in range(len(sources)):
             for j in range(i + 1, len(sources)):
-                if emitted >= max_pair_variants:
+                if emitted >= MAX_PAIR_VARIANTS:
                     break
                 a, b = sources[i], sources[j]
                 if a in target.inputs or b in target.inputs:

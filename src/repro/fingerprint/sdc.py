@@ -17,8 +17,9 @@ Implementation:
 * **Verification.** Random care sets under-approximate reachability, so
   every candidate is verified before being admitted: the modified circuit
   is checked against the original (exhaustive simulation when exact,
-  SAT-based CEC otherwise).  Unsound candidates are rejected, making the
-  catalogue safe regardless of how the care set was obtained.
+  otherwise one CEC session over the original shared by every
+  candidate).  Unsound candidates are rejected, making the catalogue
+  safe regardless of how the care set was obtained.
 
 Unlike ODC modifications — which really do change internal signal values
 whenever the trigger activates the ODC — an SDC swap leaves *every net's
@@ -37,13 +38,19 @@ import numpy as np
 from ..cells import functions
 from ..cells.library import CellLibrary
 from ..netlist.circuit import Circuit, NetlistError
-from ..sat.incremental import sat_equivalent
+from ..sat.incremental import IncrementalCecSession
 from ..sim.equivalence import exhaustive_equivalent
 from ..sim.simulator import Simulator
 from ..sim.vectors import MAX_EXHAUSTIVE_INPUTS, exhaustive_stimulus, exhaustive_vector_count, random_stimulus
+from .capacity import FingerprintCodec
 
 #: Gate kinds considered for SDC swaps (multi-input, library-backed).
 _SWAPPABLE = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR")
+
+#: Number and seed of the random vectors that sample care sets of
+#: circuits too wide to simulate exhaustively.
+SDC_RANDOM_VECTORS = 8192
+SDC_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -105,23 +112,22 @@ class SdcCatalog:
 
 def observed_patterns(
     circuit: Circuit,
-    n_random_vectors: int = 8192,
-    seed: int = 0,
-    exhaustive_limit: int = MAX_EXHAUSTIVE_INPUTS,
+    n_random_vectors: int = SDC_RANDOM_VECTORS,
 ) -> Tuple[Dict[str, int], bool]:
     """Per-gate mask of observed input patterns.
 
     Returns ``(masks, exact)`` where ``masks[gate]`` has bit ``p`` set when
     input pattern ``p`` (gate input ``i`` contributing bit ``i``) occurred,
-    and ``exact`` records whether the stimulus was exhaustive.
+    and ``exact`` records whether the stimulus was exhaustive (up to
+    :data:`~repro.sim.vectors.MAX_EXHAUSTIVE_INPUTS` inputs).
     """
     n_inputs = len(circuit.inputs)
-    exact = n_inputs <= exhaustive_limit
+    exact = n_inputs <= MAX_EXHAUSTIVE_INPUTS
     if exact:
         stimulus = exhaustive_stimulus(circuit.inputs)
         n_vectors = exhaustive_vector_count(n_inputs)
     else:
-        stimulus = random_stimulus(circuit.inputs, n_random_vectors, seed=seed)
+        stimulus = random_stimulus(circuit.inputs, n_random_vectors, seed=SDC_SEED)
         n_vectors = n_random_vectors
     values = Simulator(circuit).run(stimulus)
 
@@ -159,33 +165,20 @@ def _kinds_matching_on(kind: str, arity: int, care_mask: int, library: CellLibra
     return matches
 
 
-def _verified(base: Circuit, target: str, new_kind: str, exact: bool) -> bool:
-    trial = base.clone("sdc_trial")
-    gate = trial.gate(target)
-    trial.replace_gate(target, new_kind, list(gate.inputs))
-    if exact:
-        return exhaustive_equivalent(base, trial).equivalent
-    return sat_equivalent(base, trial).equivalent
-
-
 def find_sdc_slots(
     circuit: Circuit,
-    n_random_vectors: int = 8192,
-    seed: int = 0,
     max_slots: Optional[int] = None,
-    verify: bool = True,
 ) -> SdcCatalog:
     """Discover verified SDC fingerprint slots in ``circuit``.
 
     With exact care sets (exhaustively simulable circuits) candidates are
     sound by construction, but we still verify each admitted swap; with
     sampled care sets, verification (SAT CEC) is what makes the catalogue
-    sound.  ``verify=False`` skips the check and is only safe when the
-    care set was exact.
+    sound.  SAT checks share one CEC session over ``circuit``, built on
+    first use; a session's verdict depends only on the base and the copy.
     """
-    masks, exact = observed_patterns(
-        circuit, n_random_vectors=n_random_vectors, seed=seed
-    )
+    masks, exact = observed_patterns(circuit)
+    session: Optional[IncrementalCecSession] = None
     catalog = SdcCatalog(circuit.name, exact_care_sets=exact)
     for gate in circuit.topological_order():
         if max_slots is not None and len(catalog.slots) >= max_slots:
@@ -201,12 +194,19 @@ def find_sdc_slots(
         candidates = _kinds_matching_on(
             gate.kind, gate.n_inputs, mask, circuit.library
         )
-        if verify:
-            candidates = [
-                kind for kind in candidates
-                if _verified(circuit, gate.name, kind, exact)
-            ]
-        if not candidates:
+        admitted = []
+        for kind in candidates:
+            trial = circuit.clone("sdc_trial")
+            trial.replace_gate(gate.name, kind, list(gate.inputs))
+            if exact:
+                equivalent = exhaustive_equivalent(circuit, trial).equivalent
+            else:
+                if session is None:
+                    session = IncrementalCecSession(circuit)
+                equivalent = session.verify(trial).equivalent
+            if equivalent:
+                admitted.append(kind)
+        if not admitted:
             continue
         catalog.slots.append(
             SdcSlot(
@@ -214,7 +214,7 @@ def find_sdc_slots(
                 original_kind=gate.kind,
                 arity=gate.n_inputs,
                 care_patterns=bin(mask).count("1"),
-                alternatives=tuple(candidates),
+                alternatives=tuple(admitted),
             )
         )
     return catalog
@@ -299,34 +299,10 @@ def sdc_extract(suspect: Circuit, base: Circuit, catalog: SdcCatalog) -> Dict[st
     return assignment
 
 
-class SdcCodec:
-    """Mixed-radix codec over an SDC catalog (mirrors FingerprintCodec)."""
+class SdcCodec(FingerprintCodec):
+    """Mixed-radix codec over an SDC catalog: :class:`FingerprintCodec`'s
+    encoding with the catalog's SDC slots as its digits."""
 
-    def __init__(self, catalog: SdcCatalog) -> None:
-        self.catalog = catalog
-        self._radices = [slot.n_configs for slot in catalog]
-        self.combinations = 1
-        for radix in self._radices:
-            self.combinations *= radix
-
-    @property
-    def bits(self) -> float:
-        return math.log2(self.combinations) if self.combinations > 1 else 0.0
-
-    def encode(self, value: int) -> Dict[str, int]:
-        if not 0 <= value < self.combinations:
-            raise ValueError(f"value {value} outside [0, {self.combinations})")
-        assignment = {}
-        for slot, radix in zip(self.catalog, self._radices):
-            value, digit = divmod(value, radix)
-            assignment[slot.target] = digit
-        return assignment
-
-    def decode(self, assignment: Dict[str, int]) -> int:
-        value = 0
-        for slot, radix in reversed(list(zip(self.catalog, self._radices))):
-            digit = assignment.get(slot.target, 0)
-            if not 0 <= digit < radix:
-                raise ValueError(f"slot {slot.target}: bad digit {digit}")
-            value = value * radix + digit
-        return value
+    @staticmethod
+    def _digit_slots(catalog: SdcCatalog) -> List[SdcSlot]:
+        return list(catalog.slots)

@@ -53,6 +53,10 @@ class VerificationTier(enum.Enum):
 #: hard miter can no longer stall the flow indefinitely.
 DEFAULT_SAT_BUDGET = Budget(deadline_s=30.0, max_conflicts=2_000_000)
 
+#: The activation rate ``eps`` behind the random tier's headline
+#: confidence (see :meth:`VerificationReport.confidence_for`).
+DETECTABLE_RATE = 1e-3
+
 
 @dataclass(frozen=True)
 class LadderConfig:
@@ -65,9 +69,6 @@ class LadderConfig:
         use_sat: Disable the SAT tier entirely (straight to random sim).
         n_random_vectors: Vectors for the random fallback tier.
         seed: RNG seed for the random tier.
-        detectable_rate: The activation rate ``eps`` used for the headline
-            confidence estimate of the random tier (see
-            :meth:`VerificationReport.confidence_for`).
         sat_simplify: Inert since 8.0.0, when CEC sessions stopped
             preprocessing their base encoding: both values verify the
             same way.  Still accepted and type-checked, because stored
@@ -79,7 +80,6 @@ class LadderConfig:
     use_sat: bool = True
     n_random_vectors: int = 8192
     seed: int = 0
-    detectable_rate: float = 1e-3
     sat_simplify: bool = True
 
     def __post_init__(self) -> None:
@@ -93,14 +93,11 @@ class LadderConfig:
             check(name, numbers.Integral, "an int")
         for name in ("use_sat", "sat_simplify"):
             check(name, bool, "a bool")
-        check("detectable_rate", numbers.Real, "a number")
         check("sat_budget", Budget, "a Budget")
         if self.max_exhaustive_inputs < 0:
             raise ValueError("max_exhaustive_inputs must be >= 0")
         if self.n_random_vectors < 1:
             raise ValueError("n_random_vectors must be >= 1")
-        if not 0.0 < self.detectable_rate <= 1.0:
-            raise ValueError("detectable_rate must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -325,7 +322,7 @@ def _run_tiers(
         proven=False,
         tier=report.tier,
         reason=report.reason,
-        confidence=report.confidence_for(config.detectable_rate),
+        confidence=report.confidence_for(DETECTABLE_RATE),
         n_vectors=report.n_vectors,
         counterexample=None,
         output=None,
@@ -357,6 +354,7 @@ LadderResult = VerificationReport
 
 __all__ = [
     "DEFAULT_SAT_BUDGET",
+    "DETECTABLE_RATE",
     "LadderConfig",
     "LadderResult",
     "VerificationReport",

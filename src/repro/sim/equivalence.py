@@ -1,10 +1,11 @@
 """Simulation-based combinational equivalence checking.
 
 Exhaustive for small input counts (complete, not probabilistic), random
-64-bit-parallel for larger circuits.  The SAT-based checker in
-:mod:`repro.sat.cec` provides completeness beyond the exhaustive limit;
-:func:`check_equivalence` in this module is the cheap first line used by
-the fingerprinting engine after every embedding.
+64-bit-parallel for larger circuits.  Completeness beyond the exhaustive
+limit comes from :func:`repro.sat.incremental.sat_equivalent` (a one-copy
+CEC session), which :func:`check_equivalence` calls with
+``complete=True``; the verification ladder (:mod:`repro.flows.ladder`)
+uses this module's exhaustive and random checks as its simulation tiers.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .vectors import (
     random_stimulus,
     vector_of,
 )
+
+#: Seed of the packed random vectors drawn when no caller names one.
+RANDOM_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ def random_equivalent(
     left: Circuit,
     right: Circuit,
     n_vectors: int = 4096,
-    seed: int = 0,
+    seed: int = RANDOM_SEED,
 ) -> EquivalenceResult:
     """Probabilistic equivalence check with packed random vectors."""
     _check_ports(left, right)
@@ -129,21 +133,21 @@ def check_equivalence(
     right: Circuit,
     max_exhaustive_inputs: int = 16,
     n_random_vectors: int = 8192,
-    seed: int = 0,
     complete: bool = False,
 ) -> EquivalenceResult:
     """Exhaustive when feasible, random otherwise.
 
     With ``complete=True`` a circuit too wide for exhaustive simulation is
     first screened with random vectors (cheap counterexamples) and then,
-    if no mismatch was found, proven equivalent with the SAT-based miter —
-    so the returned verdict is always definitive.
+    if no mismatch was found, decided by
+    :func:`~repro.sat.incremental.sat_equivalent` — so the returned
+    verdict is always definitive.
     """
     _check_ports(left, right)
     n_inputs = len(left.inputs)
     if n_inputs <= min(max_exhaustive_inputs, MAX_EXHAUSTIVE_INPUTS):
         return exhaustive_equivalent(left, right)
-    result = random_equivalent(left, right, n_vectors=n_random_vectors, seed=seed)
+    result = random_equivalent(left, right, n_vectors=n_random_vectors)
     if not complete or not result.equivalent:
         return result
     from ..sat.incremental import sat_equivalent  # local import: sat layers above sim

@@ -75,6 +75,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "module" in out
 
+    def test_embed_proves_a_wide_copy(self, tmp_path, capsys):
+        """A design wider than the exhaustive limit is proven by the
+        ladder's SAT tier, not screened with random vectors."""
+        import json
+
+        from repro.bench import build_benchmark
+
+        golden = str(tmp_path / "c432.v")
+        save_verilog(build_benchmark("C432"), golden)
+        out_v = str(tmp_path / "copy.v")
+        assert main(["embed", golden, "--value", "5", "-o", out_v, "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["n_modifications"] >= 1
+        assert result["verify_method"] == "sat-cec"
+
     def test_verify_equivalent(self, golden_v, tmp_path, capsys):
         out_v = str(tmp_path / "copy.v")
         main(["embed", golden_v, "--value", "1", "-o", out_v])

@@ -24,6 +24,27 @@ class TestAudit:
         assert report.n_checked == 12
         assert all(v.method == "sat" for v in report.verdicts)
 
+    def test_sat_audit_encodes_the_base_once(self):
+        """Every SAT check of an audit runs in one CEC session."""
+        from repro import telemetry
+
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        telemetry.get_tracer().reset()
+        try:
+            with telemetry.enabled(trace=True, metrics=False):
+                report = audit_catalog(base, catalog, max_variants=12)
+            encodes = [
+                node
+                for root in telemetry.get_tracer().drain()
+                for node in root.walk()
+                if node.name == "sat.encode_base"
+            ]
+        finally:
+            telemetry.get_tracer().reset()
+        assert report.n_checked == 12
+        assert len(encodes) == 1
+
     def test_audit_catches_a_poisoned_variant(self, fig1_circuit):
         """Inject a wrong-polarity variant; the audit must flag it."""
         from repro.fingerprint.locations import LocationCatalog

@@ -93,6 +93,27 @@ class TestFindSlots:
         capped = find_sdc_slots(base, max_slots=5)
         assert capped.n_slots <= 5
 
+    def test_sat_checks_encode_the_base_once(self):
+        """Every candidate swap of a sampled care set is verified in one
+        CEC session."""
+        from repro import telemetry
+
+        base = build_benchmark("C432")
+        telemetry.get_tracer().reset()
+        try:
+            with telemetry.enabled(trace=True, metrics=False):
+                catalog = find_sdc_slots(base, max_slots=5)
+            encodes = [
+                node
+                for root in telemetry.get_tracer().drain()
+                for node in root.walk()
+                if node.name == "sat.encode_base"
+            ]
+        finally:
+            telemetry.get_tracer().reset()
+        assert not catalog.exact_care_sets and catalog.n_slots > 1
+        assert len(encodes) == 1
+
     def test_benchmark_has_sdc_slots(self):
         base = build_benchmark("C880")
         catalog = find_sdc_slots(base, max_slots=12)

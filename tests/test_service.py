@@ -142,11 +142,12 @@ class TestEndpoints:
         {"ladder": {"max_exhaustive_inputs": "x"}},
         {"ladder": {"n_random_vectors": -5}},
         {"ladder": {"sat_portfolio": 2}},
+        {"ladder": {"detectable_rate": 0.01}},
     ], ids=["own-pool", "unknown-field", "unknown-ladder-field",
             "negative-jobs", "unknown-finder-field", "finder-not-object",
             "unknown-budget-field", "budget-not-object",
             "wrong-typed-ladder-field", "negative-random-vectors",
-            "racing-pool"])
+            "racing-pool", "fixed-detectable-rate"])
     def test_bad_options_are_invalid_field(self, client, options):
         """Options must build the FlowOptions the job runs with, and a
         job may not start a process pool of its own (the service's

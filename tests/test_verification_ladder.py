@@ -241,9 +241,6 @@ def test_session_base_mismatch_rejected(wide_pair, fig1_circuit):
     ("seed", True, TypeError),
     ("use_sat", 1, TypeError),
     ("sat_simplify", "yes", TypeError),
-    ("detectable_rate", 0.0, ValueError),
-    ("detectable_rate", 1.5, ValueError),
-    ("detectable_rate", "1e-3", TypeError),
     ("sat_budget", {"max_conflicts": 5}, TypeError),
 ])
 def test_config_rejects_bad_fields(name, value, error):
