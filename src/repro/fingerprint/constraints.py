@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..netlist.circuit import Circuit
-from ..timing.sta import analyze, critical_delay, critical_path_nets
+from ..timing.incremental import IncrementalTimer
+from ..timing.sta import analyze, critical_delay
 from .embed import EMBED_VARIANT, FingerprintedCircuit, representative_slots
 from .locations import LocationCatalog
 
@@ -130,16 +131,19 @@ def reactive_delay_constrain(
     initial_active = fp.n_active
     steps: List[Tuple[str, str]] = []
 
-    current = critical_delay(fp.circuit)
+    # Every trial edits one gate and at most one inverter, so the timer
+    # re-times only what each edit moved.
+    timer = IncrementalTimer(fp.circuit)
+    current = timer.critical_delay()
     while fp.n_active > 0 and current > budget + TOLERANCE:
-        critical_nets = set(critical_path_nets(fp.circuit))
+        critical_nets = set(timer.critical_path())
         candidates = _candidates_on_critical_path(fp, critical_nets)
         best_target: Optional[str] = None
         best_delay = current
         for target in candidates:
             variant_index = fp.applied[target]
             fp.remove(target)
-            trial = critical_delay(fp.circuit)
+            trial = timer.critical_delay()
             if trial < best_delay - TOLERANCE:
                 best_delay = trial
                 best_target = target
@@ -154,7 +158,7 @@ def reactive_delay_constrain(
             target = rng.choice(sorted(fp.applied))
             fp.remove(target)
             steps.append(("random", target))
-            current = critical_delay(fp.circuit)
+            current = timer.critical_delay()
 
     return ConstraintResult(
         fingerprinted=fp,
@@ -171,9 +175,9 @@ def reactive_delay_constrain(
 
 
 #: Metric extractors for the generalized reactive method (§III.D: "whether
-#: it be area, delay, power, or something else").
+#: it be area, delay, power, or something else"); delay takes the
+#: critical-path-pruned search instead.
 _METRICS = {
-    "delay": critical_delay,
     "area": lambda circuit: sum(g.cell.area for g in circuit.gates),
     "power": lambda circuit: _power_of(circuit),
 }

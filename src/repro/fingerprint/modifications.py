@@ -29,7 +29,7 @@ satisfy exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cells import functions
 from ..cells.library import CellLibrary

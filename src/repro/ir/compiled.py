@@ -19,7 +19,10 @@ so any structural edit (``add_gate`` / ``remove_gate`` /
 ``replace_gate``) invalidates it automatically and the next
 :func:`compile_circuit` call rebuilds.  Consumers must therefore never
 hold a :class:`CompiledCircuit` across circuit mutations; re-request it
-instead (re-requesting an unchanged circuit is a dict hit).
+instead (re-requesting an unchanged circuit is a dict hit).  The IR
+keeps no reference to its circuit: the circuit's cache holds the IR, so
+a back-reference would make a cycle only the cyclic garbage collector
+frees.
 
 This is the shared substrate behind simulation, ODC/observability
 search, power, SCOAP and CNF encoding; see
@@ -72,7 +75,6 @@ class CompiledCircuit:
     """Array-based view of one circuit version (see module docstring)."""
 
     def __init__(self, circuit: Circuit) -> None:
-        self.circuit = circuit
         self.version = circuit.version
         order = circuit.topological_order()
         inputs = circuit.inputs

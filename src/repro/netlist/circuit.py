@@ -10,8 +10,12 @@ Mutation is explicit (``add_gate`` / ``remove_gate`` / ``replace_gate``) and
 bumps an internal version counter that invalidates cached derived structures
 (topological order, fanout map, levels).  All analyses in the library go
 through those cached queries, so repeated measurements of an unchanged
-circuit are cheap — which matters for the paper's reactive heuristic, which
-re-times the circuit after every candidate fingerprint removal.
+circuit are cheap.  The gate table keeps insertion order, and
+``replace_gate`` puts the gate back at its end, so ``reversed(circuit)``
+lists first the gates an edit added or replaced;
+:class:`~repro.timing.incremental.IncrementalTimer`, which re-times the
+paper's reactive heuristic after every candidate fingerprint removal,
+finds what an edit changed that way.
 """
 
 from __future__ import annotations
@@ -170,7 +174,10 @@ class Circuit:
         inputs: Sequence[str],
         cell: Optional[Cell] = None,
     ) -> Gate:
-        """Swap the gate driving ``name`` for a new kind/input list in place."""
+        """Swap the gate driving ``name`` for a new kind/input list.
+
+        The new gate goes to the end of the gate table, like an added one.
+        """
         if name not in self._gates:
             raise NetlistError(f"no gate drives net {name!r}")
         del self._gates[name]
@@ -225,6 +232,10 @@ class Circuit:
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self._gates.values())
+
+    def __reversed__(self) -> Iterator[Gate]:
+        """Gates from the most recently added or replaced one backwards."""
+        return reversed(self._gates.values())
 
     # ------------------------------------------------------------------ #
     # cached derived structures

@@ -11,6 +11,7 @@ from .delay_models import (
     UnitDelay,
     WireDelay,
 )
+from .incremental import IncrementalTimer
 from .sta import TimingReport, analyze, critical_delay, critical_path_nets
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "UNIT_DELAY",
     "WIRE_DELAY",
     "DelayModel",
+    "IncrementalTimer",
     "LibraryDelay",
     "UnitDelay",
     "WireDelay",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Protocol
 
+from ..cells.library import Cell
 from ..netlist.circuit import Circuit, Gate
 
 #: Capacitive load presented by one primary-output pad.
@@ -41,8 +42,11 @@ class LibraryDelay:
     """Linear delay: ``intrinsic + load_coefficient * driven_capacitance``."""
 
     def gate_delay(self, circuit: Circuit, gate: Gate) -> float:
-        load = driven_loads(circuit).get(gate.name, 0.0)
-        return gate.cell.intrinsic_delay + gate.cell.load_delay * load
+        return self.cell_delay(gate.cell, driven_loads(circuit).get(gate.name, 0.0), 0)
+
+    def cell_delay(self, cell: Cell, load: float, span: int) -> float:
+        """Delay of ``cell`` driving capacitance ``load`` (``span`` is unused)."""
+        return cell.intrinsic_delay + cell.load_delay * load
 
 
 class WireDelay(LibraryDelay):
@@ -70,10 +74,14 @@ class WireDelay(LibraryDelay):
         self.per_level = per_level
 
     def gate_delay(self, circuit: Circuit, gate: Gate) -> float:
-        base = LibraryDelay.gate_delay(self, circuit, gate)
+        load = driven_loads(circuit).get(gate.name, 0.0)
         if self.per_level == 0:
-            return base
-        return base + self.per_level * wire_spans(circuit).get(gate.name, 0)
+            return LibraryDelay.cell_delay(self, gate.cell, load, 0)
+        return self.cell_delay(gate.cell, load, wire_spans(circuit).get(gate.name, 0))
+
+    def cell_delay(self, cell: Cell, load: float, span: int) -> float:
+        """Delay of ``cell`` driving ``load`` over routes spanning ``span`` levels."""
+        return LibraryDelay.cell_delay(self, cell, load, span) + self.per_level * span
 
 
 def driven_loads(circuit: Circuit) -> Dict[str, float]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.fingerprint import embed, find_locations, full_assignment, proactive_delay_constrain, reactive_delay_constrain
 from repro.ir.compiled import CompiledCircuit
 from repro.sim import check_equivalence
@@ -87,6 +88,21 @@ class TestReactive:
         result = reactive_delay_constrain(copy, 0.01)
         assert len(result.steps) > 10
         assert builds == []
+
+    def test_pruning_loop_runs_two_full_timing_passes(self):
+        # The baseline and the timer's build; every trial, critical path
+        # and random step after them is an incremental timer update.
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        copy = embed(base, catalog, full_assignment(base, catalog))
+        with telemetry.enabled(trace=False, metrics=True):
+            before = dict(telemetry.get_registry().counters)
+            result = reactive_delay_constrain(copy, 0.01)
+            after = dict(telemetry.get_registry().counters)
+        assert len(result.steps) > 10
+        assert after["timing.analyses"] - before.get("timing.analyses", 0) == 2
+        updates = after["timing.updates"] - before.get("timing.updates", 0)
+        assert updates > len(result.steps)
 
 
 class TestProactive:

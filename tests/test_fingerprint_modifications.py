@@ -1,9 +1,11 @@
 """Unit tests for the fingerprint modification catalogue (Figs. 4 & 5)."""
 
+import inspect
+import typing
 
 from repro.cells import GENERIC_LIB
 from repro.netlist import Circuit
-from repro.fingerprint import Literal, Variant, direct_variants, reroute_variants, slot_variants
+from repro.fingerprint import Literal, Variant, direct_variants, modifications, reroute_variants, slot_variants
 from repro.sim import exhaustive_equivalent
 
 
@@ -234,3 +236,16 @@ class TestSlotVariants:
         for variant in slot_variants(fig1_circuit, target, "Y", 0):
             modified = apply_variant(fig1_circuit, "X", variant)
             assert exhaustive_equivalent(fig1_circuit, modified).equivalent, variant
+
+
+def test_every_annotation_resolves():
+    # ``from __future__ import annotations`` leaves annotations as strings,
+    # so a name missing from the imports only shows when they are resolved.
+    functions = [
+        obj
+        for obj in vars(modifications).values()
+        if inspect.isfunction(obj) and obj.__module__ == modifications.__name__
+    ]
+    assert len(functions) >= 8
+    for function in functions:
+        typing.get_type_hints(function)

@@ -6,6 +6,9 @@ construction invariants, cone queries against the graph-module reference,
 and version-keyed cache invalidation.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -170,6 +173,20 @@ class TestCaching:
     def test_direct_construction_bypasses_cache(self):
         c = small_circuit()
         assert CompiledCircuit(c) is not CompiledCircuit(c)
+
+    def test_ir_is_freed_without_the_cyclic_gc(self):
+        # The circuit's cache holds its IR; an IR that referred back to
+        # the circuit would survive both until a cyclic collection.
+        gc.disable()
+        try:
+            c = small_circuit()
+            compiled = weakref.ref(compile_circuit(c))
+            circuit = weakref.ref(c)
+            del c
+            assert circuit() is None
+            assert compiled() is None
+        finally:
+            gc.enable()
 
 
 class TestKernels:

@@ -4,20 +4,24 @@ import random
 
 import pytest
 
+from repro import telemetry
 from repro.bench import build_benchmark
-from repro.fingerprint import FingerprintedCircuit, find_locations
-from repro.netlist import Circuit
+from repro.bench.suite import SUITE_ORDER
+from repro.fingerprint import FingerprintedCircuit, embed, find_locations, full_assignment
+from repro.netlist import Circuit, NetlistError
 from repro.timing import (
     LIBRARY_DELAY,
     OUTPUT_PAD_LOAD,
     UNIT_DELAY,
     WIRE_DELAY,
+    IncrementalTimer,
     LibraryDelay,
     WireDelay,
     analyze,
     critical_delay,
     critical_path_nets,
 )
+from tests.golden.make_catalog_pin import c17
 
 
 class TestUnitDelay:
@@ -179,6 +183,19 @@ def reference_unit_delay(circuit, gate):
     return 0.0 if gate.kind in ("CONST0", "CONST1") else 1.0
 
 
+def random_edits(fp, seed, edits=40):
+    """Seeded random ``apply``/``remove`` edits of ``fp``; yields after each."""
+    targets = sorted(slot.target for slot in fp.catalog.slots())
+    rng = random.Random(seed)
+    for _ in range(edits):
+        target = rng.choice(targets)
+        if target in fp.applied and rng.random() < 0.5:
+            fp.remove(target)
+        else:
+            fp.apply(target, rng.randint(1, len(fp.slot(target).variants)))
+        yield
+
+
 #: (model, per-gate reference) pairs the replay compares.
 MODEL_REFERENCES = [
     (WIRE_DELAY, reference_wire_delay(WIRE_DELAY.per_level)),
@@ -195,17 +212,99 @@ class TestDelaysFollowEdits:
     def test_random_apply_remove_replay(self, design, seed):
         base = build_benchmark(design)
         fp = FingerprintedCircuit(base, find_locations(base))
-        targets = sorted(slot.target for slot in fp.catalog.slots())
-        rng = random.Random(seed)
-        for _ in range(40):
-            target = rng.choice(targets)
-            if target in fp.applied and rng.random() < 0.5:
-                fp.remove(target)
-            else:
-                fp.apply(target, rng.randint(1, len(fp.slot(target).variants)))
+        for _ in random_edits(fp, seed):
             circuit = fp.circuit
             for model, reference in MODEL_REFERENCES:
                 for gate in circuit.gates:
                     assert model.gate_delay(circuit, gate) == reference(circuit, gate), (
                         gate.name
                     )
+
+
+def assert_matches_full_pass(timer, circuit):
+    """Every value the timer holds equals a full pass, bit for bit."""
+    report = analyze(circuit)
+    assert timer.arrival == report.arrival
+    assert timer.gate_delays == report.gate_delays
+    assert timer.critical_delay() == critical_delay(circuit)
+    assert timer.critical_path() == critical_path_nets(circuit)
+
+
+def counters():
+    return dict(telemetry.get_registry().counters)
+
+
+#: Designs whose timer replay tier-1 runs; the rest of the suite runs
+#: under ``-m differential``.
+TIMER_TIER1 = ("c17", "C432", "C880")
+
+
+class TestIncrementalTimer:
+    """The timer must equal a full pass of every version it is asked about."""
+
+    @staticmethod
+    def replay(design, seed):
+        base = c17() if design == "c17" else build_benchmark(design)
+        catalog = find_locations(base)
+        fp = embed(base, catalog, full_assignment(base, catalog))
+        with telemetry.enabled(trace=False, metrics=True):
+            before = counters()
+            timer = IncrementalTimer(fp.circuit)
+            # Pruning trials (remove, then restore) on the full embedding
+            # the loop starts from, interleaved with the random edits.
+            for _ in random_edits(fp, seed):
+                assert_matches_full_pass(timer, fp.circuit)
+                if fp.applied:
+                    target, variant = sorted(fp.applied.items())[0]
+                    fp.remove(target)
+                    assert_matches_full_pass(timer, fp.circuit)
+                    fp.apply(target, variant)
+                    assert_matches_full_pass(timer, fp.circuit)
+            after = counters()
+        assert after["timing.updates"] > before.get("timing.updates", 0)
+
+    @pytest.mark.parametrize("design", TIMER_TIER1)
+    def test_replay_matches_full_pass(self, design):
+        self.replay(design, 0)
+
+    @pytest.mark.differential
+    @pytest.mark.parametrize(
+        "design", [name for name in SUITE_ORDER if name not in TIMER_TIER1]
+    )
+    def test_differential_replay_matches_full_pass(self, design):
+        self.replay(design, 0)
+
+    @pytest.mark.parametrize("reader,source", [("X", "Y"), ("Y", "X")])
+    def test_edge_outside_the_build_order(self, fig1_circuit, reader, source):
+        # X and Y are independent when the timer is built, so one of the
+        # two new edges runs backward in its order and forces a full pass.
+        timer = IncrementalTimer(fig1_circuit)
+        gate = fig1_circuit.gate(reader)
+        fig1_circuit.replace_gate(reader, gate.kind, gate.inputs + (source,))
+        assert_matches_full_pass(timer, fig1_circuit)
+        fig1_circuit.add_gate("late", "AND", ["F", "A"])
+        assert_matches_full_pass(timer, fig1_circuit)
+        fig1_circuit.add_output("late")
+        assert_matches_full_pass(timer, fig1_circuit)
+
+    @pytest.mark.parametrize("rewire", [False, True])
+    def test_removed_gate_still_read_raises_like_a_full_pass(self, fig1_circuit, rewire):
+        fig1_circuit.add_gate("G", "INV", ["X"])
+        timer = IncrementalTimer(fig1_circuit)
+        if rewire:
+            # F stops reading X, so only the unedited G still does.
+            fig1_circuit.replace_gate("F", "AND", ["Y", "A"])
+        fig1_circuit.remove_gate("X")
+        with pytest.raises(NetlistError):
+            critical_delay(fig1_circuit)
+        with pytest.raises(NetlistError):
+            timer.critical_delay()
+
+    def test_circuit_without_outputs(self, deep_chain):
+        circuit = Circuit("open")
+        circuit.add_inputs(deep_chain.inputs)
+        for gate in deep_chain.topological_order():
+            circuit.add_gate(gate.name, gate.kind, gate.inputs)
+        timer = IncrementalTimer(circuit)
+        circuit.replace_gate("n3", "OR", ["n2", "s0"])
+        assert_matches_full_pass(timer, circuit)
