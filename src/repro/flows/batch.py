@@ -31,7 +31,7 @@ from ..analysis.metrics import measure
 from ..errors import ReproError, annotate
 from ..fingerprint.capacity import FingerprintCodec
 from ..fingerprint.embed import embed
-from ..fingerprint.locations import FinderOptions, find_locations
+from ..fingerprint.locations import FinderOptions, LocationCatalog, find_locations
 from ..netlist.circuit import Circuit
 from ..store import warm_session
 from ..telemetry.metrics import safe_rate
@@ -165,6 +165,7 @@ def build_worker_state(
     options: Optional[FinderOptions],
     ladder: Optional[LadderConfig],
     measure_overheads: bool,
+    catalog: Optional[LocationCatalog] = None,
 ) -> Dict[str, object]:
     """Everything one worker needs to embed-and-verify values of ``base``.
 
@@ -180,11 +181,14 @@ def build_worker_state(
     warm-up entirely.  The state's ``base`` is the session's own base
     object (the ladder identity-checks ``session.base``), which for a
     cache hit is the previously submitted structurally identical
-    circuit.
+    circuit.  A caller that already located ``base`` under ``options``
+    passes that ``catalog``; it is reused when the session's base is
+    ``base`` itself, so a serial batch locates its design once.
     """
     session = warm_session(base)
+    if catalog is None or session.base is not base:
+        catalog = find_locations(session.base, options)
     base = session.base
-    catalog = find_locations(base, options)
     return {
         "base": base,
         "catalog": catalog,
@@ -294,7 +298,8 @@ def run_batch_flow(
         pool_broken = False
         if opts.jobs <= 1:
             state = build_worker_state(
-                design, opts.resolved_finder(), opts.ladder, opts.measure_overheads
+                design, opts.resolved_finder(), opts.ladder, opts.measure_overheads,
+                catalog,
             )
             records = [verify_one_value(state, value) for value in values]
         else:
@@ -336,7 +341,7 @@ def run_batch_flow(
                 batch_span.set(pool_broken=True)
                 state = build_worker_state(
                     design, opts.resolved_finder(), opts.ladder,
-                    opts.measure_overheads,
+                    opts.measure_overheads, catalog,
                 )
                 records.extend(
                     verify_one_value(state, value) for value in remaining

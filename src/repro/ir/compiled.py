@@ -32,6 +32,7 @@ search, power, SCOAP and CNF encoding; see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -40,6 +41,15 @@ from ..netlist.circuit import Circuit, Gate
 from . import kernels
 
 _INVERTING_CODES = kernels.INVERTING_CODES
+_ALL_ONES = int(kernels.ALL_ONES)
+
+
+def _offsets(rows: List[List[int]]) -> np.ndarray:
+    """CSR offsets of ``rows``: ``len(rows) + 1`` running totals from 0."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int32, count=len(rows)),
+              out=offsets[1:])
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -79,9 +89,9 @@ class CompiledCircuit:
         order = circuit.topological_order()
         inputs = circuit.inputs
 
-        self.n_inputs = len(inputs)
+        self.n_inputs = n_inputs = len(inputs)
         self.n_gates = len(order)
-        self.n_nets = self.n_inputs + self.n_gates
+        self.n_nets = n_nets = self.n_inputs + self.n_gates
 
         #: Net names, indexed by interned ID.
         self.names: Tuple[str, ...] = tuple(inputs) + tuple(g.name for g in order)
@@ -91,53 +101,28 @@ class CompiledCircuit:
         #: ``n_inputs + i``.
         self.order: Tuple[Gate, ...] = tuple(order)
 
+        # One topological pass gathers every table in plain lists, and
+        # each numpy array is built once from them.  Per gate: its fanin
+        # row, kind code, level (PIs at 0) and evaluation group; per net:
+        # its consumers' IDs, appended in ascending order as IDs are
+        # topological.  Gates group per level by operator *family* (see
+        # kernels.FAMILY_OP): XOR-family additionally by arity (padding
+        # would flip parity), constants by their fill value.
         ids = self.ids
-        self.kinds = np.zeros(self.n_nets, dtype=np.int16)
-        self.kinds[: self.n_inputs] = kernels.INPUT
-
-        # CSR fanins (per net; PIs contribute empty rows).
-        fanin_counts = np.zeros(self.n_nets, dtype=np.int32)
-        for gate in order:
-            fanin_counts[ids[gate.name]] = len(gate.inputs)
-        self.fanin_offsets = np.zeros(self.n_nets + 1, dtype=np.int32)
-        np.cumsum(fanin_counts, out=self.fanin_offsets[1:])
-        self.fanin_ids = np.zeros(int(self.fanin_offsets[-1]), dtype=np.int32)
-        for gate in order:
-            out = ids[gate.name]
-            self.kinds[out] = kernels.code_of(gate.kind)
-            start = self.fanin_offsets[out]
-            for slot, net in enumerate(gate.inputs):
-                self.fanin_ids[start + slot] = ids[net]
-
-        # CSR fanouts: consumer *gate output* IDs per net, ascending.
-        fanout_lists: List[List[int]] = [[] for _ in range(self.n_nets)]
-        for gate in order:
-            out = ids[gate.name]
-            for net in gate.inputs:
-                fanout_lists[ids[net]].append(out)
-        fanout_counts = np.fromiter(
-            (len(lst) for lst in fanout_lists), dtype=np.int32, count=self.n_nets
-        )
-        self.fanout_offsets = np.zeros(self.n_nets + 1, dtype=np.int32)
-        np.cumsum(fanout_counts, out=self.fanout_offsets[1:])
-        self.fanout_ids = np.zeros(int(self.fanout_offsets[-1]), dtype=np.int32)
-        for net_id, lst in enumerate(fanout_lists):
-            lst.sort()
-            start = self.fanout_offsets[net_id]
-            self.fanout_ids[start : start + len(lst)] = lst
-
-        # Levels (PIs at 0) and level-batched evaluation groups.  Gates
-        # group per level by operator *family* (see kernels.FAMILY_OP):
-        # XOR-family additionally by arity (padding would flip parity),
-        # constants by their fill value.
-        self.levels = np.zeros(self.n_nets, dtype=np.int32)
+        kinds: List[int] = [kernels.INPUT] * n_inputs
+        levels: List[int] = [0] * n_inputs
+        rows: List[List[int]] = [[] for _ in range(n_inputs)]
+        fanout_lists: List[List[int]] = [[] for _ in range(n_nets)]
         groups: Dict[Tuple[int, int, int], List[int]] = {}
-        for gate in order:
-            out = ids[gate.name]
-            row = self.fanin_row(out)
-            level = 1 + int(self.levels[row].max()) if len(row) else 0
-            self.levels[out] = level
-            code = int(self.kinds[out])
+        for out, gate in enumerate(order, n_inputs):
+            row = [ids[net] for net in gate.inputs]
+            code = kernels.code_of(gate.kind)
+            level = 1 + max([levels[net] for net in row]) if row else 0
+            for net in row:
+                fanout_lists[net].append(out)
+            rows.append(row)
+            kinds.append(code)
+            levels.append(level)
             if code in (kernels.CODE_CONST0, kernels.CODE_CONST1):
                 key = (level, 10 + code, 0)
             elif kernels.FAMILY_OP[code] == kernels.OP_XOR:
@@ -145,51 +130,68 @@ class CompiledCircuit:
             else:
                 key = (level, kernels.FAMILY_OP[code], -1)  # arity-merged
             groups.setdefault(key, []).append(out)
+
+        self.kinds = np.array(kinds, dtype=np.int16)
+        # CSR fanins (per net; PIs contribute empty rows) and fanouts
+        # (consumer *gate output* IDs per net, ascending).
+        self.fanin_offsets = _offsets(rows)
+        self.fanin_ids = np.array(list(chain.from_iterable(rows)), dtype=np.int32)
+        self.fanout_offsets = _offsets(fanout_lists)
+        self.fanout_ids = np.array(
+            list(chain.from_iterable(fanout_lists)), dtype=np.int32
+        )
+        self.levels = np.array(levels, dtype=np.int32)
+
         batches: List[Batch] = []
         for (level, group_code, group_arity), outs in sorted(groups.items()):
-            out_ids = np.asarray(outs, dtype=np.int32)
             if group_code >= 10:  # constants: invert carries the fill word
                 code = group_code - 10
                 fill = kernels.ALL_ONES if code == kernels.CODE_CONST1 else np.uint64(0)
                 batches.append(
-                    Batch(level, None, 0, out_ids,
+                    Batch(level, None, 0, np.array(outs, dtype=np.int32),
                           np.zeros((len(outs), 0), dtype=np.int32),
                           np.full(len(outs), fill, dtype=np.uint64),
                           np.zeros(len(outs), dtype=np.int32),
                           np.zeros(0, dtype=np.int32))
                 )
                 continue
-            op = group_code
             # Widest rows first: column i of the evaluation then touches
-            # only the prefix of rows with arity > i.
-            outs.sort(key=lambda out: (-len(self.fanin_row(out)), out))
-            out_ids = np.asarray(outs, dtype=np.int32)
-            if group_arity >= 0:
-                arity = group_arity
-            else:
-                arity = len(self.fanin_row(outs[0]))
-            fanins = np.zeros((len(outs), arity), dtype=np.int32)
-            invert = np.zeros(len(outs), dtype=np.uint64)
-            arities = np.zeros(len(outs), dtype=np.int32)
-            for row_index, out in enumerate(outs):
-                row = self.fanin_row(out)
-                arities[row_index] = len(row)
-                fanins[row_index, : len(row)] = row
-                if len(row) < arity:  # pad: idempotent under & and |
-                    fanins[row_index, len(row):] = row[-1]
-                if int(self.kinds[out]) in _INVERTING_CODES:
-                    invert[row_index] = kernels.ALL_ONES
-            col_counts = np.asarray(
-                [int(np.count_nonzero(arities > i)) for i in range(arity)],
-                dtype=np.int32,
-            )
+            # only the prefix of rows with arity > i.  ``outs`` ascends,
+            # so a stable sort keeps equal arities in ID order.
+            if group_arity < 0:
+                outs.sort(key=lambda out: -len(rows[out]))
+            fanins = [rows[out] for out in outs]
+            arities = [len(row) for row in fanins]
+            arity = arities[0]
+            col_counts: List[int] = []
+            count = len(outs)
+            for i in range(arity):
+                while arities[count - 1] <= i:
+                    count -= 1
+                col_counts.append(count)
+            if arities[-1] < arity:  # pad: idempotent under & and |
+                fanins = [row + row[-1:] * (arity - len(row)) for row in fanins]
+            invert = [
+                _ALL_ONES if kinds[out] in _INVERTING_CODES else 0 for out in outs
+            ]
             batches.append(
-                Batch(level, op, arity, out_ids, fanins, invert, arities, col_counts)
+                Batch(
+                    level,
+                    group_code,
+                    arity,
+                    np.array(outs, dtype=np.int32),
+                    np.array(
+                        list(chain.from_iterable(fanins)), dtype=np.int32
+                    ).reshape(len(outs), arity),
+                    np.array(invert, dtype=np.uint64),
+                    np.array(arities, dtype=np.int32),
+                    np.array(col_counts, dtype=np.int32),
+                )
             )
         #: Evaluation schedule: batches in ascending level order.
         self.batches: Tuple[Batch, ...] = tuple(batches)
 
-        self._output_ids = np.asarray(
+        self._output_ids = np.array(
             [ids[net] for net in circuit.outputs], dtype=np.int32
         )
         self._cone_cache: Dict[int, np.ndarray] = {}

@@ -15,9 +15,12 @@ share the engine too):
    time (stable variable numbering from the compiled IR's interned order)
    and loaded as it is, with no CNF rewriting, so a solve's root trail
    holds only the encoding's own units (constant gates).  Every copy's
-   :class:`~repro.sat.solver.CdclSolver` starts from that cached base
-   encoding.  The base's simulation signature (packed random vectors
-   through the compiled IR) is kept for every net.
+   :class:`~repro.sat.solver.CdclSolver` starts from that base encoding:
+   the first copy's solver reads it, and every later copy's is a
+   :meth:`~repro.sat.solver.CdclSolver.copy` of a template solver that
+   read it once and never solves.  The base's simulation signature
+   (packed random vectors through the compiled IR) is kept for every
+   net.
 
 2. **Simulate the copy first.**  The copy runs through the same vectors
    before anything is encoded.  A signature mismatch on any output is an
@@ -165,7 +168,13 @@ class IncrementalCecSession:
                 self._base_support[self._base_var[gate.name]] = _union(
                     self._base_support, ins
                 )
-            self._load_base()
+            #: The copy's solver.  The first copy takes it as built; every
+            #: later copy restores the base from ``_template``, a solver
+            #: holding only the base encoding that nothing solves on, built
+            #: the first time the base must be restored (never for a
+            #: one-copy session).
+            self.solver = CdclSolver(self._base_cnf)
+            self._template: Optional[CdclSolver] = None
 
             self._stimulus = random_stimulus(base.inputs, SESSION_VECTORS, seed=SESSION_SEED)
             matrix = Simulator(base).run_matrix(self._stimulus)
@@ -184,9 +193,12 @@ class IncrementalCecSession:
             mask ^= low
         return inputs
 
-    def _load_base(self) -> None:
-        """A fresh solver holding only the base encoding."""
-        self.solver = CdclSolver(self._base_cnf)
+    def _restore_base(self) -> None:
+        """Give the session a fresh solver holding only the base encoding:
+        a copy of the template, which the first restore builds."""
+        if self._template is None:
+            self._template = CdclSolver(self._base_cnf)
+        self.solver = self._template.copy()
 
     def _snapshot(
         self,
@@ -245,14 +257,15 @@ class IncrementalCecSession:
         with telemetry.span(
             "cec.verify", design=copy.name, outputs=len(copy.outputs)
         ) as verify_span:
-            # Every copy starts from the base encoding alone, so a verdict
-            # never depends on the copies verified before; a solver an
-            # exception escaped from (a job timeout, say) is replaced the
-            # same way.  The counters carry over to the new solver.
+            # Every copy starts from the base encoding alone (a copy of the
+            # template after the first), so a verdict never depends on the
+            # copies verified before; a solver an exception escaped from (a
+            # job timeout, say) is replaced the same way.  The counters
+            # carry over to the new solver.
             previous = self.solver
             rebuilt = not previous.usable or previous.n_vars != self._base_cnf.n_vars
             if rebuilt:
-                self._load_base()
+                self._restore_base()
                 self.solver.stats = previous.stats
                 telemetry.count("sat.incremental.rebuilds")
             result = self._verify(copy, budget)

@@ -15,10 +15,11 @@ and can be re-solved any number of times under different assumptions
 without re-reading the CNF.  Learned clauses and variable activities
 persist across :meth:`CdclSolver.solve` calls, which is what the
 incremental equivalence session (:mod:`repro.sat.incremental`) builds
-on: it loads the base encoding once per copy, adds the copy's delta,
-and asks many assumption queries of the same solver — first its sweep's
-internal-equivalence proofs, then any output obligations left, which
-reuse the lemmas the earlier solves learned.
+on: it starts each copy from a solver holding only the base encoding
+(after the first, a :meth:`CdclSolver.copy` of one that read it once),
+adds the copy's delta, and asks many assumption queries of the same
+solver — first its sweep's internal-equivalence proofs, then any output
+obligations left, which reuse the lemmas the earlier solves learned.
 
 There is one search path.  Watch lists are flat interleaved arrays
 with blocker literals and a dedicated binary-clause tier; learned-clause
@@ -60,7 +61,7 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..budget import Budget, UNLIMITED
@@ -236,9 +237,10 @@ class CdclSolver:
 
     Construct from a :class:`~repro.sat.cnf.Cnf` (or empty), then freely
     interleave :meth:`new_var` / :meth:`add_clause` with :meth:`solve`
-    calls under assumptions.  State that persists between solves: the
-    clause database (original + learned), variable activities and saved
-    phases, and all root-level (decision level 0) implied assignments.
+    calls under assumptions; :meth:`copy` snapshots the whole solver.
+    State that persists between solves: the clause database (original +
+    learned), variable activities and saved phases, and all root-level
+    (decision level 0) implied assignments.
 
     ``profile=True`` accumulates per-phase wall-clock time
     (propagate/analyze/decide/reduce) into :class:`SolverStats`.  It is
@@ -297,29 +299,103 @@ class CdclSolver:
         self._reduce_limit = 2000
 
         if cnf is not None:
+            # Units wait until every clause is in, so the load simplifies
+            # nothing against them: the database holds each clause as read.
             seen_units: List[int] = []
-            for clause in cnf.clauses:
-                internal = [_to_internal(l) for l in dict.fromkeys(clause)]
-                if self._tautological(internal):
+            for literals in cnf.clauses:
+                clause = self._intake(literals)
+                if clause is None:
                     continue
-                if len(internal) == 1:
-                    seen_units.append(internal[0])
+                if len(clause) > 1:
+                    self._add_clause(clause)
+                elif clause:
+                    seen_units.append(clause[0])
                 else:
-                    self._add_clause(internal)
+                    self._trivially_unsat = True
             self._reduce_limit = max(2000, len(self._clauses) // 3)
             for lit in seen_units:
                 if not self._enqueue(lit, None):
                     self._trivially_unsat = True
                     return
 
-    @staticmethod
-    def _tautological(clause: Sequence[int]) -> bool:
-        literals = set(clause)
-        return any((lit ^ 1) in literals for lit in literals)
+    def _intake(self, literals: Iterable[int]) -> Optional[List[int]]:
+        """One DIMACS clause as internal literals, simplified at the root.
+
+        Duplicates are dropped and every literal is checked before the
+        clause is judged, so a bad literal raises wherever it sits.
+        Returns ``None`` for a clause to drop: a tautology (after
+        de-duplication, two literals on one variable) or a clause with a
+        literal true at the root.  Otherwise returns the literals not
+        false at the root, in clause order (empty when all are false).
+        """
+        n_vars = self.n_vars
+        val = self._val
+        unique = dict.fromkeys(literals)
+        clause: List[int] = []
+        dropped = False
+        for lit in unique:
+            if lit > 0:
+                if lit > n_vars:
+                    raise ValueError(f"literal {lit} references unallocated variable")
+                internal = lit + lit
+            elif lit:
+                if -lit > n_vars:
+                    raise ValueError(f"literal {lit} references unallocated variable")
+                internal = 1 - lit - lit
+            else:
+                raise ValueError("literal 0 is not allowed")
+            if -lit in unique:
+                dropped = True
+            value = val[internal]
+            if value == _UNASSIGNED:
+                clause.append(internal)
+            elif value == 1:
+                dropped = True
+        return None if dropped else clause
 
     # ------------------------------------------------------------------ #
     # incremental interface
     # ------------------------------------------------------------------ #
+
+    def copy(self) -> "CdclSolver":
+        """An independent solver in exactly this solver's state.
+
+        The copy has this solver's class, clause database (original and
+        learned, each literal list copied, as propagation reorders them),
+        watch lists, trail, activities, saved phases and heap, and fresh
+        :class:`SolverStats`; the two share no mutable list.  An
+        incremental equivalence session keeps a solver holding only its
+        base encoding and starts each copy from one of these, which costs
+        a fraction of reading the base CNF again.
+        """
+        new = object.__new__(type(self))
+        copy_list = list.copy
+        new._profile = self._profile
+        new.n_vars = self.n_vars
+        new.stats = SolverStats()
+        new._clauses = list(map(copy_list, self._clauses))
+        new._learned_mask = self._learned_mask[:]
+        new._clause_act = self._clause_act[:]
+        new._watches = list(map(copy_list, self._watches))
+        new._bin_watches = list(map(copy_list, self._bin_watches))
+        new._assign = self._assign[:]
+        new._val = self._val[:]
+        new._level = self._level[:]
+        new._reason = self._reason[:]
+        new._trail = self._trail[:]
+        new._trail_lim = self._trail_lim[:]
+        new._activity = self._activity[:]
+        new._phase = self._phase[:]
+        new._var_inc = self._var_inc
+        new._cla_inc = self._cla_inc
+        new._trivially_unsat = self._trivially_unsat
+        new._aborted = self._aborted
+        new._heap = self._heap[:]
+        new._heap_act = self._heap_act[:]
+        new._seen = self._seen[:]
+        new._n_learned_live = self._n_learned_live
+        new._reduce_limit = self._reduce_limit
+        return new
 
     @property
     def usable(self) -> bool:
@@ -367,33 +443,16 @@ class CdclSolver:
         self._check_usable()
         if self._trail_lim:
             raise ValueError("add_clause requires decision level 0")
-        internal = []
-        for lit in dict.fromkeys(literals):
-            var = abs(lit)
-            if lit == 0:
-                raise ValueError("literal 0 is not allowed")
-            if var > self.n_vars:
-                raise ValueError(f"literal {lit} references unallocated variable")
-            internal.append(_to_internal(lit))
-        if self._tautological(internal):
+        clause = self._intake(literals)
+        if clause is None:
             return True
-        simplified: List[int] = []
-        for lit in internal:
-            value = self._val[lit]
-            if value == 1:
-                return True  # satisfied at the root level forever
-            if value == 0:
-                continue  # falsified at the root level forever
-            simplified.append(lit)
-        if not simplified:
+        if len(clause) > 1:
+            self._add_clause(clause)
+        elif clause:
+            self._enqueue(clause[0], None)  # unassigned: the intake kept it
+        else:
             self._trivially_unsat = True
             return False
-        if len(simplified) == 1:
-            if not self._enqueue(simplified[0], None):
-                self._trivially_unsat = True
-                return False
-            return True
-        self._add_clause(simplified)
         return True
 
     # ------------------------------------------------------------------ #

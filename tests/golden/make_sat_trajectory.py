@@ -121,14 +121,26 @@ def counters(stats: SolverStats) -> Dict[str, int]:
     return {name: int(getattr(stats, name)) for name in COUNTERS}
 
 
-def replay(log: Dict[str, object], profile: bool = False) -> List[list]:
-    """Run one call log on a fresh solver; ``[status, counters, model]`` per solve."""
+def log_cnf(log: Dict[str, object]) -> Cnf:
+    """The initial CNF of one call log."""
     cnf = Cnf()
     for _ in range(log["n_vars"]):
         cnf.new_var()
     for clause in log["clauses"]:
         cnf.add_clause(clause)
-    solver = CdclSolver(cnf, profile=profile)
+    return cnf
+
+
+def replay(
+    log: Dict[str, object], profile: bool = False, solver: Optional[CdclSolver] = None
+) -> List[list]:
+    """Run one call log; ``[status, counters, model]`` per solve.
+
+    The calls go to ``solver`` when given (it must hold the log's CNF and
+    nothing more), else to a fresh solver of the log's CNF.
+    """
+    if solver is None:
+        solver = CdclSolver(log_cnf(log), profile=profile)
     outcomes = []
     for call in log["calls"]:
         op = call[0]
@@ -160,14 +172,20 @@ def _log_of_cnf(cnf: Cnf) -> Dict[str, object]:
 
 
 class _RecordingSolver(CdclSolver):
-    """A solver that appends every incremental call it receives to a log."""
+    """A solver that appends every incremental call it receives to a log.
 
-    logs: List[Dict[str, object]] = []
+    A :meth:`copy` starts its own log from a copy of this one, so the
+    solver a session restores from its template logs the base CNF and
+    then its own calls."""
 
     def __init__(self, cnf: Optional[Cnf] = None, profile: bool = False):
         self._log = _log_of_cnf(cnf if cnf is not None else Cnf())
-        self.logs.append(self._log)
         super().__init__(cnf, profile)
+
+    def copy(self) -> "_RecordingSolver":
+        solver = super().copy()
+        solver._log = json.loads(json.dumps(self._log))
+        return solver
 
     def new_var(self) -> int:
         calls = self._log["calls"]
@@ -246,7 +264,7 @@ def session_logs(base, copies: Sequence[int] = range(SESSION_COPIES),
     codec = FingerprintCodec(catalog)
     issued = select_values(codec.combinations, 40, seed=0)
     values = [issued[index] for index in copies]
-    _RecordingSolver.logs = []
+    logs = []
     original = incremental.CdclSolver
     incremental.CdclSolver = _RecordingSolver
     try:
@@ -254,11 +272,9 @@ def session_logs(base, copies: Sequence[int] = range(SESSION_COPIES),
         for value in values:
             copy = embed(base, catalog, codec.encode(value), name=f"{base.name}_v{value}")
             session.verify(copy.circuit, budget=Budget(max_conflicts=SESSION_CONFLICTS))
+            logs.append(session.solver._log)
     finally:
         incremental.CdclSolver = original
-    logs = _RecordingSolver.logs
-    if len(logs) != len(values):
-        raise ValueError(f"{len(logs)} solvers recorded for {len(values)} copies")
     if len(values) == 1:
         return {f"{base.name}-session-{label}": logs[0]}
     return {f"{base.name}-session-{label}{index}": log for index, log in enumerate(logs)}

@@ -215,6 +215,19 @@ class TestBatchTelemetry:
         assert sum(1 for n in nodes if n.name == "batch.copy") == 2
         assert all("worker" not in n.attrs for n in nodes)
 
+    def test_serial_batch_locates_its_design_once(self, wide_base):
+        """The catalog that sizes the batch is the one its copies use: with
+        no store, the session's base is the design itself."""
+        from repro import telemetry
+        from repro.store import active_store
+
+        assert active_store() is None
+        with telemetry.enabled(trace=False, metrics=True):
+            result = run_batch_flow(wide_base, 3, FlowOptions(jobs=1, seed=2))
+        assert result.n_equivalent == 3
+        counters = telemetry.get_registry().snapshot()["counters"]
+        assert counters["fingerprint.catalogs"] == 1
+
     def test_disabled_batch_records_nothing(self, wide_base):
         from repro import telemetry
         from repro.flows import FlowOptions, run_batch_flow

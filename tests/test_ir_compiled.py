@@ -6,17 +6,25 @@ construction invariants, cone queries against the graph-module reference,
 and version-keyed cache invalidation.
 """
 
+import dataclasses
 import gc
+import random
 import weakref
 
 import numpy as np
 import pytest
 
+from repro.bench import build_benchmark
 from repro.bench.random_logic import RandomLogicSpec, generate
+from repro.bench.suite import SUITE_ORDER
+from repro.fingerprint import embed, find_locations, full_assignment
 from repro.ir import CompiledCircuit, compile_circuit, kernels
+from repro.ir.compiled import Batch
 from repro.ir.kernels import popcount, popcount_lut
 from repro.netlist.circuit import Circuit
 from repro.netlist.graph import transitive_fanout
+from tests.golden.make_catalog_pin import c17
+from tests.ir_reference import ReferenceCompiledCircuit
 
 
 def small_circuit() -> Circuit:
@@ -187,6 +195,136 @@ class TestCaching:
             assert compiled() is None
         finally:
             gc.enable()
+
+
+def assert_same_value(actual, expected, where: str) -> None:
+    assert type(actual) is type(expected), where
+    if isinstance(expected, np.ndarray):
+        assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape), where
+        assert np.array_equal(actual, expected), where
+    else:
+        assert actual == expected, where
+
+
+def assert_same_ir(ir: CompiledCircuit, reference: CompiledCircuit) -> None:
+    """Every attribute, and every field of every batch, equal in type,
+    dtype, shape and value."""
+    assert vars(ir).keys() == vars(reference).keys()
+    for name, expected in vars(reference).items():
+        actual = getattr(ir, name)
+        if name != "batches":
+            assert_same_value(actual, expected, name)
+            continue
+        assert type(actual) is tuple and len(actual) == len(expected)
+        for index, (got, want) in enumerate(zip(actual, expected)):
+            for field in dataclasses.fields(Batch):
+                assert_same_value(
+                    getattr(got, field.name), getattr(want, field.name),
+                    f"batches[{index}].{field.name}",
+                )
+
+
+#: (kind, arity) pairs the edit replay draws new gates from.
+EDIT_CELLS = [
+    ("AND", 2), ("AND", 5), ("NAND", 3), ("OR", 2), ("NOR", 4), ("XOR", 2),
+    ("XOR", 3), ("XNOR", 2), ("XNOR", 3), ("INV", 1), ("BUF", 1),
+]
+
+
+def edited_versions(seed: int, edits: int = 16):
+    """A random-logic circuit, then the same circuit after each of
+    ``edits`` seeded structural edits: added gates (some reading one net on
+    two pins), replaced gates, removed dead gates, constants and outputs."""
+    circuit = random_circuit(seed, n_gates=60)
+    rng = random.Random(seed)
+    yield circuit
+    for step in range(edits):
+        order = [gate.name for gate in circuit.topological_order()]
+        edit = rng.choice(("add", "add", "replace", "remove", "const", "output"))
+        if edit in ("add", "replace"):
+            kind, arity = rng.choice(EDIT_CELLS)
+            if edit == "replace":
+                target = rng.choice(order[1:])
+                # Read only nets before the target, so no cycle forms.
+                nets = circuit.inputs + order[: order.index(target)]
+            else:
+                nets = circuit.inputs + order
+            inputs = [rng.choice(nets) for _ in range(arity)]
+            if edit == "replace":
+                circuit.replace_gate(target, kind, inputs)
+            else:
+                circuit.add_gate(f"edit{step}", kind, inputs)
+        elif edit == "remove":
+            dead = [
+                name for name in order
+                if not circuit.fanouts(name) and not circuit.is_output(name)
+            ]
+            if not dead:
+                continue
+            circuit.remove_gate(rng.choice(dead))
+        elif edit == "const":
+            circuit.add_gate(f"edit{step}_k", rng.choice(("CONST0", "CONST1")), [])
+            circuit.add_gate(f"edit{step}", "OR", [f"edit{step}_k", rng.choice(order)])
+        else:
+            fresh = [name for name in order if not circuit.is_output(name)]
+            circuit.add_output(rng.choice(fresh))
+        yield circuit
+
+
+def suite_design(name: str) -> Circuit:
+    return c17() if name == "c17" else build_benchmark(name)
+
+
+#: Designs whose reference comparison tier-1 runs; the rest of the suite
+#: runs under ``-m differential``.
+REFERENCE_TIER1 = ("c17", "C432", "C880")
+
+
+class TestReferenceCompile:
+    """The compile from lists builds exactly what the element-by-element
+    compile (``tests/ir_reference.py``) built."""
+
+    @staticmethod
+    def check_design(name: str) -> None:
+        base = suite_design(name)
+        catalog = find_locations(base)
+        copy = embed(base, catalog, full_assignment(base, catalog)).circuit
+        assert set(copy.gates) != set(base.gates)
+        for circuit in (base, copy):
+            assert_same_ir(CompiledCircuit(circuit), ReferenceCompiledCircuit(circuit))
+
+    @pytest.mark.parametrize("name", REFERENCE_TIER1)
+    def test_design_and_full_embedding(self, name):
+        self.check_design(name)
+
+    @pytest.mark.differential
+    @pytest.mark.parametrize(
+        "name", [name for name in SUITE_ORDER if name not in REFERENCE_TIER1]
+    )
+    def test_differential_design_and_full_embedding(self, name):
+        self.check_design(name)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_logic_after_structural_edits(self, seed):
+        versions = 0
+        for circuit in edited_versions(seed):
+            assert_same_ir(CompiledCircuit(circuit), ReferenceCompiledCircuit(circuit))
+            versions += 1
+        assert versions > 1
+
+    def test_small_circuit_with_a_constant_and_a_repeated_fanin(self):
+        c = small_circuit()
+        c.add_gate("n7", "AND", ["n1", "n1", "n2"])
+        c.add_gate("k1", "CONST1", [])
+        c.add_output("n7")
+        c.add_output("k1")
+        assert_same_ir(CompiledCircuit(c), ReferenceCompiledCircuit(c))
+
+    def test_circuit_without_gates(self):
+        c = Circuit("wires")
+        c.add_inputs(["a", "b"])
+        c.add_output("a")
+        assert_same_ir(CompiledCircuit(c), ReferenceCompiledCircuit(c))
 
 
 class TestKernels:

@@ -11,6 +11,9 @@ fingerprinted-equivalent, and functionally broken (via the
 from __future__ import annotations
 
 import random
+from copy import deepcopy
+from typing import Dict, List
+from unittest import mock
 
 import pytest
 
@@ -19,8 +22,11 @@ from repro.budget import Budget
 from repro.faultinject.mutators import functional_mutators
 from repro.fingerprint import FingerprintCodec, embed, find_locations
 from repro.netlist import Circuit
-from repro.sat import IncrementalCecSession, structurally_identical
+from repro.sat import IncrementalCecSession, incremental, structurally_identical
 from repro.sat.cec import CecVerdict
+from repro.sat.incremental import check
+from repro.sat.solver import CdclSolver, SolverStats
+from repro.sat.tseitin import encode_circuit
 from repro.sim.equivalence import PortMismatchError
 from repro.sim.simulator import Simulator
 from tests.miter_reference import miter_check
@@ -424,3 +430,156 @@ class TestAbortedSolve:
         assert session.solver is not aborted and session.solver.usable
         # counters keep accumulating across the rebuild
         assert session.solver.stats.conflicts >= conflicts
+
+    def test_aborted_solver_is_replaced_from_the_template(self):
+        """The first restore builds the template, and the replacement of
+        an aborted solver is a copy of it that carries the counters over;
+        no solve ever runs on the template."""
+        from repro.bench.suite import build_benchmark
+
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        codec = FingerprintCodec(catalog)
+        copies = [embed(base, catalog, codec.encode(v)).circuit for v in (11, 12345)]
+        built, copied = [], []
+
+        class Counting(CdclSolver):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+            def copy(self):
+                clone = super().copy()
+                copied.append((self, clone))
+                return clone
+
+        def abort(head):
+            raise self.Abort()
+
+        with mock.patch.object(incremental, "CdclSolver", Counting):
+            session = IncrementalCecSession(base)
+            aborted = session.solver
+            aborted._propagate = abort
+            with pytest.raises(self.Abort):
+                session.verify(copies[0])
+            assert session._template is None
+            stats = aborted.stats
+            conflicts = stats.conflicts
+            result = session.verify(copies[1], budget=Budget(max_conflicts=5000))
+        assert result.verdict is CecVerdict.EQUIVALENT
+        template = session._template
+        assert built == [aborted, template]
+        assert copied == [(template, session.solver)]
+        assert type(session.solver) is Counting
+        assert session.solver.stats is stats and stats.conflicts >= conflicts
+        assert template.stats == SolverStats() and template.usable
+
+
+def solver_state(solver: CdclSolver) -> Dict[str, object]:
+    """Every internal field of ``solver`` but its counters, deep-copied."""
+    return {
+        name: deepcopy(value)
+        for name, value in vars(solver).items()
+        if name != "stats"
+    }
+
+
+def shared_lists(left: CdclSolver, right: CdclSolver) -> List[str]:
+    """The fields whose list, or a list inside it, both solvers hold."""
+    shared = []
+    for name, value in vars(left).items():
+        if not isinstance(value, list):
+            continue
+        other = getattr(right, name)
+        inner = {id(item) for item in value if isinstance(item, list)}
+        if value is other or inner & {id(item) for item in other}:
+            shared.append(name)
+    return shared
+
+
+class TestBaseSnapshot:
+    """Every copy after the first starts from a copy of the session's
+    template, which must be exactly a fresh solver of the base CNF."""
+
+    @pytest.fixture(scope="class")
+    def c432(self):
+        from repro.bench.suite import build_benchmark
+
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        codec = FingerprintCodec(catalog)
+        rng = random.Random(5)
+        values = [rng.randrange(codec.combinations) for _ in range(4)]
+        return base, [embed(base, catalog, codec.encode(v)).circuit for v in values]
+
+    def test_restored_solver_equals_a_fresh_base_solver(self, c432):
+        base, copies = c432
+        fresh = solver_state(CdclSolver(encode_circuit(base).cnf))
+        session = IncrementalCecSession(base)
+        seen = []
+        verify = session._verify
+
+        def capture(circuit, budget):
+            seen.append((session.solver, solver_state(session.solver)))
+            return verify(circuit, budget)
+
+        session._verify = capture
+        for circuit in copies:
+            assert session.verify(circuit, budget=Budget(max_conflicts=5000)).equivalent
+        template = session._template
+        assert template is not None
+        for index, (solver, state) in enumerate(seen[1:], 1):
+            assert state == fresh, index
+            assert shared_lists(solver, template) == []
+            assert shared_lists(solver, seen[index - 1][0]) == []
+        # Each copy grew its own solver; the template stayed the base alone.
+        assert all(solver.n_vars > template.n_vars for solver, _ in seen)
+        assert solver_state(template) == fresh
+        assert template.stats == SolverStats()
+
+    def test_copy_shares_no_list_and_keeps_the_class(self, c432):
+        base, _ = c432
+        solver = CdclSolver(encode_circuit(base).cnf, profile=True)
+        clone = solver.copy()
+        assert type(clone) is CdclSolver and clone._profile
+        assert solver_state(clone) == solver_state(solver)
+        assert clone.stats == SolverStats() and clone.stats is not solver.stats
+        assert shared_lists(clone, solver) == []
+
+    def test_one_copy_check_builds_one_solver_and_no_template(self, c432):
+        """``check`` (every flow verdict) is a one-copy session: one solver
+        reads the base CNF, and no template is built or copied."""
+        base, copies = c432
+        built, copied, sessions = [], [], []
+
+        class Counting(CdclSolver):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+            def copy(self):
+                copied.append(self)
+                return super().copy()
+
+        class Recorded(IncrementalCecSession):
+            def __init__(self, base):
+                sessions.append(self)
+                super().__init__(base)
+
+        mismatch = rare_difference(copies[0], copies[0].driver(copies[0].outputs[0]).inputs[0])
+        with mock.patch.object(incremental, "CdclSolver", Counting), \
+                mock.patch.object(incremental, "IncrementalCecSession", Recorded):
+            for right, budget in (
+                (copies[0], None),
+                (copies[1], Budget(deadline_s=60, max_conflicts=5000)),
+                (mismatch, Budget(max_conflicts=5000)),
+            ):
+                built.clear()
+                result = check(base, right, budget)
+                assert result.verdict is not CecVerdict.UNDECIDED
+                assert result.stats.propagations > 0
+                assert built == [sessions[-1].solver]
+                assert sessions[-1]._template is None
+        assert copied == []
+        assert len(sessions) == 3
+        assert result.verdict is CecVerdict.NOT_EQUIVALENT

@@ -214,6 +214,150 @@ class TestIncrementalInterface:
         assert not second.unknown or total_after_first < 50
 
 
+#: Root facts every intake case starts from: x1 true, x2 false (internal
+#: literals 2 and 5; variable v is 2v, its negation 2v + 1).
+ROOT_FACTS = ((1,), (-2,))
+ROOT_TRAIL = [2, 5]
+
+
+def intake_state(solver: CdclSolver):
+    """What a clause intake can change: the clause database, the non-empty
+    long and binary watch lists, the trail and the trivially-UNSAT mark."""
+    return (
+        solver._clauses,
+        {lit: w for lit, w in enumerate(solver._watches) if w},
+        {lit: w for lit, w in enumerate(solver._bin_watches) if w},
+        solver._trail,
+        solver._trivially_unsat,
+    )
+
+
+#: (case, clause, add_clause outcome, CNF-load outcome).  An outcome is
+#: ``(returned, clauses, long watches, binary watches, trail, unsat)`` or
+#: ``(error type, message)``.  The CNF load enqueues units only after
+#: every clause is in, so it simplifies nothing against the root facts.
+INTAKE_CASES = [
+    ("duplicate-literals", (3, 4, 3),
+     (True, [[6, 8]], {}, {6: [8, 0], 8: [6, 0]}, ROOT_TRAIL, False),
+     ([[6, 8]], {}, {6: [8, 0], 8: [6, 0]}, ROOT_TRAIL, False)),
+    ("duplicate-literals-long", (3, 4, 3, 5, 4),
+     (True, [[6, 8, 10]], {6: [8, 0], 8: [6, 0]}, {}, ROOT_TRAIL, False),
+     ([[6, 8, 10]], {6: [8, 0], 8: [6, 0]}, {}, ROOT_TRAIL, False)),
+    ("complementary-pair", (3, 4, -3),
+     (True, [], {}, {}, ROOT_TRAIL, False),
+     ([], {}, {}, ROOT_TRAIL, False)),
+    ("satisfied-at-root", (3, 1),
+     (True, [], {}, {}, ROOT_TRAIL, False),
+     ([[6, 2]], {}, {6: [2, 0], 2: [6, 0]}, ROOT_TRAIL, False)),
+    ("falsified-literal-dropped", (3, 2, 4),
+     (True, [[6, 8]], {}, {6: [8, 0], 8: [6, 0]}, ROOT_TRAIL, False),
+     ([[6, 4, 8]], {6: [4, 0], 4: [6, 0]}, {}, ROOT_TRAIL, False)),
+    ("falsified-to-unit", (2, 3),
+     (True, [], {}, {}, ROOT_TRAIL + [6], False),
+     ([[4, 6]], {}, {4: [6, 0], 6: [4, 0]}, ROOT_TRAIL, False)),
+    ("unit", (3,),
+     (True, [], {}, {}, ROOT_TRAIL + [6], False),
+     ([], {}, {}, ROOT_TRAIL + [6], False)),
+    ("all-false", (-1, 2),
+     (False, [], {}, {}, ROOT_TRAIL, True),
+     ([[3, 4]], {}, {3: [4, 0], 4: [3, 0]}, ROOT_TRAIL, False)),
+    ("conflicting-unit", (-1,),
+     (False, [], {}, {}, ROOT_TRAIL, True),
+     ([], {}, {}, ROOT_TRAIL, True)),
+    ("empty", (),
+     (False, [], {}, {}, ROOT_TRAIL, True),
+     ([], {}, {}, ROOT_TRAIL, True)),
+    ("literal-0", (3, 0),
+     (ValueError, "literal 0 is not allowed"),
+     (ValueError, "literal 0 is not allowed")),
+    ("out-of-range-positive", (3, 6),
+     (ValueError, "literal 6 references unallocated variable"),
+     (ValueError, "literal 6 references unallocated variable")),
+    ("out-of-range-negative", (-6, 3),
+     (ValueError, "literal -6 references unallocated variable"),
+     (ValueError, "literal -6 references unallocated variable")),
+    ("bad-literal-in-satisfied-clause", (1, 7),
+     (ValueError, "literal 7 references unallocated variable"),
+     (ValueError, "literal 7 references unallocated variable")),
+    ("bad-literal-in-tautology", (3, -3, 0),
+     (ValueError, "literal 0 is not allowed"),
+     (ValueError, "literal 0 is not allowed")),
+]
+
+
+class TestClauseIntake:
+    """``add_clause`` and the CNF load share one intake: every outcome,
+    error and resulting clause database, watch list and trail."""
+
+    @staticmethod
+    def root_solver() -> CdclSolver:
+        solver = CdclSolver(Cnf(n_vars=5))
+        for unit in ROOT_FACTS:
+            assert solver.add_clause(unit)
+        return solver
+
+    @pytest.mark.parametrize(
+        "clause,outcome", [case[1:3] for case in INTAKE_CASES],
+        ids=[case[0] for case in INTAKE_CASES],
+    )
+    def test_add_clause(self, clause, outcome):
+        solver = self.root_solver()
+        before = intake_state(solver)
+        if isinstance(outcome[0], type):
+            error, message = outcome
+            with pytest.raises(error) as caught:
+                solver.add_clause(clause)
+            assert type(caught.value) is error and str(caught.value) == message
+            assert intake_state(solver) == before
+            return
+        returned, *state = outcome
+        assert solver.add_clause(clause) is returned
+        assert intake_state(solver) == tuple(state)
+        assert solver.solve().satisfiable is returned
+
+    @pytest.mark.parametrize(
+        "clause,outcome", [(case[1], case[3]) for case in INTAKE_CASES],
+        ids=[case[0] for case in INTAKE_CASES],
+    )
+    def test_cnf_load(self, clause, outcome):
+        # Built without Cnf.add_clause, which rejects the bad clauses first.
+        cnf = Cnf(n_vars=5, clauses=list(ROOT_FACTS) + [clause])
+        if isinstance(outcome[0], type):
+            error, message = outcome
+            with pytest.raises(error) as caught:
+                CdclSolver(cnf)
+            assert type(caught.value) is error and str(caught.value) == message
+            return
+        solver = CdclSolver(cnf)
+        assert intake_state(solver) == outcome
+        add_outcome = dict((case[1], case[2]) for case in INTAKE_CASES)[clause]
+        assert solver.solve().satisfiable is add_outcome[0]
+
+    def test_add_clause_above_decision_level_0(self):
+        solver = self.root_solver()
+        solver._trail_lim.append(len(solver._trail))  # as mid-search
+        before = intake_state(solver)
+        with pytest.raises(ValueError) as caught:
+            solver.add_clause([3, 4])
+        assert str(caught.value) == "add_clause requires decision level 0"
+        assert intake_state(solver) == before
+
+    def test_add_clause_on_an_aborted_solver(self):
+        solver = self.root_solver()
+
+        def abort(head):
+            raise TestAbortedSolve.Abort()
+
+        solver._propagate = abort
+        with pytest.raises(TestAbortedSolve.Abort):
+            solver.solve()
+        before = intake_state(solver)
+        with pytest.raises(SolverAbortedError) as caught:
+            solver.add_clause([3, 4])
+        assert str(caught.value) == "solver state is undefined after an aborted solve()"
+        assert intake_state(solver) == before
+
+
 class TestConeBoundedSolve:
     """``solve(inputs=...)`` branches only on a circuit cone's inputs and
     answers SAT once they are assigned without conflict."""

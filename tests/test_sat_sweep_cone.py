@@ -71,32 +71,46 @@ def copies_of(base: Circuit, seed: int) -> List[Circuit]:
     return copies
 
 
+class Recording(incremental.CdclSolver):
+    """A solver that records the sweep's activation clauses and the
+    answers of its cone-bounded solves, in lists it owns: the session's
+    template is one of these, and each copy of it starts fresh lists."""
+
+    def copy(self):
+        solver = super().copy()
+        solver.activation = {}  # activation var -> the literals it gates
+        solver.solves = []  # (activation var, satisfiable) per solve
+        return solver
+
+    def add_clause(self, literals):
+        if len(literals) == 2 and literals[0] < 0:
+            self.activation.setdefault(-literals[0], []).append(literals[1])
+        return super().add_clause(literals)
+
+    def solve(self, assumptions=(), budget=None, *, inputs=None):
+        result = super().solve(assumptions, budget, inputs=inputs)
+        if inputs is not None:
+            assert not result.unknown
+            self.solves.append((assumptions[0], result.satisfiable))
+        return result
+
+
 def sweep(session, copy: Circuit) -> Tuple[object, Dict[str, bool]]:
     """Verify ``copy``; returns the result and, per swept point, whether
-    the sweep merged it (``False``: a cone-bounded solve refuted it)."""
-    activation: Dict[int, List[int]] = {}
-    solves: List[Tuple[int, bool]] = []
+    the sweep merged it (``False``: a cone-bounded solve refuted it).
 
-    class Recording(incremental.CdclSolver):
-        def add_clause(self, literals):
-            if len(literals) == 2 and literals[0] < 0:
-                activation.setdefault(-literals[0], []).append(literals[1])
-            return super().add_clause(literals)
-
-        def solve(self, assumptions=(), budget=None, *, inputs=None):
-            result = super().solve(assumptions, budget, inputs=inputs)
-            if inputs is not None:
-                assert not result.unknown
-                solves.append((assumptions[0], result.satisfiable))
-            return result
-
+    The copy is verified on a recording copy of the session's template,
+    which the first call builds as a :class:`Recording`."""
     with mock.patch.object(incremental, "CdclSolver", Recording):
-        session._load_base()
-        result = session.verify(copy)
+        session._restore_base()
+    solver = session.solver
+    assert type(solver) is Recording and not solver.activation
+    result = session.verify(copy)
+    assert session.solver is solver
     net_of = {var: net for net, var in session._base_var.items()}
     merged: Dict[str, bool] = {}
-    for act, satisfiable in solves:
-        (twin,) = [lit for lit in activation[act] if abs(lit) in net_of]
+    for act, satisfiable in solver.solves:
+        (twin,) = [lit for lit in solver.activation[act] if abs(lit) in net_of]
         name = net_of[abs(twin)]
         merged[name] = merged.get(name, True) and not satisfiable
     return result, merged

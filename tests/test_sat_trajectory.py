@@ -11,6 +11,7 @@ regenerating the pin is legitimate.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from repro.bench.suite import build_benchmark
 from repro.sat.solver import CdclSolver
 from repro.sat.tseitin import encode_circuit
-from tests.golden.make_sat_trajectory import CONFIG_KEY, OUT, replay
+from tests.golden.make_sat_trajectory import CONFIG_KEY, OUT, log_cnf, replay
 
 with open(OUT) as _handle:
     PIN = json.load(_handle)
@@ -43,6 +44,44 @@ def test_profiled_replay_matches_pin(name):
     """``profile=True`` only adds timers; the search is the same."""
     scenario = PIN["scenarios"][name]
     assert replay(scenario, profile=True) == scenario["outcomes"][CONFIG_KEY]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_copy_replays_like_the_original(name):
+    """``CdclSolver.copy`` is exact and shares nothing: the log replayed on
+    a copy of a fresh solver, and then on that solver itself, both search
+    exactly as pinned."""
+    scenario = PIN["scenarios"][name]
+    original = CdclSolver(log_cnf(scenario))
+    copy = original.copy()
+    assert type(copy) is CdclSolver
+    expected = scenario["outcomes"][CONFIG_KEY]
+    assert replay(scenario, solver=copy) == expected
+    assert replay(scenario, solver=original) == expected
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_copy_mid_replay_continues_like_the_original(name):
+    """A copy taken mid-search (learned clauses, activities, phases, heap,
+    after a database reduction where the log has one) carries on exactly
+    as the original does, and the original is unaffected by it."""
+    scenario = PIN["scenarios"][name]
+    calls = scenario["calls"]
+    expected = scenario["outcomes"][CONFIG_KEY]
+    solves = [index for index, call in enumerate(calls) if call[0] == "solve"]
+    # Copy just before and just after the solve that first reduces the
+    # learned database, or after the middle solve of a log that never does.
+    reduced = [n for n, outcome in enumerate(expected) if outcome[1]["learned_deleted"]]
+    cuts = {reduced[0], reduced[0] + 1} if reduced else {(len(solves) + 1) // 2}
+    for done in sorted(cuts):
+        head = dict(scenario, calls=calls[: solves[done - 1] + 1])
+        tail = dict(scenario, calls=calls[solves[done - 1] + 1:])
+        original = CdclSolver(log_cnf(scenario))
+        assert replay(head, solver=original) == expected[:done]
+        copy = original.copy()
+        copy.stats = dataclasses.replace(original.stats)  # as a session carries them
+        assert replay(tail, solver=copy) == expected[done:], done
+        assert replay(tail, solver=original) == expected[done:], done
 
 
 def test_search_reaches_reduction_and_rescale(monkeypatch):
