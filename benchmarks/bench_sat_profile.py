@@ -40,11 +40,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.bench import build_benchmark  # noqa: E402
 from repro.bench.data import data_path  # noqa: E402
 from repro.fingerprint import find_locations  # noqa: E402
+from repro.hashing import gate_key  # noqa: E402
 from repro.netlist import read_blif  # noqa: E402
 from repro.techmap import map_network  # noqa: E402
 from repro.netlist.circuit import Circuit  # noqa: E402
 from repro.sat import sat_equivalent  # noqa: E402
-from repro.sat.cec import CecVerdict, _encode_xor2, differing_outputs  # noqa: E402
+from repro.sat.cec import CecVerdict, _encode_xor2  # noqa: E402
 from repro.sat.cnf import Cnf  # noqa: E402
 from repro.sat.solver import CdclSolver  # noqa: E402
 from repro.sat.tseitin import CircuitEncoding, encode_circuit  # noqa: E402
@@ -61,6 +62,27 @@ HARDEST_N = 3
 
 RECORD_PATH = REPO_ROOT / "BENCH_sat_profile.json"
 SMOKE_RECORD = "BENCH_sat_profile_smoke.json"
+
+
+def _differing_outputs(base: Circuit, copy: Circuit) -> List[str]:
+    """Outputs of ``base`` whose structural classes differ in ``copy``.
+
+    Both circuits intern into one table keyed by :func:`gate_key` over
+    fanin classes (primary inputs by name), the strash convention of the
+    CEC session, so an output not listed is the same gate structure on
+    both sides and the session never SAT-solves it.
+    """
+    table: Dict[tuple, int] = {}
+
+    def classes(circuit: Circuit) -> Dict[str, int]:
+        cls = {net: table.setdefault(("pi", net), len(table)) for net in circuit.inputs}
+        for gate in circuit.topological_order():
+            key = gate_key(gate.kind, [cls[net] for net in gate.inputs])
+            cls[gate.name] = table.setdefault(key, len(table))
+        return cls
+
+    base_cls, copy_cls = classes(base), classes(copy)
+    return [net for net in base.outputs if base_cls[net] != copy_cls[net]]
 
 
 def encode_obligations(
@@ -150,9 +172,7 @@ def collect_obligations(
     rows: List[dict] = []
     mismatches = []
     for label, copy in pairs:
-        # Outputs with equal canonical classes are equivalent by
-        # construction, and the incremental session never SAT-solves them.
-        outputs = differing_outputs(base, copy)
+        outputs = _differing_outputs(base, copy)
         if max_per_pair is not None:
             outputs = outputs[:max_per_pair]
         if not outputs:

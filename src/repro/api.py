@@ -123,8 +123,8 @@ def verify(
 ) -> LadderResult:
     """Check two circuits for functional equivalence (budgeted ladder).
 
-    Runs structural identity → exhaustive simulation → budgeted SAT CEC
-    → random simulation; a spent budget degrades the verdict (visible in
+    Runs exhaustive simulation → budgeted SAT CEC → random simulation;
+    a spent budget degrades the verdict (visible in
     ``LadderResult.budget_hit``) instead of hanging.  Tune via
     ``opts.ladder`` (a :class:`LadderConfig`).
     """

@@ -7,8 +7,8 @@ attack the material its threat model grants, and then scores the attacked
 copy the way the IP owner would:
 
 * **validity** — the attacked copy must still be the design: the existing
-  verification ladder (structural → exhaustive sim → budgeted SAT CEC →
-  random sim) runs against the victim copy.  The harness restores the
+  verification ladder (exhaustive sim → budgeted SAT CEC → random sim)
+  runs against the victim copy.  The harness restores the
   adversary's renaming/pin permutation first using the attack's own ground
   truth; an attack that breaks function is worthless, and the report says
   so rather than hiding it.

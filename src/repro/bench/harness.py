@@ -141,18 +141,20 @@ def run_table3(
 ) -> List[Table3Row]:
     """Regenerate Table III (reactive heuristic at each constraint).
 
-    Each cell's ``equivalent`` is the ladder's verdict on the pruned copy.
+    Each design is built once and flowed at every constraint level, so
+    the levels share its compiled IR.  Each cell's ``equivalent`` is the
+    ladder's verdict on the pruned copy.
     """
     names = list(names or suite_for_budget())
-    rows: List[Table3Row] = []
-    for constraint in constraints:
-        cells: List[Table3Cell] = []
-        for name in names:
+    cells: List[List[Table3Cell]] = [[] for _ in constraints]
+    for name in names:
+        base = build_benchmark(name)
+        for level, constraint in zip(cells, constraints):
             result = run_flow(
-                build_benchmark(name),
+                base,
                 FlowOptions(finder=options, delay_constraint=constraint, seed=seed),
             )
-            cells.append(
+            level.append(
                 Table3Cell(
                     name=name,
                     constraint=constraint,
@@ -163,8 +165,7 @@ def run_table3(
                     equivalent=result.verification.equivalent,
                 )
             )
-        rows.append(Table3Row.from_cells(constraint, cells))
-    return rows
+    return [Table3Row.from_cells(c, level) for c, level in zip(constraints, cells)]
 
 
 @dataclass

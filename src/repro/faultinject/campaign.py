@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..budget import Budget
@@ -140,8 +140,7 @@ def _classify(run: Callable[[], object]) -> FaultRecord:
     """Execute ``run`` and fold the outcome into a partial record.
 
     Returns a record with design/injector/description left blank; the
-    campaign drivers fill those in via ``dataclasses.replace``-style
-    reconstruction (kept explicit for clarity).
+    campaign drivers fill those in with :func:`dataclasses.replace`.
     """
     try:
         result = run()
@@ -179,26 +178,6 @@ def _classify(run: Callable[[], object]) -> FaultRecord:
     )
 
 
-def _stamp(
-    partial: FaultRecord,
-    design: str,
-    injector: str,
-    description: str,
-    structural: Optional[bool],
-) -> FaultRecord:
-    return FaultRecord(
-        design=design,
-        injector=injector,
-        description=description,
-        outcome=partial.outcome,
-        error_type=partial.error_type,
-        error_message=partial.error_message,
-        diagnostic=partial.diagnostic,
-        mismatch_detected=partial.mismatch_detected,
-        structural=structural,
-    )
-
-
 def run_one_injection(
     circuit: Circuit,
     mutator: Mutator,
@@ -228,8 +207,12 @@ def run_one_injection(
             structural=mutator.structural,
         )
     partial = _classify(lambda m=mutant: run_flow(m, FlowOptions(ladder=ladder)))
-    return _stamp(
-        partial, circuit.name, mutator.name, fault.description, mutator.structural
+    return replace(
+        partial,
+        design=circuit.name,
+        injector=mutator.name,
+        description=fault.description,
+        structural=mutator.structural,
     )
 
 
@@ -253,7 +236,12 @@ def run_one_corruption(
             outcome=Outcome.SKIPPED,
         )
     partial = _classify(lambda c=corrupted: parser(c.text))
-    return _stamp(partial, name, corruptor.name, corrupted.description, None)
+    return replace(
+        partial,
+        design=name,
+        injector=corruptor.name,
+        description=corrupted.description,
+    )
 
 
 def run_netlist_campaign(

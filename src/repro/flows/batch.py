@@ -269,8 +269,8 @@ def run_batch_flow(
     """Generate and verify ``n_copies`` distinct fingerprinted copies.
 
     This is the engine behind :func:`repro.api.batch`.  Every copy runs
-    the full ladder (structural → exhaustive-sim → incremental SAT →
-    random-sim) against ``design``; a spent SAT budget degrades that
+    the full ladder (exhaustive-sim → incremental SAT → random-sim)
+    against ``design``; a spent SAT budget degrades that
     copy's verdict exactly as in the single-copy flow, and the
     degradation is visible per record (``budget_hit``/``proven``).
 

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from .. import telemetry
 from ..budget import Budget
 from ..errors import ReproError, annotate
 from ..netlist.circuit import Circuit
-from ..sat.cec import CecResult, CecVerdict, structurally_identical
+from ..sat.cec import CecResult, CecVerdict
 from ..sat.incremental import IncrementalCecSession, check
 from ..sat.solver import SolverStats
 from ..sim.equivalence import exhaustive_equivalent, random_equivalent
@@ -43,7 +43,6 @@ from ..sim.vectors import MAX_EXHAUSTIVE_INPUTS
 class VerificationTier(enum.Enum):
     """Which rung of the ladder produced the verdict."""
 
-    STRUCTURAL = "structural"
     EXHAUSTIVE_SIM = "exhaustive-sim"
     SAT_CEC = "sat-cec"
     RANDOM_SIM = "random-sim"
@@ -207,23 +206,6 @@ def _run_tiers(
         raise ValueError("session base does not match the left circuit")
     tried = []
 
-    # ---- tier 0: structural identity ---------------------------------- #
-    # A copy whose modifications were all pruned away is the common cheap
-    # case in multi-copy flows; canonical hashing proves it without
-    # simulating or building a miter.  Only a positive identity decides —
-    # a negative just drops to the normal ladder.
-    with telemetry.span("ladder.structural"):
-        identical = structurally_identical(left, right)
-    if identical:
-        return VerificationReport(
-            equivalent=True,
-            proven=True,
-            tier=VerificationTier.STRUCTURAL,
-            reason="structurally identical under canonical hashing",
-            confidence=1.0,
-            tiers_tried=(VerificationTier.STRUCTURAL.value,),
-        )
-
     # ---- tier 1: exhaustive simulation -------------------------------- #
     n_inputs = len(left.inputs)
     limit = min(config.max_exhaustive_inputs, MAX_EXHAUSTIVE_INPUTS)
@@ -301,10 +283,9 @@ def _run_tiers(
             )
     except ReproError as exc:
         raise annotate(exc, stage="verify", design=left.name)
-    proven = not result.equivalent  # a concrete mismatch is definitive
     report = VerificationReport(
         equivalent=result.equivalent,
-        proven=proven,
+        proven=not result.equivalent,  # a concrete mismatch is definitive
         tier=VerificationTier.RANDOM_SIM,
         reason=f"{sat_reason}; fell back to {result.n_vectors} random vectors",
         confidence=1.0,
@@ -315,21 +296,7 @@ def _run_tiers(
         budget_hit=budget_hit,
         tiers_tried=tuple(tried),
     )
-    if proven:
-        return report
-    return VerificationReport(
-        equivalent=report.equivalent,
-        proven=False,
-        tier=report.tier,
-        reason=report.reason,
-        confidence=report.confidence_for(DETECTABLE_RATE),
-        n_vectors=report.n_vectors,
-        counterexample=None,
-        output=None,
-        sat_stats=sat_stats,
-        budget_hit=budget_hit,
-        tiers_tried=tuple(tried),
-    )
+    return replace(report, confidence=report.confidence_for(DETECTABLE_RATE))
 
 
 def _sat_tier(

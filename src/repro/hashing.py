@@ -36,8 +36,7 @@ import json
 from typing import Any, Mapping, Sequence, Tuple
 
 #: Gate kinds whose output is invariant under fanin permutation.  Kept in
-#: sync with the gate encoders in :mod:`repro.sat.tseitin` (the miter
-#: builder re-exports this set for its own structural comparison).
+#: sync with the gate encoders in :mod:`repro.sat.tseitin`.
 COMMUTATIVE_KINDS = frozenset({"AND", "NAND", "OR", "NOR", "XOR", "XNOR"})
 
 

@@ -10,7 +10,7 @@ from .solver import (
     solve_cnf,
 )
 from .tseitin import CircuitEncoding, encode_circuit
-from .cec import CecResult, CecVerdict, build_miter, structurally_identical
+from .cec import CecResult, CecVerdict, build_miter
 from .incremental import IncrementalCecSession, SessionStats, check, sat_equivalent
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "build_miter",
     "check",
     "sat_equivalent",
-    "structurally_identical",
     "IncrementalCecSession",
     "SessionStats",
 ]

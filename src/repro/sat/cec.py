@@ -1,32 +1,30 @@
-"""Combinational equivalence checking (CEC): verdicts, structure, miters.
+"""Combinational equivalence checking (CEC): verdicts and the raw miter.
 
 The verdict types every SAT-based check returns (:class:`CecVerdict`,
-:class:`CecResult`), the canonical structural comparison behind the
-ladder's no-SAT tier (:func:`differing_outputs`,
-:func:`structurally_identical`), and :func:`build_miter`, the classic
-miter: both circuits share primary-input variables, each pair of
-same-named outputs feeds an XOR, and the OR of all XORs is asserted true.
-UNSAT proves equivalence; a model is a counterexample vector.
+:class:`CecResult`), and :func:`build_miter`, the classic miter: both
+circuits share primary-input variables, each pair of same-named outputs
+feeds an XOR, and the OR of all XORs is asserted true.  UNSAT proves
+equivalence; a model is a counterexample vector.
 
 Every verdict the package computes comes from one engine, the CEC
 session of :mod:`repro.sat.incremental`, whose
 :func:`~repro.sat.incremental.check` proves one pair through a one-copy
-session.  :func:`build_miter` is kept as the raw reference miter: solved
-as it is by one :class:`~repro.sat.solver.CdclSolver` call, it shares
-only the Tseitin encoder and the solver with a session, which is what
-the differential tests compare the session with.
+session; a copy with the base's structure hashes onto the base gate by
+gate there and is cleared without a solve.  :func:`build_miter` is kept
+as the raw reference miter: solved as it is by one
+:class:`~repro.sat.solver.CdclSolver` call, it shares only the Tseitin
+encoder and the solver with a session, which is what the differential
+tests compare the session with.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..hashing import COMMUTATIVE_KINDS
-from ..ir import compile_circuit
 from ..netlist.circuit import Circuit
-from ..sim.equivalence import PortMismatchError
+from ..sim.equivalence import _check_ports
 from .solver import SolverStats
 from .tseitin import CircuitEncoding, _encode_xor2, encode_circuit
 
@@ -68,62 +66,13 @@ class CecResult:
         return self.verdict is not CecVerdict.UNDECIDED
 
 
-def differing_outputs(left: Circuit, right: Circuit) -> List[str]:
-    """Outputs of ``left`` whose canonical structural classes differ.
-
-    Interns every net of both circuits into one congruence table keyed by
-    ``(kind, fanin classes)`` — fanins sorted for commutative kinds, primary
-    inputs keyed by name — and compares the classes of same-named outputs.
-    An output not listed is computed by literally the same gate structure
-    on both sides, so it is equivalent by construction.  The circuits must
-    have the same outputs.
-    """
-    table: Dict[tuple, int] = {}
-
-    def output_classes(circuit: Circuit) -> Dict[str, int]:
-        compiled = compile_circuit(circuit)
-        cls: Dict[str, int] = {}
-        for name in circuit.inputs:
-            key = ("pi", name)
-            cls[name] = table.setdefault(key, len(table))
-        for gate in compiled.gates_in_order():
-            ins = tuple(cls[n] for n in gate.inputs)
-            if gate.kind in COMMUTATIVE_KINDS:
-                ins = tuple(sorted(ins))
-            key = (gate.kind, ins)
-            cls[gate.name] = table.setdefault(key, len(table))
-        return {net: cls[net] for net in circuit.outputs}
-
-    left_cls = output_classes(left)
-    right_cls = output_classes(right)
-    return [net for net in left.outputs if left_cls[net] != right_cls[net]]
-
-
-def structurally_identical(left: Circuit, right: Circuit) -> bool:
-    """Same ports and no output in :func:`differing_outputs`.
-
-    A ``True`` verdict is a *proof* of equivalence (same outputs computed by
-    literally the same gate structure); ``False`` just means a miter is
-    needed.  Used as the no-SAT fast path for copies with zero surviving
-    modifications.
-    """
-    if set(left.inputs) != set(right.inputs):
-        return False
-    if set(left.outputs) != set(right.outputs):
-        return False
-    return not differing_outputs(left, right)
-
-
 def build_miter(left: Circuit, right: Circuit) -> CircuitEncoding:
     """Encode the miter of two port-compatible circuits.
 
     The returned encoding has an extra final variable (the last allocated
     one) asserted true iff some output pair differs.
     """
-    if set(left.inputs) != set(right.inputs):
-        raise PortMismatchError("input sets differ")
-    if set(left.outputs) != set(right.outputs):
-        raise PortMismatchError("output sets differ")
+    _check_ports(left, right)
     encoding = CircuitEncoding()
     shared = left.inputs
     encode_circuit(left, encoding, prefix="L::", shared_nets=shared)

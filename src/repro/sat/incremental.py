@@ -75,7 +75,7 @@ from .. import telemetry
 from ..budget import Budget, BudgetClock
 from ..ir import compile_circuit
 from ..netlist.circuit import Circuit
-from ..sim.equivalence import PortMismatchError
+from ..sim.equivalence import _check_ports
 from ..sim.simulator import Simulator
 from ..sim.vectors import WORD_BITS, random_stimulus, vector_of
 from ..hashing import gate_key
@@ -288,10 +288,7 @@ class IncrementalCecSession:
     def _verify(self, copy: Circuit, budget: Optional[Budget]) -> CecResult:
         if self.base.version != self._base_version:
             raise ValueError("base circuit was mutated after session construction")
-        if set(copy.inputs) != set(self.base.inputs):
-            raise PortMismatchError("input sets differ")
-        if set(copy.outputs) != set(self.base.outputs):
-            raise PortMismatchError("output sets differ")
+        _check_ports(self.base, copy)
         solver = self.solver
         clock = budget.start() if budget is not None and not budget.unlimited else None
         conflicts0 = solver.stats.conflicts

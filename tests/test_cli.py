@@ -122,9 +122,10 @@ class TestCommands:
         assert "random-sim" in out
         assert "SAT budget spent" in out
 
-    def test_verify_identical_is_structural(self, golden_v, capsys):
+    def test_verify_identical_is_proven(self, golden_v, capsys):
         assert main(["verify", golden_v, golden_v]) == 0
-        assert "structural" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "exhaustive-sim" in out and "proven" in out
 
     def test_verify_no_sat(self, golden_v, tmp_path, capsys):
         out_v = str(tmp_path / "copy.v")

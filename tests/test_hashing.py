@@ -47,11 +47,6 @@ class TestGateKey:
             "NAND", (9, 4)
         )
 
-    def test_reexported_by_sat_cec(self):
-        from repro.sat.cec import COMMUTATIVE_KINDS as cec_kinds
-
-        assert cec_kinds is COMMUTATIVE_KINDS
-
 
 class TestContentDigest:
     def test_byte_compatible_with_inline_sha1(self):

@@ -22,7 +22,8 @@ from repro.budget import Budget
 from repro.faultinject.mutators import functional_mutators
 from repro.fingerprint import FingerprintCodec, embed, find_locations
 from repro.netlist import Circuit
-from repro.sat import IncrementalCecSession, incremental, structurally_identical
+from repro.netlist.transform import rename_nets
+from repro.sat import IncrementalCecSession, incremental
 from repro.sat.cec import CecVerdict
 from repro.sat.incremental import check
 from repro.sat.solver import CdclSolver, SolverStats
@@ -333,6 +334,17 @@ class TestSessionMechanics:
         with pytest.raises(PortMismatchError):
             session.verify(other)
 
+    def test_port_mismatch_names_the_ports(self, fig1_circuit):
+        session = IncrementalCecSession(fig1_circuit)
+        wider = fig1_circuit.clone("wider")
+        wider.add_input("E")
+        with pytest.raises(PortMismatchError, match=r"input sets differ: \['E'\]"):
+            session.verify(wider)
+        tapped = fig1_circuit.clone("tapped")
+        tapped.add_output("X")
+        with pytest.raises(PortMismatchError, match=r"output sets differ: \['X'\]"):
+            session.verify(tapped)
+
     def test_base_mutation_is_rejected(self):
         base = _random_base(seed=7)
         session = IncrementalCecSession(base)
@@ -357,9 +369,27 @@ class TestSessionMechanics:
             _assert_counterexample_real(base, mutant, result.counterexample)
 
 
+def _assert_cleared_structurally(result, base: Circuit) -> None:
+    """Every output hashed onto the base: no gate encoded, no solve."""
+    assert result.equivalent
+    assert result.reason == "all outputs discharged structurally"
+    assert result.detail["outputs_structural"] == len(base.outputs)
+    assert result.detail["gates_encoded"] == 0
+    assert result.stats.decisions == 0 and result.stats.propagations == 0
+
+
 class TestStructuralFastPath:
+    """The session is the one structural check: a copy with the base's
+    structure hashes onto it gate by gate and clears every output
+    without a solve, and any other copy encodes gates."""
+
     def test_clone_is_identical(self, adder4):
-        assert structurally_identical(adder4, adder4.clone("twin"))
+        """A shared session clears every clone, not only its first: a
+        clone adds nothing to the solver the next copy starts from."""
+        session = IncrementalCecSession(adder4)
+        for index in range(2):
+            result = session.verify(adder4.clone(f"twin{index}"))
+            _assert_cleared_structurally(result, adder4)
 
     def test_commutative_fanin_swap_is_identical(self, fig1_circuit):
         swapped = Circuit("swapped")
@@ -368,26 +398,32 @@ class TestStructuralFastPath:
         swapped.add_gate("Y", "OR", ["D", "C"])
         swapped.add_gate("F", "AND", ["Y", "X"])
         swapped.add_output("F")
-        assert structurally_identical(fig1_circuit, swapped)
+        _assert_cleared_structurally(check(fig1_circuit, swapped), fig1_circuit)
+
+    def test_renamed_internal_gates_are_identical(self, adder4):
+        outputs = set(adder4.outputs)
+        internal = [net for net in adder4.gate_names() if net not in outputs]
+        copy = rename_nets(adder4, {net: f"r_{net}" for net in internal})
+        assert internal and not set(internal) & set(copy.gate_names())
+        _assert_cleared_structurally(check(adder4, copy), adder4)
 
     def test_functional_change_is_not_identical(self, fig1_circuit, fig1_modified):
-        assert not structurally_identical(fig1_circuit, fig1_modified)
+        """The paper's Fig. 1 modification: equivalent, not identical."""
+        result = check(fig1_circuit, fig1_modified)
+        assert result.equivalent
+        assert result.detail["gates_encoded"] > 0
 
     def test_fingerprinted_copy_is_not_identical(self):
         base = _random_base(seed=61)
         catalog = find_locations(base)
         codec = FingerprintCodec(catalog)
         copy = embed(base, catalog, codec.encode(9)).circuit
-        assert not structurally_identical(base, copy)
+        result = check(base, copy)
+        assert result.equivalent
+        assert result.detail["gates_encoded"] > 0
 
     def test_check_fast_path_skips_solver(self, adder4):
-        from repro.sat import check
-
-        result = check(adder4, adder4.clone("twin"))
-        assert result.equivalent
-        assert result.reason == "all outputs discharged structurally"
-        assert result.detail["outputs_structural"] == len(adder4.outputs)
-        assert result.stats.decisions == 0 and result.stats.propagations == 0
+        _assert_cleared_structurally(check(adder4, adder4.clone("twin")), adder4)
 
 
 class TestAbortedSolve:

@@ -105,11 +105,9 @@ def test_one_clock_covers_the_session_build(wide_pair, deadline):
 
 def test_sessionless_sat_tier_is_check(wide_pair, monkeypatch):
     """Without a session the SAT tier is :func:`repro.sat.check`, the one
-    path that builds a one-copy session on a clock, and a ladder call
-    compares the pair's structure once (tier 0; ``check`` has no
-    structural shortcut of its own)."""
+    path that builds a one-copy session on a clock, and nothing else
+    compares the pair's structure."""
     from repro.flows import ladder
-    from repro.sat import cec
 
     calls = []
 
@@ -121,13 +119,10 @@ def test_sessionless_sat_tier_is_check(wide_pair, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ladder, "check", counted("check", ladder.check))
-    monkeypatch.setattr(
-        cec, "differing_outputs", counted("differing_outputs", cec.differing_outputs)
-    )
     base, copy = wide_pair
     report = run_ladder(base, copy)
     assert report.tier is VerificationTier.SAT_CEC and report.proven
-    assert calls == ["differing_outputs", "check"]
+    assert calls == ["check"]
 
 
 def test_random_tier_mismatch_is_a_proof(wide_pair):
@@ -187,13 +182,35 @@ def test_report_summary_mentions_tier(wide_pair):
     assert "sat-cec" in report.summary()
 
 
-def test_identical_pair_decided_structurally(fig1_circuit):
-    """Tier 0: a copy with zero surviving modifications never simulates
-    or builds a miter."""
-    report = run_ladder(fig1_circuit, fig1_circuit.clone("twin"))
-    assert report.tier is VerificationTier.STRUCTURAL
+def test_identical_pair_decided_structurally(wide_pair):
+    """A copy with zero surviving modifications, too wide to simulate
+    exhaustively: the SAT tier's session hashes every gate onto the base
+    and clears every output with no decision or propagation."""
+    base, _ = wide_pair
+    report = run_ladder(base, base.clone("twin"))
+    assert report.tier is VerificationTier.SAT_CEC
     assert report.equivalent and report.proven
-    assert report.tiers_tried == ("structural",)
+    assert report.tiers_tried == ("sat-cec",)
+    assert report.sat_stats.decisions == 0
+    assert report.sat_stats.propagations == 0
+
+
+def test_narrow_identical_pair_decided_exhaustively(fig1_circuit):
+    report = run_ladder(fig1_circuit, fig1_circuit.clone("twin"))
+    assert report.tier is VerificationTier.EXHAUSTIVE_SIM
+    assert report.equivalent and report.proven
+    assert report.tiers_tried == ("exhaustive-sim",)
+
+
+def test_identical_pair_without_sat_is_not_proven(wide_pair):
+    """With the SAT tier off, nothing proves a wide identical pair: the
+    random tier answers with its confidence."""
+    base, _ = wide_pair
+    report = run_ladder(base, base.clone("twin"), config=LadderConfig(use_sat=False))
+    assert report.tier is VerificationTier.RANDOM_SIM
+    assert report.equivalent and not report.proven
+    assert report.tiers_tried == ("random-sim",)
+    assert 0.99 < report.confidence < 1.0
 
 
 def test_session_backed_sat_tier(wide_pair):
