@@ -35,7 +35,7 @@ from .api import (
     verify,
 )
 
-__version__ = "12.0.0"
+__version__ = "12.1.0"
 
 __all__ = [
     "BatchResult",

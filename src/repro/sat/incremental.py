@@ -36,23 +36,24 @@ share the engine too):
    point: two solves prove the two variables equal, and the gate then
    takes the base variable, so everything downstream hashes onto the
    base again.  Each solve asks for one implication's counterexample
-   (``v`` and not ``b``, then the mirror) under a single fresh
-   activation literal ``d`` with clauses ``(-d, v)`` and ``(-d, -b)``,
-   so both sides propagate at one decision level.  It is cone-bounded
-   (``CdclSolver.solve(inputs=...)``): the solver branches only on the
-   primary inputs in the fanin cones of ``v`` and ``b``, kept as
-   per-variable bitmasks, and answers SAT once they are all assigned.
-   A satisfiable solve leaves the gate unmerged.  ODC modifications are
-   masked, so the sweep usually closes every modified cone within a
-   few gates of the modification.
+   under the plain assumption pair ``(v, -b)``, then ``(-v, b)``, which
+   the solver takes at one decision level; the sweep adds no variable
+   and no clause.  It is cone-bounded
+   (``CdclSolver.solve(inputs=..., cone=...)``): every variable keeps a
+   fanin-cone bitmask (its own bit, its Tseitin auxiliaries' bits and
+   its fanins' masks), the solver branches only on the primary inputs
+   in ``cone[v] | cone[b]``, assigns no variable outside it, and answers
+   SAT once those inputs are all assigned.  A satisfiable solve leaves
+   the gate unmerged.  ODC modifications are masked, so the sweep
+   usually closes every modified cone within a few gates of the
+   modification.
 
 4. **Discharge clean outputs structurally.**  An output whose copy
    variable equals its base variable is equivalent by construction; no
    miter, no output obligation.  After the sweep that is usually every
    output.
 
-5. **One solver per copy, assumptions per output.**  The sweep's
-   activation literals are retired (asserted false) first.  An output
+5. **One solver per copy, assumptions per output.**  An output
    left with a copy variable gets a difference detector in the copy's
    solver and is solved under the assumption that it fires, hardest last
    (by dirty-cone size), so cheap proofs land first and a budget
@@ -90,11 +91,14 @@ SESSION_VECTORS = 2048
 SESSION_SEED = 2015
 
 
-def _union(support: Dict[int, int], variables: Iterable[int]) -> int:
-    """The union of ``variables``' input-support bitmasks."""
-    mask = 0
-    for var in variables:
-        mask |= support[var]
+def _cone_mask(cone: List[int], var: int, aux: Iterable[int], ins: Iterable[int]) -> int:
+    """The fanin-cone bitmask of a gate with output ``var``: its own bit,
+    its Tseitin auxiliaries' bits and its fanins' masks."""
+    mask = 1 << var
+    for extra in aux:
+        mask |= 1 << extra
+    for fanin in ins:
+        mask |= cone[fanin]
     return mask
 
 
@@ -153,21 +157,28 @@ class IncrementalCecSession:
             #: look "modified").
             self._base_key: Dict[str, Tuple] = {}
             self._base_strash: Dict[Tuple, int] = {}
-            #: Primary-input support of every base variable, as a bitmask
-            #: over ``base.inputs``: the cone a sweep solve branches in.
-            self._input_vars = [self._base_var[name] for name in base.inputs]
-            self._base_support: Dict[int, int] = {
-                var: 1 << index for index, var in enumerate(self._input_vars)
-            }
+            #: Fanin cone of every base variable as a bitmask over
+            #: variables (bit ``v`` for variable ``v``), indexed by
+            #: variable: what a sweep solve may assign.  The encoding
+            #: numbers the primary inputs 1..n in ``base.inputs`` order,
+            #: so a mask's low bits also name the inputs a solve branches
+            #: on; an auxiliary's entry is its gate's mask.
+            n_inputs = len(base.inputs)
+            self._input_bits = (1 << (n_inputs + 1)) - 2
+            cone = self._base_cone = [0] * (self._base_cnf.n_vars + 1)
+            for var in range(1, n_inputs + 1):
+                cone[var] = 1 << var
             compiled = compile_circuit(base)
             for gate in compiled.gates_in_order():
+                var = self._base_var[gate.name]
                 ins = [self._base_var[n] for n in gate.inputs]
                 key = self._key(gate.kind, ins)
                 self._base_key[gate.name] = key
-                self._base_strash.setdefault(key, self._base_var[gate.name])
-                self._base_support[self._base_var[gate.name]] = _union(
-                    self._base_support, ins
-                )
+                self._base_strash.setdefault(key, var)
+                aux = encoding.aux_of.get(var, ())
+                cone[var] = _cone_mask(cone, var, aux, ins)
+                for extra in aux:
+                    cone[extra] = cone[var]
             #: The copy's solver.  The first copy takes it as built; every
             #: later copy restores the base from ``_template``, a solver
             #: holding only the base encoding that nothing solves on, built
@@ -185,13 +196,9 @@ class IncrementalCecSession:
     _key = staticmethod(gate_key)
 
     def _cone_inputs(self, mask: int) -> List[int]:
-        """The primary-input variables a support bitmask names."""
-        inputs = []
-        while mask:
-            low = mask & -mask
-            inputs.append(self._input_vars[low.bit_length() - 1])
-            mask ^= low
-        return inputs
+        """The primary-input variables of a cone mask, in input order."""
+        bits = bin(mask & self._input_bits)[:1:-1]
+        return [var for var, bit in enumerate(bits) if bit == "1"]
 
     def _restore_base(self) -> None:
         """Give the session a fresh solver holding only the base encoding:
@@ -346,8 +353,7 @@ class IncrementalCecSession:
         var_of: Dict[str, int] = {name: base_var[name] for name in copy.inputs}
         # (kind, fanin vars) -> CNF var: the base's gates, then this copy's.
         strash = dict(self._base_strash)
-        support = dict(self._base_support)
-        activations: List[int] = []
+        cone = self._base_cone[:]  # plus each fresh gate's variable and auxiliaries
         for row, gate in enumerate(compiled.gates_in_order(), len(copy.inputs)):
             ins = [var_of[n] for n in gate.inputs]
             key = self._key(gate.kind, ins)
@@ -357,26 +363,26 @@ class IncrementalCecSession:
                 var = strash.get(key)
             if var is None:
                 var = solver.new_var()
-                _encode(solver, gate.kind, var, ins)
-                support[var] = _union(support, ins)
+                aux = _encode(solver, gate.kind, var, ins)
+                mask = _cone_mask(cone, var, aux, ins)
+                cone += [mask] * (1 + len(aux))
                 detail["gates_encoded"] += 1
                 twin = base_var.get(gate.name)
                 if twin is not None and np.array_equal(base_rows[gate.name], copy_matrix[row]):
                     # Same signature as its base twin: sweep the point, and
                     # merge it when both implications are UNSAT.
                     detail["points_swept"] += 1
-                    cone = self._cone_inputs(support[var] | support[twin])
-                    detail["sweep_inputs"] += len(cone)
-                    for lits in ((var, -twin), (-var, twin)):
+                    mask |= cone[twin]
+                    inputs = self._cone_inputs(mask)
+                    detail["sweep_inputs"] += len(inputs)
+                    for assumptions in ((var, -twin), (-var, twin)):
                         reason, remaining = rest()
                         if reason is not None:
                             return undecided("undecided_point", gate.name, reason)
-                        act = solver.new_var()
-                        activations.append(act)
-                        for lit in lits:
-                            solver.add_clause([-act, lit])
                         propagations = solver.stats.propagations
-                        result = solver.solve([act], budget=remaining, inputs=cone)
+                        result = solver.solve(
+                            assumptions, budget=remaining, inputs=inputs, cone=mask
+                        )
                         detail["sweep_propagations"] += (
                             solver.stats.propagations - propagations
                         )
@@ -428,10 +434,6 @@ class IncrementalCecSession:
             return count
 
         order = sorted(affected, key=dirty_cone_size)
-        # Full solves branch on every variable; a free activation literal
-        # would cost a conflict per merged point.
-        for act in activations:
-            solver.add_clause([-act])
         for position, net in enumerate(order):
             reason, remaining = rest()
             if reason is not None:

@@ -26,10 +26,13 @@ with blocker literals and a dedicated binary-clause tier; learned-clause
 minimization and phase saving are always on; the restart base and the
 two activity decays are the module constants :data:`RESTART_BASE`,
 :data:`VAR_DECAY` and :data:`CLA_DECAY`.  A cone-bounded solve
-(``solve(inputs=...)``, used by the session's sweep) changes only which
-variables it branches on and when it answers SAT.  The SAT trajectory
-pin (``tests/golden/sat_trajectory.json``) fixes the search itself:
-every counter and model digest of a set of recorded call logs.
+(``solve(inputs=..., cone=...)``, used by the session's sweep) takes
+its assumptions at one decision level, branches only on the cone's
+inputs, answers SAT once they are assigned, and assigns no variable
+outside the cone above the root; it keeps the one propagation loop,
+which reads the cone from solver state.  The SAT trajectory pin
+(``tests/golden/sat_trajectory.json``) fixes the search itself: every
+counter and model digest of a set of recorded call logs.
 
 Internal literal encoding: variable ``v`` (1-based) maps to literals
 ``2*v`` (positive) and ``2*v + 1`` (negative); ``lit ^ 1`` negates.
@@ -84,6 +87,10 @@ class SolverAbortedError(ReproError, RuntimeError):
 def _to_internal(lit: int) -> int:
     var = abs(lit)
     return 2 * var + (1 if lit < 0 else 0)
+
+
+#: Maps a reversed ``bin()`` digit string to bytes 0 and 1 (see ``solve``).
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 #: Conflicts before the first restart; the Luby sequence scales later
@@ -297,6 +304,10 @@ class CdclSolver:
         self._n_learned_live = 0
         #: DB reduction fires when live learned clauses exceed this.
         self._reduce_limit = 2000
+        #: During a solve with ``cone=``, one byte per variable, nonzero
+        #: for the variables propagation may assign above the root;
+        #: ``None`` otherwise.
+        self._cone: Optional[bytes] = None
 
         if cnf is not None:
             # Units wait until every clause is in, so the load simplifies
@@ -395,6 +406,7 @@ class CdclSolver:
         new._seen = self._seen[:]
         new._n_learned_live = self._n_learned_live
         new._reduce_limit = self._reduce_limit
+        new._cone = None
         return new
 
     @property
@@ -506,6 +518,12 @@ class CdclSolver:
         and touch the clause object only when the blocker is not already
         true.  Returns (conflicting clause index or None, head).
 
+        Above the root, a cone-bounded solve (``_cone`` set) leaves a unit
+        clause alone when its open literal's variable lies outside the
+        cone: the variable stays unassigned and the clause keeps its
+        watches.  Root-level propagation is always complete, because root
+        assignments outlive the solve.
+
         The hottest loop of the solver: enqueueing and literal tests are
         inlined over ``_val``, and the counters live in locals that are
         written back once on every return.
@@ -522,6 +540,7 @@ class CdclSolver:
         bin_watches = self._bin_watches
         push = trail.append
         depth = len(self._trail_lim)
+        cone = self._cone if depth else None
         props = visits = 0
         conflict: Optional[int] = None
         while head < len(trail):
@@ -539,6 +558,8 @@ class CdclSolver:
                     value = val[other]
                     if value == -1:
                         var = other >> 1
+                        if cone is not None and not cone[var]:
+                            continue
                         assign[var] = (other & 1) ^ 1
                         val[other] = 1
                         val[other ^ 1] = 0
@@ -595,12 +616,13 @@ class CdclSolver:
                         watch_list[j:] = watch_list[i:]
                         break
                     var = first >> 1
-                    assign[var] = (first & 1) ^ 1
-                    val[first] = 1
-                    val[first ^ 1] = 0
-                    level[var] = depth
-                    reason[var] = clause_index
-                    push(first)
+                    if cone is None or cone[var]:
+                        assign[var] = (first & 1) ^ 1
+                        val[first] = 1
+                        val[first ^ 1] = 0
+                        level[var] = depth
+                        reason[var] = clause_index
+                        push(first)
                     watch_list[j] = first
                     watch_list[j + 1] = clause_index
                     j += 2
@@ -895,6 +917,7 @@ class CdclSolver:
         budget: Optional[Budget] = None,
         *,
         inputs: Optional[Sequence[int]] = None,
+        cone: Optional[int] = None,
     ) -> SatResult:
         """Solve, optionally under external (DIMACS-signed) assumptions.
 
@@ -912,19 +935,45 @@ class CdclSolver:
         :class:`SolverAbortedError`.
 
         ``inputs`` bounds the search to a circuit cone, for formulas that
-        Tseitin-encode a circuit (:mod:`repro.sat.tseitin`) plus
-        activation clauses ``(-d, v)`` on the assumptions.  It lists the
+        Tseitin-encode a circuit (:mod:`repro.sat.tseitin`).  It lists the
         primary-input variables in the fanin cones of every variable the
-        assumptions constrain.  The solver then branches only on those
-        variables, in the given order, and answers SAT as soon as they
-        are all assigned without conflict; the model covers only them.
-        That is sound because every other variable is a Tseitin gate
-        output (or a gate's auxiliary) or an activation variable, so any
-        cone assignment extends to a full model: simulate the gates
-        outside the cone and set the unassumed activation variables
-        false.  Unit propagation from the cone's inputs evaluates every
-        gate of the cone, so a conflict-free fixpoint agrees with that
-        model.  Solves without ``inputs`` run unchanged.
+        assumptions constrain.  The solver takes every assumption not yet
+        true at one decision level (one false at the root, or the negation
+        of an earlier one, answers UNSAT), then branches only on those
+        inputs, in the given order, and answers SAT as soon as they are
+        all assigned without conflict; the model covers only them.  A
+        solve with a single assumption takes it exactly as a solve
+        without ``inputs`` does.
+
+        ``cone``, valid only with ``inputs``, is a bitmask over variables
+        (bit ``v`` for variable ``v``): the variables unit propagation may
+        assign above the root during this solve.  A clause that would
+        force a variable outside it is left as it is, its watches kept.
+        The caller passes the fanin cones of the assumed variables: every
+        gate output in them, every such gate's Tseitin auxiliaries, and
+        the inputs.  Soundness:
+
+        * Propagation that never assigns a variable outside the cone uses
+          only clauses of the formula (the ones that mention an unassigned
+          variable outside the cone are in effect left out), and every
+          clause it learns is a resolvent of such clauses.  Leaving clauses
+          out only weakens the formula, so an UNSAT answer holds for the
+          full formula.
+        * Every clause of every gate in the cone stays in, auxiliaries
+          included, so propagation from the cone's inputs evaluates every
+          gate of the cone, and a conflict-free fixpoint agrees with
+          simulating the circuit on the model.  Every variable outside the
+          cone is a primary input the cone does not read, or a gate output
+          or auxiliary, so fixing those inputs (to false, as
+          :meth:`SatResult.value` does) and simulating the gates outside
+          the cone extends the model to a full one: a SAT answer is a real
+          counterexample.
+        * A cone missing a gate's auxiliary leaves that gate unevaluated,
+          so the solver can answer SAT on an incomplete evaluation.  For
+          an equivalence sweep that costs a merge (a false refutation)
+          and can never make one wrong.
+
+        Solves without ``inputs`` run unchanged.
         """
         self._check_usable()
         if inputs is not None:
@@ -932,21 +981,32 @@ class CdclSolver:
             for var in inputs:
                 if not 0 < var <= self.n_vars:
                     raise ValueError(f"input variable {var} is not allocated")
+            if cone is not None and cone < 0:
+                raise ValueError("cone must be a non-negative bitmask")
+        elif cone is not None:
+            raise ValueError("cone= bounds a cone-bounded solve: pass inputs= too")
         stats = self.stats
         conflicts0 = stats.conflicts
+        decisions0 = stats.decisions
         propagations0 = stats.propagations
         start = time.perf_counter()
         with telemetry.span("sat.solve", vars=self.n_vars) as solve_span:
             try:
+                if cone is not None:
+                    # One byte per variable: bit v of the mask at index v.
+                    table = bin(cone)[:1:-1].encode().translate(_BIT_BYTES)
+                    self._cone = table.ljust(self.n_vars + 1, b"\0")
                 result = self._solve(assumptions, budget, inputs)
             except BaseException:
                 self._aborted = True
                 raise
             finally:
+                self._cone = None
                 elapsed = time.perf_counter() - start
                 stats.solve_seconds += elapsed
                 telemetry.count("sat.solves")
                 telemetry.count("sat.conflicts", stats.conflicts - conflicts0)
+                telemetry.count("sat.decisions", stats.decisions - decisions0)
                 telemetry.count(
                     "sat.propagations", stats.propagations - propagations0
                 )
@@ -979,6 +1039,8 @@ class CdclSolver:
             self._trivially_unsat = True  # root-level conflict is permanent
             return SatResult(False, None, stats)
 
+        # A full solve takes each assumption at its own decision level, a
+        # cone-bounded one all of them at one level.
         for external in assumptions:
             lit = _to_internal(external)
             if self._val[lit] == 1:
@@ -986,8 +1048,15 @@ class CdclSolver:
             if self._val[lit] == 0:
                 self._backjump(0)
                 return SatResult(False, None, stats)
-            self._trail_lim.append(len(self._trail))
+            if inputs is None or not self._trail_lim:
+                self._trail_lim.append(len(self._trail))
             self._enqueue(lit, None)
+            if inputs is None:
+                conflict, head = self._propagate(head)
+                if conflict is not None:
+                    self._backjump(0)
+                    return SatResult(False, None, stats)
+        if inputs is not None:
             conflict, head = self._propagate(head)
             if conflict is not None:
                 self._backjump(0)

@@ -22,6 +22,9 @@ class CircuitEncoding:
 
     cnf: Cnf = field(default_factory=Cnf)
     var_of: Dict[str, int] = field(default_factory=dict)
+    #: Gate output variable -> the Tseitin auxiliaries its encoding
+    #: allocated (XOR of three or more inputs, XNOR); other gates have none.
+    aux_of: Dict[int, List[int]] = field(default_factory=dict)
 
     def variable(self, net: str) -> int:
         """Variable for ``net``, allocating it on first use."""
@@ -58,7 +61,14 @@ def _encode_equal(cnf: Cnf, a: int, b: int) -> None:
     cnf.add_clause([a, -b])
 
 
-def _encode(cnf: Cnf, kind: str, out: int, ins: List[int]) -> None:
+def _encode(cnf: Cnf, kind: str, out: int, ins: List[int]) -> List[int]:
+    """Add one gate's clauses; returns the auxiliary variables it allocated.
+
+    ``cnf`` is anything with ``new_var`` and ``add_clause`` (a
+    :class:`Cnf` or a live solver).  An XOR of ``k`` inputs chains ``k - 2``
+    two-input XORs through fresh auxiliaries, and an XNOR one more.
+    """
+    aux: List[int] = []
     if kind == "CONST0":
         cnf.add_clause([-out])
     elif kind == "CONST1":
@@ -76,17 +86,20 @@ def _encode(cnf: Cnf, kind: str, out: int, ins: List[int]) -> None:
         acc = ins[0]
         for lit in ins[1:-1]:
             fresh = cnf.new_var()
+            aux.append(fresh)
             _encode_xor2(cnf, fresh, acc, lit)
             acc = fresh
         if kind == "XOR":
             _encode_xor2(cnf, out, acc, ins[-1])
         else:
             fresh = cnf.new_var()
+            aux.append(fresh)
             _encode_xor2(cnf, fresh, acc, ins[-1])
             cnf.add_clause([-out, -fresh])
             cnf.add_clause([out, fresh])
     else:
         raise ValueError(f"cannot encode gate kind {kind!r}")
+    return aux
 
 
 def encode_circuit(
@@ -150,5 +163,7 @@ def _encode_whole(
     for gate in compiled.gates_in_order():
         out = net_var(gate.name)
         ins = [net_var(n) for n in gate.inputs]
-        _encode(encoding.cnf, gate.kind, out, ins)
+        aux = _encode(encoding.cnf, gate.kind, out, ins)
+        if aux:
+            encoding.aux_of[out] = aux
     return encoding

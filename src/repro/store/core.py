@@ -49,7 +49,8 @@ from ..errors import ReproError
 
 #: Bump when the pickled payload layout (or any cached artifact's
 #: internal schema) changes incompatibly; old files then read as misses.
-SCHEMA_VERSION = 1
+#: 2: a ``cnf`` artifact (``CircuitEncoding``) carries ``aux_of``.
+SCHEMA_VERSION = 2
 
 #: Errors that mean "this disk artifact is unusable" — anything pickle
 #: or the artifact's own unpickling hooks can raise on corrupt input.

@@ -3,7 +3,8 @@
 Every scenario is a log of the calls one :class:`CdclSolver` received:
 its initial CNF, then ``new_var`` / ``add_clause`` /
 ``solve(assumptions, Budget(max_conflicts=N))`` in order, a cone-bounded
-solve logging its ``inputs=`` list as a fourth item.  Each log is
+solve logging its ``inputs=`` list as a fourth item and, when it passes
+``cone=``, the cone's variables (ascending) as a fifth.  Each log is
 replayed, and the status, every integer :class:`SolverStats` counter and
 a digest of the model after each solve are written next to it, under
 :data:`CONFIG_KEY`.  ``tests/test_sat_trajectory.py`` replays the logs
@@ -151,7 +152,10 @@ def replay(
             solver.add_clause(call[1])
         else:
             inputs = call[3] if len(call) > 3 else None
-            result = solver.solve(call[1], Budget(max_conflicts=call[2]), inputs=inputs)
+            cone = sum(1 << var for var in call[4]) if len(call) > 4 else None
+            result = solver.solve(
+                call[1], Budget(max_conflicts=call[2]), inputs=inputs, cone=cone
+            )
             outcomes.append(
                 [result.status.value, counters(result.stats), model_digest(result.model)]
             )
@@ -199,15 +203,19 @@ class _RecordingSolver(CdclSolver):
         self._log["calls"].append(["add_clause", list(literals)])
         return super().add_clause(literals)
 
-    def solve(self, assumptions=(), budget=None, *, inputs=None):
+    def solve(self, assumptions=(), budget=None, *, inputs=None, cone=None):
         max_conflicts = budget.max_conflicts if budget is not None else None
         if max_conflicts is None:
             raise ValueError("pinned solves need a conflict budget")
         call = ["solve", list(assumptions), max_conflicts]
         if inputs is not None:
             call.append(list(inputs))
+            if cone is not None:
+                call.append([var for var in range(cone.bit_length()) if cone >> var & 1])
         self._log["calls"].append(call)
-        return super().solve(assumptions, Budget(max_conflicts=max_conflicts), inputs=inputs)
+        return super().solve(
+            assumptions, Budget(max_conflicts=max_conflicts), inputs=inputs, cone=cone
+        )
 
 
 def _c17():

@@ -227,6 +227,40 @@ class TestSessionMechanics:
         # solver work.
         assert alone[0] is CecVerdict.EQUIVALENT and alone[3] > 0
 
+    def test_sweep_adds_no_variable(self):
+        """A verified copy's solver holds the base's variables, each encoded
+        gate's output and its Tseitin auxiliaries, and nothing more: the
+        sweep asks plain assumption pairs, with no variable per point."""
+        from repro.bench.suite import build_benchmark
+
+        base = build_benchmark("C432")
+        catalog = find_locations(base)
+        codec = FingerprintCodec(catalog)
+        encode = incremental._encode
+        for value in (11, 12345, 777):
+            copy = embed(base, catalog, codec.encode(value)).circuit
+            encoded = []
+
+            def recording(cnf, kind, out, ins):
+                encoded.append((kind, len(ins)))
+                return encode(cnf, kind, out, ins)
+
+            session = IncrementalCecSession(base)
+            with mock.patch.object(incremental, "_encode", recording):
+                result = session.verify(copy)
+            detail = result.detail
+            assert result.equivalent and detail["outputs_sat"] == 0
+            assert detail["points_swept"] > 0
+            assert len(encoded) == detail["gates_encoded"]
+            # An XOR of k inputs chains k - 2 auxiliaries, an XNOR k - 1.
+            aux = sum(
+                n - (2 if kind == "XOR" else 1)
+                for kind, n in encoded
+                if kind in ("XOR", "XNOR")
+            )
+            base_vars = session._base_cnf.n_vars
+            assert session.solver.n_vars == base_vars + len(encoded) + aux
+
     def test_sweep_discharges_every_output_of_a_fingerprint_copy(self):
         """Internal points that keep their base signature are proven equal
         to their base twins and merged, so every output of the copy hashes

@@ -403,6 +403,89 @@ class TestConeBoundedSolve:
         with pytest.raises(ValueError, match="not allocated"):
             solver.solve(inputs=[1, 99])
 
+    @staticmethod
+    def _mask(*variables: int) -> int:
+        return sum(1 << var for var in variables)
+
+    @staticmethod
+    def _side_gates() -> Cnf:
+        """The circuit of ``_circuit`` plus gates reading g outside every
+        cone below: var 8 = OR(5, 3) and var 9 = NAND(8, 6)."""
+        from repro.sat.tseitin import _encode
+
+        cnf = Cnf(n_vars=9)
+        _encode(cnf, "AND", 5, [1, 2])
+        _encode(cnf, "OR", 6, [3, 4])
+        _encode(cnf, "AND", 7, [2, 1])
+        _encode(cnf, "OR", 8, [5, 3])
+        _encode(cnf, "NAND", 9, [8, 6])
+        return cnf
+
+    def test_assumption_pair_is_unsat_without_new_variables(self):
+        """The sweep's plain pairs ``(v, -b)`` and ``(-v, b)`` at one
+        decision level, with and without the cone: no activation variable."""
+        solver = self._circuit()
+        cone = self._mask(1, 2, 5, 7)
+        for lits in ((5, -7), (-5, 7)):
+            assert solver.solve(list(lits), inputs=[1, 2]).status is SatStatus.UNSAT
+            result = solver.solve(list(lits), inputs=[1, 2], cone=cone)
+            assert result.status is SatStatus.UNSAT
+        assert solver.n_vars == 7
+        # Contradictory assumptions, and one false at the root, are UNSAT.
+        assert solver.solve([5, -5], inputs=[1, 2], cone=cone).status is SatStatus.UNSAT
+        solver.add_clause([-1])
+        assert solver.solve([5, 2], inputs=[1, 2], cone=cone).status is SatStatus.UNSAT
+        assert solver.solve([-5, 2], inputs=[1, 2], cone=cone).satisfiable
+
+    def test_cone_leaves_side_gates_unassigned(self):
+        """g and not h: full propagation also assigns 7, 8 and 9, which lie
+        outside the cone of 5 and 6; the cone-bounded solve answers the
+        same with fewer propagations and models only the inputs."""
+        answers = []
+        for cone in (None, self._mask(1, 2, 3, 4, 5, 6)):
+            solver = CdclSolver(self._side_gates())
+            result = solver.solve([5, -6], inputs=[1, 2, 3, 4], cone=cone)
+            answers.append((result.status, result.model, solver.stats.propagations))
+        (full, full_model, full_props), (bounded, model, props) = answers
+        assert full is bounded is SatStatus.SAT
+        assert model == full_model == {1: True, 2: True, 3: False, 4: False}
+        assert props < full_props
+
+    def test_full_solves_after_cone_solves_match_a_fresh_solver(self):
+        """Cone-bounded solves leave clauses unpropagated above the root
+        only: every later full solve answers as a fresh solver does,
+        including after a root unit that a cone solve propagated first."""
+        cnf = self._side_gates()
+        solver = CdclSolver(cnf)
+        cone = self._mask(1, 2, 3, 4, 5, 6)
+        solver.solve([5, -6], inputs=[1, 2, 3, 4], cone=cone)
+        solver.solve([-5, 6], inputs=[1, 2, 3, 4], cone=cone)
+        solver.add_clause([3])  # a root unit, pending until the next solve
+        cnf.add_clause([3])
+        assert solver.solve([5, -7], inputs=[1, 2], cone=self._mask(1, 2, 5, 7)).status \
+            is SatStatus.UNSAT
+        assert solver.solve().satisfiable is CdclSolver(cnf).solve().satisfiable is True
+        literals = [lit for var in range(1, 10) for lit in (var, -var)]
+        for pair in itertools.combinations(literals, 2):
+            assert solver.solve(list(pair)).status is CdclSolver(cnf).solve(list(pair)).status
+
+    def test_root_propagation_ignores_the_cone(self):
+        """Root assignments outlive the solve, so a cone-bounded solve
+        propagates a pending root unit in full: input 3 at the root sets
+        h (var 6) and the side gate 8 = OR(5, 3), outside the cone."""
+        solver = CdclSolver(self._side_gates())
+        solver.add_clause([3])
+        result = solver.solve([5, -7], inputs=[1, 2], cone=self._mask(1, 2, 5, 7))
+        assert result.status is SatStatus.UNSAT
+        assert solver._assign[6] == solver._assign[8] == 1
+        assert solver._level[6] == solver._level[8] == 0
+
+    def test_cone_without_inputs_is_rejected(self):
+        solver = self._circuit()
+        with pytest.raises(ValueError, match="inputs"):
+            solver.solve([5], cone=self._mask(1, 2, 5))
+        assert solver.usable
+
 
 class TestSolverStatsExtensions:
     def test_new_counters_populate(self):

@@ -1,17 +1,20 @@
 """The session's cone-bounded sweep solves against exhaustive simulation.
 
-A sweep solve (``CdclSolver.solve(inputs=...)``) branches only on the
-primary inputs in the fanin cones of a copy point and its base twin, and
-answers SAT as soon as those are assigned without conflict.  On circuits
-narrow enough to enumerate (at most ``MAX_EXHAUSTIVE_INPUTS`` inputs),
-fingerprinted copies and mutants of them must show that this never
-misleads the sweep: every point it merges equals its twin under
-exhaustive simulation, every point it refutes differs from it, and every
-verdict equals :func:`exhaustive_equivalent`.  16 inputs are 65,536
+A sweep solve (``CdclSolver.solve(inputs=..., cone=...)``) branches only
+on the primary inputs in the fanin cones of a copy point and its base
+twin, assigns no variable outside those cones, and answers SAT as soon
+as the inputs are assigned without conflict.  On circuits narrow enough
+to enumerate (at most ``MAX_EXHAUSTIVE_INPUTS`` inputs), fingerprinted
+copies and mutants of them must show that this never misleads the
+sweep: every point it merges equals its twin under exhaustive
+simulation, every point it refutes differs from it (on the refuting
+model's inputs, too), and every verdict equals
+:func:`exhaustive_equivalent`.  16 inputs are 65,536
 patterns, so the session's 2,048 signature vectors leave false candidates
-for the refuting solves to find.  Tier-1 checks three circuits and a
-copy whose point reads fewer inputs than its twin; ``-m differential``
-checks the catalog pin's population seeds at the same width.
+for the refuting solves to find.  Tier-1 checks three circuits, a copy
+whose point reads fewer inputs than its twin and a point whose cone
+needs Tseitin auxiliaries; ``-m differential`` checks the catalog pin's
+population seeds at the same width.
 """
 
 from __future__ import annotations
@@ -72,26 +75,20 @@ def copies_of(base: Circuit, seed: int) -> List[Circuit]:
 
 
 class Recording(incremental.CdclSolver):
-    """A solver that records the sweep's activation clauses and the
-    answers of its cone-bounded solves, in lists it owns: the session's
-    template is one of these, and each copy of it starts fresh lists."""
+    """A solver that records the assumptions and answers of its
+    cone-bounded solves, in a list it owns: the session's template is one
+    of these, and each copy of it starts a fresh list."""
 
     def copy(self):
         solver = super().copy()
-        solver.activation = {}  # activation var -> the literals it gates
-        solver.solves = []  # (activation var, satisfiable) per solve
+        solver.solves = []  # (assumptions, model or None if UNSAT) per solve
         return solver
 
-    def add_clause(self, literals):
-        if len(literals) == 2 and literals[0] < 0:
-            self.activation.setdefault(-literals[0], []).append(literals[1])
-        return super().add_clause(literals)
-
-    def solve(self, assumptions=(), budget=None, *, inputs=None):
-        result = super().solve(assumptions, budget, inputs=inputs)
+    def solve(self, assumptions=(), budget=None, *, inputs=None, cone=None):
+        result = super().solve(assumptions, budget, inputs=inputs, cone=cone)
         if inputs is not None:
             assert not result.unknown
-            self.solves.append((assumptions[0], result.satisfiable))
+            self.solves.append((list(assumptions), result.model))
         return result
 
 
@@ -100,19 +97,26 @@ def sweep(session, copy: Circuit) -> Tuple[object, Dict[str, bool]]:
     the sweep merged it (``False``: a cone-bounded solve refuted it).
 
     The copy is verified on a recording copy of the session's template,
-    which the first call builds as a :class:`Recording`."""
+    which the first call builds as a :class:`Recording`.  Every refuting
+    model must be a real counterexample: on its inputs the point and its
+    base twin differ."""
     with mock.patch.object(incremental, "CdclSolver", Recording):
         session._restore_base()
     solver = session.solver
-    assert type(solver) is Recording and not solver.activation
+    assert type(solver) is Recording and not solver.solves
     result = session.verify(copy)
     assert session.solver is solver
+    base = session.base
     net_of = {var: net for net, var in session._base_var.items()}
     merged: Dict[str, bool] = {}
-    for act, satisfiable in solver.solves:
-        (twin,) = [lit for lit in solver.activation[act] if abs(lit) in net_of]
+    for assumptions, model in solver.solves:
+        (twin,) = [lit for lit in assumptions if abs(lit) in net_of]
         name = net_of[abs(twin)]
-        merged[name] = merged.get(name, True) and not satisfiable
+        merged[name] = merged.get(name, True) and model is None
+        if model is not None:
+            vector = {net: int(model.get(session._base_var[net], False)) for net in base.inputs}
+            assert Simulator(base).run_single(vector)[name] != \
+                Simulator(copy).run_single(vector)[name], (copy.name, name)
     return result, merged
 
 
@@ -178,6 +182,62 @@ def test_cone_covers_the_twins_inputs():
     result, merged = sweep(incremental.IncrementalCecSession(base), copy)
     assert merged[net] is True
     assert result.equivalent and exhaustive_equivalent(base, copy).equivalent
+
+
+def xor_circuits() -> Tuple[Circuit, Circuit, Circuit]:
+    """A base whose point ``g = AND(x, y)`` reads ``x = XOR(a, b, c)`` and
+    ``y = XNOR(d, e)``, both Tseitin-encoded through auxiliaries; a copy
+    that re-derives ``g`` as ``NOR(XNOR(a, b, c), XOR(d, e))``, whose
+    3-input XNOR has auxiliaries of its own; and a mutant of the copy
+    whose XNOR reads ``XOR(c, rare)`` for ``c``, ``rare`` the AND of 16
+    more inputs, so it differs from the base only through the XORs and
+    only when all 16 are 1 (the signatures miss that)."""
+    base = Circuit("xors")
+    base.add_inputs(["a", "b", "c", "d", "e"])
+    rare = base.add_input("r0")
+    for index in range(1, 16):
+        base.add_input(f"r{index}")
+        rare = base.add_gate(f"rare{index}", "AND", [rare, f"r{index}"]).name
+    base.add_gate("x", "XOR", ["a", "b", "c"])
+    base.add_gate("y", "XNOR", ["d", "e"])
+    base.add_gate("g", "AND", ["x", "y"])
+    base.add_outputs(["g", rare])
+    base.validate()
+    circuits = []
+    for mutated in (False, True):
+        copy = base.clone(f"xors_copy{int(mutated)}")
+        copy.remove_gate("g")
+        if mutated:
+            copy.add_gate("c_rare", "XOR", ["c", rare])
+        copy.add_gate("nx", "XNOR", ["a", "b", "c_rare" if mutated else "c"])
+        copy.add_gate("ny", "XOR", ["d", "e"])
+        copy.add_gate("g", "NOR", ["nx", "ny"])
+        copy.validate()
+        circuits.append(copy)
+    return base, circuits[0], circuits[1]
+
+
+def test_sweep_cone_holds_the_xor_auxiliaries():
+    """Propagation from the inputs evaluates a 3-input XOR or an XNOR only
+    through its auxiliaries, so a cone without them would refute the
+    equal pair.  The point is merged, and the mutant's is refuted by a
+    real counterexample."""
+    base, copy, mutant = xor_circuits()
+    session = incremental.IncrementalCecSession(base)
+    stimulus = session._stimulus
+    assert (Simulator(mutant).run(stimulus, ["g"])["g"] == session._base_rows["g"]).all()
+
+    result, merged = sweep(session, copy)
+    assert merged == {"g": True}
+    assert result.equivalent and result.detail["outputs_sat"] == 0
+
+    result, merged = sweep(session, mutant)
+    assert merged == {"g": False}
+    assert result.verdict is CecVerdict.NOT_EQUIVALENT
+    assert not exhaustive_equivalent(base, mutant).equivalent
+    left = Simulator(base).run_single(result.counterexample)
+    right = Simulator(mutant).run_single(result.counterexample)
+    assert left["g"] != right["g"]
 
 
 def test_sweep_counts_its_work():

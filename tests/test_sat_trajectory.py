@@ -19,7 +19,20 @@ import pytest
 from repro.bench.suite import build_benchmark
 from repro.sat.solver import CdclSolver
 from repro.sat.tseitin import encode_circuit
-from tests.golden.make_sat_trajectory import CONFIG_KEY, OUT, log_cnf, replay
+from repro.budget import Budget
+from repro.fingerprint import FingerprintCodec, embed, find_locations
+from repro.flows.batch import select_values
+from repro.sat.incremental import IncrementalCecSession
+from tests.golden.make_sat_trajectory import (
+    CONE_COPY,
+    CONFIG_KEY,
+    OUT,
+    SESSION_CONFLICTS,
+    counters,
+    log_cnf,
+    replay,
+    session_logs,
+)
 
 with open(OUT) as _handle:
     PIN = json.load(_handle)
@@ -112,6 +125,27 @@ def test_cone_scenario_pins_cone_bounded_solves():
     outcomes = scenario["outcomes"][CONFIG_KEY]
     assert "sat" in {status for status, _, _ in outcomes}
     assert outcomes[-1][1]["conflicts"] > 0
+
+
+def test_recorded_cone_solves_replay_like_the_session():
+    """The recorder logs each sweep solve's ``cone=`` after its inputs, and
+    the replay of a freshly recorded session copy ends with exactly the
+    counters of a session that verified the same copy unrecorded."""
+    base = build_benchmark("C432")
+    (log,) = session_logs(base, [CONE_COPY], label="now").values()
+    cone_solves = [call for call in log["calls"] if call[0] == "solve" and len(call) > 3]
+    assert cone_solves and all(len(call) == 5 for call in cone_solves)
+    assert all(len(call[1]) == 2 for call in cone_solves)  # plain pairs
+
+    catalog = find_locations(base)
+    codec = FingerprintCodec(catalog)
+    value = select_values(codec.combinations, 40, seed=0)[CONE_COPY]
+    session = IncrementalCecSession(base)
+    session.verify(
+        embed(base, catalog, codec.encode(value)).circuit,
+        budget=Budget(max_conflicts=SESSION_CONFLICTS),
+    )
+    assert replay(log)[-1][1] == counters(session.solver.stats)
 
 
 @pytest.mark.parametrize("name", ["C432-session-raw0", "C432-session-raw-cone"])
